@@ -1,18 +1,19 @@
 """Container bounds and fingerprint algorithms for independent-set counting.
 
-Implements the graph-case max-degree fingerprint (Kleitman-Winston style),
-the r-uniform scythe procedure with co-degree-maximizing orderings, the
-closed-form counting bounds, and the exact enumeration oracle used to verify
-them at desk scale.
+Implements the r-uniform scythe procedure with co-degree-maximizing
+orderings on edge masks, whose r = 2 case is the graph max-degree fingerprint
+(Kleitman-Winston style), the closed-form counting bounds, and the exact
+enumeration oracle used to verify them at desk scale.
 
-Conventions fixed here (both fingerprint variants, and reconstruction):
+Conventions fixed here (fingerprints and reconstruction alike):
 
 * ties in every degree / co-degree maximization break by ascending vertex
   index;
 * the stopping conditions (segment budget reached, candidate set down to at
-  most ``u`` vertices, fingerprinted set exhausted) are checked at round
-  boundaries, where one round scans the current ordering up to the next
-  fingerprinted vertex and extracts one segment.
+  most ``u`` vertices, fewer than r-1 fingerprinted vertices left among the
+  candidates) are checked at round boundaries, where one round scans the
+  current ordering up to the next fingerprinted vertex and extracts one
+  segment.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CapabilityError, ConsistencyError, InputError, ParameterError
-from .graphs import Graph, UniformHypergraph
+from .graphs import Graph, UniformHypergraph, _bits, _mask
 
 __all__ = [
     "ContainerParams",
@@ -114,12 +115,33 @@ class FingerprintTrace:
 # exact enumeration oracle
 
 
-def is_independent(structure: Structure, vertices: Iterable[int]) -> bool:
-    vs = set(vertices)
+def _degree_rows(structure: Structure) -> tuple[Sequence[int], Callable[[int], int]]:
+    """``rows`` and ``live`` with deg_S(v) = (rows[v] & live(S)).bit_count()
+    for a vertex mask S.  A graph's rows are its adjacency masks and live(S)
+    is S; a hypergraph's rows are incident-edge masks (bit i for edge i) and
+    live(S) masks the edges inside S, those meeting no vertex outside S."""
     if isinstance(structure, Graph):
-        mask = sum(1 << v for v in vs)
-        return all(structure.masks[v] & mask == 0 for v in vs)
-    return all(not e <= vs for e in structure.edges)
+        return structure.masks, lambda smask: smask
+    rows = [0] * structure.n
+    for i, e in enumerate(structure.edge_masks):
+        for v in _bits(e):
+            rows[v] |= 1 << i
+    all_edges, all_vertices = (1 << structure.edge_count) - 1, (1 << structure.n) - 1
+
+    def live(smask: int) -> int:
+        inside = all_edges
+        for v in _bits(all_vertices & ~smask):
+            inside &= ~rows[v]
+        return inside
+
+    return rows, live
+
+
+def is_independent(structure: Structure, vertices: Iterable[int]) -> bool:
+    smask = _mask(vertices)
+    if isinstance(structure, Graph):
+        return all(structure.masks[v] & smask == 0 for v in _bits(smask))
+    return all(e & ~smask for e in structure.edge_masks)
 
 
 def count_independent_sets_exact(structure: Structure, k: int) -> int:
@@ -145,15 +167,8 @@ def count_independent_sets_exact(structure: Structure, k: int) -> int:
             return total
 
         return rec((1 << n) - 1, k)
-    edge_masks = structure.edge_masks
-    total = 0
-    for combo in itertools.combinations(range(structure.n), k):
-        smask = 0
-        for v in combo:
-            smask |= 1 << v
-        if all(e & ~smask for e in edge_masks):
-            total += 1
-    return total
+    _, live = _degree_rows(structure)
+    return sum(not live(_mask(combo)) for combo in itertools.combinations(range(structure.n), k))
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +211,6 @@ def hypergraph_bound(n: int, r: int, params: ContainerParams) -> int:
 # degree precondition
 
 
-def _max_degree_in(structure: Structure, smask: int, svertices: tuple[int, ...]) -> int:
-    if isinstance(structure, Graph):
-        return max((structure.masks[v] & smask).bit_count() for v in svertices)
-    deg = dict.fromkeys(svertices, 0)
-    svs = set(svertices)
-    for e in structure.edges:
-        if e <= svs:
-            for v in e:
-                deg[v] += 1
-    return max(deg.values())
-
-
 def verify_degree_precondition(
     structure: Structure,
     epsilon: Fraction,
@@ -234,13 +237,12 @@ def verify_degree_precondition(
         raise InputError(f"unknown variant {variant!r}")
     n = structure.n
     r = 2 if isinstance(structure, Graph) else structure.r
+    rows, live = _degree_rows(structure)
 
     def holds(svertices: tuple[int, ...]) -> bool:
         s = len(svertices)
-        smask = 0
-        for v in svertices:
-            smask |= 1 << v
-        md = _max_degree_in(structure, smask, svertices)
+        inside = live(_mask(svertices))
+        md = max((rows[v] & inside).bit_count() for v in svertices)
         if variant == "graph":
             return md >= eps * s - 1
         return md >= eps * (s - 1) ** (r - 1)
@@ -273,105 +275,74 @@ def verify_degree_precondition(
 # fingerprint algorithms
 
 
-def _check_independent(structure: Structure, vertices: Iterable[int]) -> frozenset[int]:
+def _check_independent(structure: Structure, vertices: Iterable[int]) -> int:
     vs = frozenset(vertices)
     if not all(0 <= v < structure.n for v in vs):
         raise InputError("fingerprint set outside vertex range")
     if not is_independent(structure, vs):
         raise InputError("fingerprint set is not independent")
-    return vs
+    return _mask(vs)
+
+
+def _scythe_core(structure: Structure, marked: int, params: ContainerParams) -> FingerprintTrace:
+    """The scythe on edge masks, for every r (a graph's edges are 2-masks).
+
+    Each round picks the r-1 vertices of one segment.  Before each pick the
+    edges still alive are held as their rests (the edge minus the segment so
+    far), all inside the candidate set W; the vertices of W are scanned in
+    the order of their co-degree, the number of rests through them, and each
+    is taken out of W until a marked one is hit.  The last rests are then
+    single vertices, which the segment spoils: they leave W as well.
+    """
+    if isinstance(structure, Graph):
+        r, edges = 2, [1 << u | 1 << v for u, v in structure.edges()]
+    else:
+        r, edges = structure.r, structure.edge_masks
+    n = structure.n
+    w = (1 << n) - 1
+    segments: list[tuple[int, ...]] = []
+    round_sizes = []
+    while (
+        len(segments) < params.ell
+        and w.bit_count() > params.u
+        and (marked & w).bit_count() >= r - 1
+    ):
+        round_sizes.append(w.bit_count())
+        edges = [e for e in edges if not e & ~w]
+        rests, segment = edges, []
+        while len(segment) < r - 1:
+            codegree = [0] * n
+            for rest in rests:
+                for v in _bits(rest):
+                    codegree[v] += 1
+            v = max(_bits(w), key=codegree.__getitem__)  # ties: lowest index
+            bit = 1 << v
+            w ^= bit
+            if marked & bit:
+                marked ^= bit
+                segment.append(v)
+                rests = [rest ^ bit for rest in rests if rest & bit]
+            else:
+                rests = [rest for rest in rests if not rest & bit]
+        for rest in rests:
+            w &= ~rest
+        segments.append(tuple(segment))
+    round_sizes.append(w.bit_count())
+    used = _mask(v for seg in segments for v in seg)
+    return FingerprintTrace(
+        segments=tuple(segments),
+        container=frozenset(_bits(w)),
+        removed=frozenset(_bits((1 << n) - 1 & ~w & ~used)),
+        round_sizes=tuple(round_sizes),
+    )
 
 
 def kw_fingerprint(g: Graph, independent: Iterable[int], params: ContainerParams) -> FingerprintTrace:
-    """Graph fingerprint: repeatedly examine the max-degree vertex of the
-    candidate set; fingerprinted vertices become singleton segments and
-    restrict the candidates to their non-neighbors, others are deleted."""
-    i_set = _check_independent(g, independent)
-    w = set(range(g.n))
-    i_rem = set(i_set)
-    segments: list[tuple[int, ...]] = []
-    round_sizes = []
-    while len(segments) < params.ell and len(w) > params.u and i_rem:
-        round_sizes.append(len(w))
-        while True:
-            wmask = _mask(w)
-            v = min(w, key=lambda x: (-(g.masks[x] & wmask).bit_count(), x))
-            w.discard(v)
-            if v in i_rem:
-                i_rem.discard(v)
-                segments.append((v,))
-                w -= set(_bits_of(g.masks[v]))
-                break
-    round_sizes.append(len(w))
-    return FingerprintTrace(
-        segments=tuple(segments),
-        container=frozenset(w),
-        removed=frozenset(range(g.n)) - frozenset(w) - frozenset(v for s in segments for v in s),
-        round_sizes=tuple(round_sizes),
-    )
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def _bits_of(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _codegrees(edge_pairs, j: frozenset[int], w: set[int]) -> dict[int, int]:
-    """deg_W(J + {v}) for every v in W: edges containing J whose remaining
-    vertices all lie in W, bucketed over those remaining vertices."""
-    deg = dict.fromkeys(w, 0)
-    for e in edge_pairs:
-        if j <= e:
-            rest = e - j
-            if all(v in w for v in rest):
-                for v in rest:
-                    deg[v] += 1
-    return deg
-
-
-def _scythe_core(
-    h: UniformHypergraph,
-    marked: frozenset[int],
-    params: ContainerParams,
-) -> FingerprintTrace:
-    r = h.r
-    w = set(range(h.n))
-    rem = set(marked)
-    segments: list[tuple[int, ...]] = []
-    round_sizes = []
-    while len(segments) < params.ell and len(w) > params.u and len(rem) >= r - 1:
-        round_sizes.append(len(w))
-        j: list[int] = []
-        for _ in range(r - 1):
-            jset = frozenset(j)
-            while True:
-                deg = _codegrees(h.edges, jset, w)
-                v = min(w, key=lambda x: (-deg[x], x))
-                w.discard(v)
-                if v in rem:
-                    rem.discard(v)
-                    j.append(v)
-                    break
-        jset = frozenset(j)
-        spoiled = {v for v in w if (jset | {v}) in h.edges}
-        w -= spoiled
-        segments.append(tuple(j))
-    round_sizes.append(len(w))
-    return FingerprintTrace(
-        segments=tuple(segments),
-        container=frozenset(w),
-        removed=frozenset(range(h.n)) - frozenset(w) - frozenset(v for s in segments for v in s),
-        round_sizes=tuple(round_sizes),
-    )
+    """Graph fingerprint (Kleitman-Winston): the r = 2 case of the scythe.
+    Each round scans the candidates in max-degree order, deleting them, up to
+    the next fingerprinted vertex, which becomes a singleton segment and
+    restricts the candidates to its non-neighbors."""
+    return _scythe_core(g, _check_independent(g, independent), params)
 
 
 def scythe_fingerprint(
@@ -379,9 +350,9 @@ def scythe_fingerprint(
 ) -> FingerprintTrace:
     """r-uniform scythe: per round build the nested co-degree orderings,
     extract the next (r-1)-tuple segment of fingerprinted vertices, and delete
-    the segment's spoiled neighborhood before recursing."""
-    i_set = _check_independent(h, independent)
-    return _scythe_core(h, i_set, params)
+    the segment's spoiled neighborhood before recursing.  On a graph it is
+    :func:`kw_fingerprint`."""
+    return _scythe_core(h, _check_independent(h, independent), params)
 
 
 def reconstruct_segments(
@@ -391,11 +362,8 @@ def reconstruct_segments(
     by replaying the orderings; raises ConsistencyError if the replay cannot
     consume the whole union."""
     union = frozenset(unordered_union)
-    if isinstance(structure, Graph):
-        h = as_two_uniform(structure)
-    else:
-        h = structure
-    trace = _scythe_core(h, union, params)
+    # a vertex outside the range is never replayed, so it fails the check below
+    trace = _scythe_core(structure, _mask(v for v in union if 0 <= v < structure.n), params)
     if trace.segment_union != union:
         raise ConsistencyError(
             f"replay consumed {sorted(trace.segment_union)} from union {sorted(union)}"

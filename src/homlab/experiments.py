@@ -42,7 +42,6 @@ class ExperimentConfig:
     generator: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     seeds: tuple[int, ...] = ()
-    caps: dict = field(default_factory=dict)
     out: str | None = None
 
     @classmethod
@@ -53,12 +52,13 @@ class ExperimentConfig:
             raise InputError(f"config is not valid JSON: {exc}") from exc
         if "kind" not in doc:
             raise InputError("config needs a 'kind' field")
+        if "caps" in doc:
+            raise InputError("config field 'caps' is not supported; no limit would be enforced")
         return cls(
             kind=doc["kind"],
             generator=doc.get("generator", {}),
             grid=doc.get("grid", {}),
             seeds=tuple(doc.get("seeds", [])),
-            caps=doc.get("caps", {}),
             out=doc.get("out"),
         )
 
@@ -69,7 +69,6 @@ class ExperimentConfig:
                 "generator": self.generator,
                 "grid": self.grid,
                 "seeds": list(self.seeds),
-                "caps": self.caps,
                 "out": self.out,
             },
             indent=2,
@@ -559,7 +558,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ReportRow
             generator=config.generator,
             grid=config.grid,
             seeds=(seed,),
-            caps=config.caps,
             out=None,
         )
         try:

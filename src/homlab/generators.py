@@ -11,15 +11,14 @@ an edge iff its 64-bit draw is below floor(p * 2^64).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, InputError, ParameterError
-from .graphs import Graph, edge_density, induced_subgraph
+from .errors import InputError, ParameterError
+from .graphs import Graph
 from .tournaments import Tournament
 
 __all__ = [
@@ -123,35 +122,16 @@ class OverlayArtifact:
         raise InputError(f"vertex {v} not in any part")
 
 
-def overlay_construction(
-    n: int,
-    epsilon: Fraction,
-    seed: int,
-    c_eps: Fraction | None = None,
-    eps0: Fraction = Fraction(1, 4),
-    audit_samples: int = 0,
-    retries: int = 5,
-) -> OverlayArtifact:
+def overlay_construction(n: int, epsilon: Fraction, seed: int) -> OverlayArtifact:
     """Sample a base graph of density 2*eps, partition equitably into
-    s = round(1/(5*eps)) parts, and add all cross-part edges.
-
-    With ``audit_samples > 0``, subsets of the base graph of size at least
-    ceil(c_eps * log n) are density-audited (exhaustively for n <= 22, else
-    sampled) and the base is resampled up to ``retries`` times on failure.
-    The defaults c_eps = 20/eps^2 and eps0 = 1/4 are heuristic knobs, not
-    derived values; at desk scale the audit is typically vacuous because the
-    size cutoff exceeds n.
-    """
+    s = round(1/(5*eps)) parts, and add all cross-part edges."""
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
         raise ParameterError(f"epsilon={eps} outside (0, 1/2)")
-    if c_eps is None:
-        c_eps = 20 / eps**2
     inv = 1 / (5 * eps)
     s = max(1, int(inv + Fraction(1, 2)))  # round half up
     if n < s:
         raise ParameterError(f"need n >= s={s} parts, got n={n}")
-    cutoff = math.ceil(float(c_eps) * math.log(n)) if n > 1 else n + 1
     parts = tuple(tuple(p) for p in equitable_parts(n, s))
     cross = {
         (u, v)
@@ -161,45 +141,10 @@ def overlay_construction(
         for u in pu
         for v in pv
     }
-    last_failure = None
-    for attempt in range(retries):
-        base = gnp(n, 2 * eps, seed, stream=attempt)
-        if audit_samples and cutoff <= n:
-            ok = _density_audit(base, cutoff, eps, audit_samples, seed)
-            if not ok:
-                last_failure = attempt
-                continue
-        edges = set(base.edges()) | {(min(u, v), max(u, v)) for u, v in cross}
-        graph = Graph.from_edges(n, edges)
-        return OverlayArtifact(
-            graph=graph, base=base, parts=parts, base_density=2 * eps, s=s
-        )
-    raise ConstructionError(
-        f"density audit failed on all {retries} attempts (last attempt {last_failure})"
-    )
-
-
-def _density_audit(base: Graph, cutoff: int, eps: Fraction, samples: int, seed: int) -> bool:
-    """Check sampled (or, for n <= 22, all) subsets of size >= cutoff have
-    base density strictly between eps and 3*eps."""
-    n = base.n
-    sizes = sorted({cutoff, (cutoff + n) // 2, n})
-    if n <= 22:
-        subsets = (
-            combo for size in range(cutoff, n + 1) for combo in itertools.combinations(range(n), size)
-        )
-    else:
-        rng = rng_for(seed, stream=2**32)
-        subsets = (
-            tuple(sorted(rng.choice(n, size=sizes[i % len(sizes)], replace=False).tolist()))
-            for i in range(samples)
-        )
-    for combo in subsets:
-        sub = induced_subgraph(base, combo)
-        dens = edge_density(sub)
-        if not eps < dens < 3 * eps:
-            return False
-    return True
+    base = gnp(n, 2 * eps, seed, stream=0)
+    edges = set(base.edges()) | {(min(u, v), max(u, v)) for u, v in cross}
+    graph = Graph.from_edges(n, edges)
+    return OverlayArtifact(graph=graph, base=base, parts=parts, base_density=2 * eps, s=s)
 
 
 def random_cograph(n: int, seed: int, stream: int | None = None) -> Graph:

@@ -39,10 +39,19 @@ __all__ = [
 
 
 def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask`` (the vertices of a vertex mask), ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    """The vertex mask with bit ``v`` set for every ``v`` in ``vertices``."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,7 @@ class Graph:
     @classmethod
     def from_adj(cls, adj: Sequence[Iterable[int]]) -> "Graph":
         n = len(adj)
-        return cls(n, tuple(sum(1 << u for u in set(row)) for row in adj))
+        return cls(n, tuple(_mask(row) for row in adj))
 
     @property
     def adj(self) -> tuple[frozenset[int], ...]:
@@ -100,32 +109,43 @@ class Graph:
 
 @dataclass(frozen=True)
 class UniformHypergraph:
-    """r-uniform hypergraph; every edge a sorted r-tuple of distinct vertices."""
+    """r-uniform hypergraph on vertices ``0..n-1``, stored as the ascending
+    tuple of its distinct edge masks (bit ``v`` set iff ``v`` is on the edge)."""
 
     r: int
     n: int
-    edges: frozenset[frozenset[int]]
+    edge_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.r < 2:
             raise InputError("uniformity r must be >= 2")
-        for e in self.edges:
-            if len(e) != self.r:
-                raise InputError(f"edge {sorted(e)} is not {self.r}-uniform")
-            if not all(0 <= v < self.n for v in e):
-                raise InputError(f"edge {sorted(e)} outside [0,{self.n})")
+        if self.n < 0:
+            raise InputError(f"vertex count n={self.n} is negative")
+        masks = tuple(sorted(set(self.edge_masks)))
+        for e in masks:
+            if e >> self.n:
+                raise InputError(f"edge mask {e} outside [0,{self.n})")
+            if e.bit_count() != self.r:
+                raise InputError(f"edge {list(_bits(e))} is not {self.r}-uniform")
+        object.__setattr__(self, "edge_masks", masks)
 
     @classmethod
     def from_edges(cls, r: int, n: int, edges: Iterable[Iterable[int]]) -> "UniformHypergraph":
-        return cls(r, n, frozenset(frozenset(e) for e in edges))
+        masks = []
+        for e in map(tuple, edges):
+            if not all(0 <= v < n for v in e):
+                raise InputError(f"edge {sorted(e)} outside [0,{n})")
+            masks.append(_mask(e))
+        return cls(r, n, tuple(masks))
 
     @property
-    def edge_masks(self) -> tuple[int, ...]:
-        return tuple(sorted(sum(1 << v for v in e) for e in self.edges))
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """Every edge as its ascending vertex tuple, in edge-mask order."""
+        return tuple(tuple(_bits(e)) for e in self.edge_masks)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -296,41 +316,45 @@ def write_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_graph(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def _read_edge_file(
+    text: str, what: str, header_size: int
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Header integers and edge lines of a text file.  The header's last field
+    is the edge count m: exactly m edge lines must follow, all distinct."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise InputError("empty graph file")
+        raise InputError(f"empty {what} file")
     try:
-        n, m = map(int, lines[0].split())
-        edges = [tuple(map(int, ln.split())) for ln in lines[1 : m + 1]]
+        header = [int(x) for x in lines[0]]
+        edges = [tuple(int(x) for x in ln) for ln in lines[1:]]
     except ValueError as exc:
-        raise InputError(f"malformed graph file: {exc}") from exc
-    if len(edges) != m:
-        raise InputError(f"expected {m} edge lines, found {len(edges)}")
-    for u, v in edges:
-        if u >= v:
-            raise InputError(f"edge line must have u < v, got {u} {v}")
+        raise InputError(f"malformed {what} file: {exc}") from exc
+    if len(header) != header_size:
+        raise InputError(f"{what} header needs {header_size} integers, got {len(header)}")
+    if len(edges) != header[-1]:
+        raise InputError(f"expected {header[-1]} edge lines, found {len(edges)}")
+    if len(set(edges)) != len(edges):
+        raise InputError("duplicate edge line")
+    return header, edges
+
+
+def read_graph(text: str) -> Graph:
+    (n, _), edges = _read_edge_file(text, "graph", 2)
+    for e in edges:
+        if len(e) != 2 or e[0] >= e[1]:
+            raise InputError(f"edge line must be two integers u < v, got {e}")
     return Graph.from_edges(n, edges)
 
 
 def write_hypergraph(h: UniformHypergraph) -> str:
     lines = [f"{h.r} {h.n} {h.edge_count}"]
-    lines += [" ".join(map(str, sorted(e))) for e in sorted(map(sorted, h.edges))]
+    lines += [" ".join(map(str, e)) for e in sorted(h.edges)]
     return "\n".join(lines) + "\n"
 
 
 def read_hypergraph(text: str) -> UniformHypergraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputError("empty hypergraph file")
-    try:
-        r, n, m = map(int, lines[0].split())
-        edges = [tuple(map(int, ln.split())) for ln in lines[1 : m + 1]]
-    except ValueError as exc:
-        raise InputError(f"malformed hypergraph file: {exc}") from exc
-    if len(edges) != m:
-        raise InputError(f"expected {m} edge lines, found {len(edges)}")
+    (r, n, _), edges = _read_edge_file(text, "hypergraph", 3)
     for e in edges:
-        if list(e) != sorted(set(e)):
-            raise InputError(f"edge {e} not strictly ascending")
+        if len(e) != r or list(e) != sorted(set(e)):
+            raise InputError(f"edge line must be {r} strictly ascending integers, got {e}")
     return UniformHypergraph.from_edges(r, n, edges)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 from .containers import count_independent_sets_exact
 from .errors import CapabilityError, InputError, ParameterError, VerificationError
-from .graphs import Graph, complement, edge_density, induced_subgraph
+from .graphs import Graph, _bits, _mask, complement, edge_density, induced_subgraph
 
 __all__ = [
     "HomogeneousWitness",
@@ -38,20 +38,6 @@ __all__ = [
     "turan_clique",
     "has_induced_p4",
 ]
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapabilityError, ConsistencyError, InputError
-from .graphs import UniformHypergraph
+from .graphs import UniformHypergraph, _bits, _mask
 
 __all__ = [
     "Tournament",
@@ -27,13 +27,6 @@ __all__ = [
     "read_tournament",
     "write_tournament",
 ]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -204,9 +197,7 @@ def count_transitive_subtournaments(t: Tournament, k: int) -> int:
         return math.comb(t.n, k)
     total = 0
     for combo in itertools.combinations(range(t.n), k):
-        smask = 0
-        for v in combo:
-            smask |= 1 << v
+        smask = _mask(combo)
         # transitive iff the restricted out-degrees are pairwise distinct
         degs = [(t.out[v] & smask).bit_count() for v in combo]
         if len(set(degs)) == k:
@@ -283,8 +274,8 @@ def read_tournament(text: str) -> Tournament:
         n = int(lines[0])
     except ValueError as exc:
         raise InputError(f"bad header: {exc}") from exc
-    rows = lines[1 : n + 1]
-    if len(rows) != n or any(len(r) != n for r in rows):
+    rows = lines[1:]
+    if len(rows) != n or any(len(r) != n or not set(r) <= {"0", "1"} for r in rows):
         raise InputError("expected an n x n 0/1 matrix")
-    out = tuple(sum(1 << u for u, ch in enumerate(row) if ch == "1") for row in rows)
+    out = tuple(_mask(u for u, ch in enumerate(row) if ch == "1") for row in rows)
     return Tournament(n, out)

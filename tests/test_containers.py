@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from homlab.containers import (
     ContainerParams,
+    FingerprintTrace,
+    _scythe_core,
     as_two_uniform,
     count_independent_sets_exact,
     hypergraph_bound,
@@ -21,7 +23,7 @@ from homlab.containers import (
 )
 from homlab.errors import ConsistencyError, ParameterError
 from homlab.generators import gnp, random_independent_set, random_uniform_hypergraph
-from homlab.graphs import Graph, complete_graph, cycle_graph, empty_graph
+from homlab.graphs import Graph, complete_graph, cycle_graph, empty_graph, path_graph
 
 
 def all_graphs(n):
@@ -203,6 +205,70 @@ def test_reconstruction_rejects_impossible_union():
         reconstruct_segments(
             complete_graph(6), {3, 5}, ContainerParams(Fraction(1), u=1, ell=2, k=6)
         )
+    # in P5 the first segment {1} spoils its neighbor 0, which is left unreplayed
+    with pytest.raises(ConsistencyError):
+        reconstruct_segments(
+            path_graph(5), {0, 1}, ContainerParams(Fraction(1, 2), u=1, ell=5, k=5)
+        )
+
+
+def _reference_scythe(h, marked, params):
+    """The scythe on frozensets, straight from its definition: every pick
+    rescans all edges for the co-degrees of J + {v} inside W."""
+    edges = frozenset(frozenset(e) for e in h.edges)
+    w = set(range(h.n))
+    rem = set(marked)
+    segments = []
+    round_sizes = []
+    while len(segments) < params.ell and len(w) > params.u and len(rem & w) >= h.r - 1:
+        round_sizes.append(len(w))
+        j = frozenset()
+        segment = []
+        while len(segment) < h.r - 1:
+            deg = dict.fromkeys(w, 0)
+            for e in edges:
+                if j <= e and e - j <= w:
+                    for v in e - j:
+                        deg[v] += 1
+            v = min(w, key=lambda x: (-deg[x], x))
+            w.discard(v)
+            if v in rem:
+                rem.discard(v)
+                segment.append(v)
+                j = frozenset(segment)
+        w -= {v for v in w if j | {v} in edges}
+        segments.append(tuple(segment))
+    round_sizes.append(len(w))
+    used = {v for seg in segments for v in seg}
+    return FingerprintTrace(
+        segments=tuple(segments),
+        container=frozenset(w),
+        removed=frozenset(range(h.n)) - frozenset(w) - used,
+        round_sizes=tuple(round_sizes),
+    )
+
+
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.integers(5, 10),
+    st.sampled_from([Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)]),
+    st.sampled_from([Fraction(1, 4), Fraction(1, 2)]),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_mask_scythe_matches_frozenset_reference(r, n, p, eps, seed):
+    h = random_uniform_hypergraph(r, n, p, seed)
+    iset = random_independent_set(h, seed, stream=1)
+    params = _trace_params(n, eps, max(1, n // 2))
+    trace = scythe_fingerprint(h, iset, params)
+    assert trace == _reference_scythe(h, iset, params)
+    if r == 2:
+        g = Graph.from_edges(n, h.edges)
+        assert kw_fingerprint(g, iset, params) == trace
+    union = trace.segment_union
+    replay = _scythe_core(h, sum(1 << v for v in union), params)
+    assert replay == _reference_scythe(h, union, params)
+    assert reconstruct_segments(h, union, params) == replay.segments
 
 
 @given(st.integers(5, 11), st.integers(0, 10**6))

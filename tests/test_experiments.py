@@ -16,9 +16,7 @@ from homlab.experiments import (
 
 
 def test_config_json_roundtrip():
-    cfg = ExperimentConfig(
-        kind="triangle-scan", grid={"m": 6, "samples": 4}, seeds=(1, 2), caps={"wall_seconds": 60}
-    )
+    cfg = ExperimentConfig(kind="triangle-scan", grid={"m": 6, "samples": 4}, seeds=(1, 2))
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
@@ -27,6 +25,8 @@ def test_config_rejects_bad_json():
         ExperimentConfig.from_json("{nope")
     with pytest.raises(InputError):
         ExperimentConfig.from_json("{}")
+    with pytest.raises(InputError):
+        ExperimentConfig.from_json('{"kind": "triangle-scan", "caps": {"wall_seconds": 60}}')
 
 
 def test_unknown_kind_rejected():

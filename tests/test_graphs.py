@@ -120,11 +120,32 @@ def test_graph_text_format_shape():
 def test_read_graph_rejects_bad_header():
     with pytest.raises(InputError):
         read_graph("not a graph\n")
+    # three integers on an edge line, a duplicate edge, a line past m
+    for text in ("2 1\n0 1 2\n", "3 2\n0 1\n0 1\n", "3 1\n0 1\n1 2\n"):
+        with pytest.raises(InputError):
+            read_graph(text)
 
 
 def test_hypergraph_roundtrip():
     h = UniformHypergraph.from_edges(3, 6, [(0, 1, 2), (1, 3, 5)])
     assert read_hypergraph(write_hypergraph(h)) == h
+
+
+def test_read_hypergraph_rejects_malformed_lines():
+    # too few / too many integers on an edge line, a duplicate edge, a line
+    # past m, a negative vertex count
+    bad = ("3 4 1\n0 1\n", "3 4 1\n0 1 2 3\n", "3 4 2\n0 1 2\n0 1 2\n", "3 4 1\n0 1 2\n1 2 3\n",
+           "3 -1 0\n")
+    for text in bad:
+        with pytest.raises(InputError):
+            read_hypergraph(text)
+
+
+def test_hypergraph_text_is_sorted_by_vertex_tuple():
+    # edge-mask order puts {0,2,3} (mask 13) before {0,1,4} (mask 19)
+    h = UniformHypergraph.from_edges(3, 5, [(0, 2, 3), (0, 1, 4)])
+    assert write_hypergraph(h) == "3 5 2\n0 1 4\n0 2 3\n"
+    assert h.edges == ((0, 2, 3), (0, 1, 4))
 
 
 def test_hypergraph_rejects_wrong_arity():

@@ -133,3 +133,7 @@ def test_text_roundtrip(n, seed):
 def test_read_rejects_bad_matrix():
     with pytest.raises(InputError):
         read_tournament("2\n01\n")
+    # a character other than 0/1, a row past n
+    for text in ("2\n0a\n10\n", "2\n01\n00\n10\n"):
+        with pytest.raises(InputError):
+            read_tournament(text)
