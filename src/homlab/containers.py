@@ -82,6 +82,8 @@ def minimal_ell(n: int, epsilon: Fraction, u: int) -> int:
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise ParameterError(f"epsilon={eps} outside (0,1]")
+    if u <= 0 < n and eps < 1:
+        raise ParameterError(f"(1-eps)^ell * n stays above u={u} for every ell")
     ell = 0
     value = Fraction(n)
     while value > u:
@@ -211,63 +213,39 @@ def hypergraph_bound(n: int, r: int, params: ContainerParams) -> int:
 # degree precondition
 
 
-def verify_degree_precondition(
-    structure: Structure,
-    epsilon: Fraction,
-    u: int,
-    variant: str | None = None,
-    max_n_exhaustive: int = 16,
-    sample: int | None = None,
-    seed: int = 0,
-):
+_PRECONDITION_EXHAUSTIVE_N = 16
+
+
+def verify_degree_precondition(structure: Structure, epsilon: Fraction, u: int):
     """Check the minimum-max-degree hypothesis of the container bounds.
 
-    Graph variant: every S with |S| >= u has max degree >= eps*|S| - 1 in the
-    induced subgraph.  Uniform variant (exponent r-1 on the degree threshold):
+    Graph: every S with |S| >= u has max degree >= eps*|S| - 1 in the induced
+    subgraph.  r-uniform hypergraph (exponent r-1 on the degree threshold):
     every S with |S| > u has max degree >= eps*(|S|-1)^(r-1).
 
     Returns (ok, witness) where witness is a violating vertex set or None.
-    Exhaustive up to ``max_n_exhaustive`` vertices; beyond that a ``sample``
-    count must be supplied and the result is explicitly non-exhaustive.
+    Exhaustive, for structures of at most 16 vertices.
     """
     eps = Fraction(epsilon)
-    if variant is None:
-        variant = "graph" if isinstance(structure, Graph) else "uniform"
-    if variant not in ("graph", "uniform"):
-        raise InputError(f"unknown variant {variant!r}")
     n = structure.n
-    r = 2 if isinstance(structure, Graph) else structure.r
+    if n > _PRECONDITION_EXHAUSTIVE_N:
+        raise CapabilityError(f"n={n} exceeds exhaustive cap {_PRECONDITION_EXHAUSTIVE_N}")
+    is_graph = isinstance(structure, Graph)
+    r = 2 if is_graph else structure.r
     rows, live = _degree_rows(structure)
 
     def holds(svertices: tuple[int, ...]) -> bool:
         s = len(svertices)
         inside = live(_mask(svertices))
         md = max((rows[v] & inside).bit_count() for v in svertices)
-        if variant == "graph":
+        if is_graph:
             return md >= eps * s - 1
         return md >= eps * (s - 1) ** (r - 1)
 
-    lower = u if variant == "graph" else u + 1
-    if n <= max_n_exhaustive:
-        for size in range(max(lower, 1), n + 1):
-            for combo in itertools.combinations(range(n), size):
-                if not holds(combo):
-                    return False, frozenset(combo)
-        return True, None
-    if sample is None:
-        raise CapabilityError(
-            f"n={n} exceeds exhaustive cap {max_n_exhaustive}; pass sample= for a "
-            "non-exhaustive check"
-        )
-    import random
-
-    rng = random.Random(seed)
-    sizes = list(range(max(lower, 1), n + 1))
-    for _ in range(sample):
-        size = rng.choice(sizes)
-        combo = tuple(sorted(rng.sample(range(n), size)))
-        if not holds(combo):
-            return False, frozenset(combo)
+    for size in range(max(u if is_graph else u + 1, 1), n + 1):
+        for combo in itertools.combinations(range(n), size):
+            if not holds(combo):
+                return False, frozenset(combo)
     return True, None
 
 

@@ -270,7 +270,7 @@ def spot_check_vectorized(
                 )
         for eps in eps_values:
             for u in u_values:
-                scalar_ok, _ = containers.verify_degree_precondition(g, eps, u, variant="graph")
+                scalar_ok, _ = containers.verify_degree_precondition(g, eps, u)
                 if scalar_ok != bool(ok[(eps, u)][code]):
                     raise ConsistencyError(
                         f"degree precondition mismatch at code={code}, eps={eps}, u={u}"
@@ -320,7 +320,7 @@ def _hypergraph_instance_row(
     r = 3
     h = generators.random_uniform_hypergraph(r, n, p, seed, stream=stream)
     u = n - 3
-    ok_pre, _ = containers.verify_degree_precondition(h, eps, u, variant="uniform")
+    ok_pre, _ = containers.verify_degree_precondition(h, eps, u)
     if not ok_pre:
         return None
     ell = minimal_ell(n, eps, u)

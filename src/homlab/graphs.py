@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import CapabilityError, InputError
 
 __all__ = [
     "Graph",
@@ -309,6 +309,11 @@ def cycle_graph(n: int) -> Graph:
 # text formats: "n m" header then m lines "u v" (u < v, 0-based);
 # hypergraphs: "r n m" then m lines of r ascending indices.
 
+# Largest n (and r) a header may declare.  Every exact kernel caps far below
+# it (hom_exact at n = 200); a larger header would only buy an allocation sized
+# by n and a row validation quadratic in n.
+_MAX_READ_N = 1 << 14
+
 
 def write_graph(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count}"]
@@ -331,6 +336,8 @@ def _read_edge_file(
         raise InputError(f"malformed {what} file: {exc}") from exc
     if len(header) != header_size:
         raise InputError(f"{what} header needs {header_size} integers, got {len(header)}")
+    if max(header[:-1]) > _MAX_READ_N:
+        raise CapabilityError(f"{what} header field {max(header[:-1])} exceeds {_MAX_READ_N}")
     if len(edges) != header[-1]:
         raise InputError(f"expected {header[-1]} edge lines, found {len(edges)}")
     if len(set(edges)) != len(edges):

@@ -202,14 +202,15 @@ def hom_exact(g: Graph, max_n: int = 200) -> tuple[int, HomogeneousWitness]:
 def count_homogeneous_k(g: Graph, k: int) -> int:
     """Number of k-subsets inducing a clique plus those inducing an empty graph.
 
-    For k >= 2 the two classes are disjoint, matching the identity
-    IS_k(G) + IS_k(complement(G)).
+    For k >= 2 the two classes are disjoint, so the count is the identity
+    IS_k(G) + IS_k(complement(G)); k = 3 counts the triangles of both directly,
+    which is faster.
     """
     if k < 2:
         raise InputError("count_homogeneous_k needs k >= 2")
-    masks = g.masks
     if k == 3:
         # triangle count on g and on its complement via neighborhood intersections
+        masks = g.masks
         total = 0
         full = (1 << g.n) - 1
         comp = [~masks[v] & full & ~(1 << v) for v in range(g.n)]
@@ -220,41 +221,24 @@ def count_homogeneous_k(g: Graph, k: int) -> int:
             for v in _bits(comp[u] & above):
                 total += (comp[u] & comp[v] & above & ~((1 << (v + 1)) - 1)).bit_count()
         return total
-    total = 0
-    for combo in itertools.combinations(range(g.n), k):
-        smask = _mask(combo)
-        inner = sum((masks[v] & smask).bit_count() for v in combo) // 2
-        if inner == 0 or inner == k * (k - 1) // 2:
-            total += 1
-    return total
+    return count_independent_sets_exact(g, k) + count_independent_sets_exact(complement(g), k)
 
 
 # ---------------------------------------------------------------------------
 # (t,k) subset property and the counting pipeline
 
+_TK_EXHAUSTIVE_T = 6
 
-def check_tk_property(
-    family: FamilyOracle, t: int, k: int, exhaustive_cap: int = 6, sample: int | None = None, seed: int = 0
-) -> tuple[bool, Graph | None]:
+
+def check_tk_property(family: FamilyOracle, t: int, k: int) -> tuple[bool, Graph | None]:
     """True iff every t-vertex member of the family has hom >= k.
 
-    Exhaustive over all 2^C(t,2) labeled graphs for t <= exhaustive_cap;
-    larger t requires an explicit sample count (non-exhaustive).
+    Exhaustive over all 2^C(t,2) labeled graphs, for t <= 6.
     """
+    if t > _TK_EXHAUSTIVE_T:
+        raise CapabilityError(f"t={t} exceeds exhaustive cap {_TK_EXHAUSTIVE_T}")
     pairs = list(itertools.combinations(range(t), 2))
-    m = len(pairs)
-    if t <= exhaustive_cap:
-        codes: Iterable[int] = range(1 << m)
-    elif sample is not None:
-        import random
-
-        rng = random.Random(seed)
-        codes = (rng.getrandbits(m) for _ in range(sample))
-    else:
-        raise CapabilityError(
-            f"t={t} exceeds exhaustive cap {exhaustive_cap}; pass sample= to spot-check"
-        )
-    for code in codes:
+    for code in range(1 << len(pairs)):
         g = Graph.from_edges(t, [p for i, p in enumerate(pairs) if code >> i & 1])
         if family.membership(g) and hom_exact(g)[0] < k:
             return False, g

@@ -2,15 +2,15 @@
 count-tradeoff theorems.
 
 All parameters are exact (integers and Fractions).  Transcendental
-subexpressions (natural logs, fractional powers) are evaluated with interval
-enclosures via mpmath's interval arithmetic; any ceiling taken over such an
-expression doubles the working precision until the enclosure pins a single
-integer, so results are deterministic and platform-independent.
+subexpressions (logs, fractional and long powers) are evaluated as interval
+enclosures, each in a private mpmath interval context, so callers may run
+concurrently.  One resolver doubles the working precision until an enclosure
+decides a ceiling or a chain check, so results are deterministic and
+platform-independent.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -42,42 +42,51 @@ def _raw_mpf_to_fraction(raw) -> Fraction:
     return -value if sign else value
 
 
-def _interval_to_fractions(val) -> tuple[Fraction, Fraction]:
-    raw_a, raw_b = val._mpi_
+def _enclose(expr: Callable, prec: int, *values: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational ends of ``expr(ctx, *intervals)`` evaluated at ``prec`` bits in
+    a private interval context, each rational value entering as its enclosing
+    interval.  No mpmath state is shared, so callers may run concurrently."""
+    ctx = mpmath.MPIntervalContext()
+    ctx.prec = prec
+    args = [ctx.mpf(q.numerator) / ctx.mpf(q.denominator) for q in map(Fraction, values)]
+    raw_a, raw_b = expr(ctx, *args)._mpi_
     return _raw_mpf_to_fraction(raw_a), _raw_mpf_to_fraction(raw_b)
-
-
-def _iv_from_fraction(q: Fraction):
-    return mpmath.iv.mpf(q.numerator) / mpmath.iv.mpf(q.denominator)
 
 
 def log_enclosure(q: Fraction, prec: int = 128) -> tuple[Fraction, Fraction]:
     """Rigorous rational enclosure of ln(q) for q > 0."""
     if q <= 0:
         raise ParameterError(f"log of nonpositive value {q}")
-    old = mpmath.iv.prec
-    try:
-        mpmath.iv.prec = prec
-        val = mpmath.iv.log(_iv_from_fraction(q))
-        return _interval_to_fractions(val)
-    finally:
-        mpmath.iv.prec = old
+    return _enclose(lambda ctx, x: ctx.log(x), prec, q)
 
 
-def _resolve_ceil(expr: Callable[[int], tuple[Fraction, Fraction]], prec: int = 128) -> int:
-    """Ceiling of a real given an enclosure-producing evaluator; precision is
-    doubled until the enclosure no longer straddles an integer boundary."""
+def _resolve(
+    enclose: Callable[[int], tuple[Fraction, Fraction]],
+    decide: Callable[[Fraction, Fraction], int | None],
+) -> tuple[int, Fraction, Fraction]:
+    """Decision (an int or bool) and final ends of the first enclosure that
+    ``decide`` does not map to None, doubling the precision from 128 bits."""
+    prec = 128
     while prec <= _MAX_PREC:
-        lo, hi = expr(prec)
-        clo, chi = -((-lo.numerator) // lo.denominator), -((-hi.numerator) // hi.denominator)
-        if clo == chi:
-            return clo
+        lo, hi = enclose(prec)
+        decision = decide(lo, hi)
+        if decision is not None:
+            return decision, lo, hi
         prec *= 2
-    raise ParameterError("ceiling enclosure failed to resolve at maximum precision")
+    raise ParameterError(f"enclosure failed to resolve at {_MAX_PREC} bits")
 
 
 def _ceil_fraction(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
+
+
+def _resolve_ceil(expr: Callable[[int], tuple[Fraction, Fraction]]) -> int:
+    """Ceiling of a real given an enclosure-producing evaluator, resolved once
+    the enclosure no longer straddles an integer boundary."""
+    def same_ceil(lo: Fraction, hi: Fraction) -> int | None:
+        c = _ceil_fraction(lo)
+        return c if c == _ceil_fraction(hi) else None
+    return _resolve(expr, same_ceil)[0]
 
 
 @dataclass(frozen=True)
@@ -153,15 +162,7 @@ def _pow_ceil(base: int, exponent: Fraction) -> int:
     exponent = Fraction(exponent)
     if exponent.denominator == 1:
         return base ** exponent.numerator
-    def expr(prec: int) -> tuple[Fraction, Fraction]:
-        old = mpmath.iv.prec
-        try:
-            mpmath.iv.prec = prec
-            val = mpmath.iv.mpf(base) ** _iv_from_fraction(exponent)
-            return _interval_to_fractions(val)
-        finally:
-            mpmath.iv.prec = old
-    return _resolve_ceil(expr)
+    return _resolve_ceil(lambda prec: _enclose(lambda ctx, b, e: b**e, prec, base, exponent))
 
 
 def compute_params(
@@ -205,11 +206,7 @@ def compute_params(
     if improved_k:
         inner = _resolve_ceil(log_pow_expr(inv, 4))
         f_inner = f(max(inner, 2))
-        def expr(prec: int) -> tuple[Fraction, Fraction]:
-            lo, hi = log_enclosure(inv, prec)
-            lo = max(lo, Fraction(0))
-            return inv * lo**2 * f_inner**2, inv * hi**2 * f_inner**2
-        k = 200 * _resolve_ceil(expr)
+        k = 200 * _resolve_ceil(log_pow_expr(inv * f_inner**2, 2))
     elif variant == "graph":
         k = 200 * _resolve_ceil(log_pow_expr(inv, 4))
     elif variant == "uniform":
@@ -267,32 +264,37 @@ def verify_inequality_chain(params: TheoremParams, h: int) -> ChainReport:
     (iii) 1/delta > 15*t/k                   (count-gap direction)
     (iv) (delta/k)^(h-1) < 1/(2^(h+1) t^(h-1))  (copy threshold dominance)
 
-    (i), (iii), (iv) are pure rational comparisons; (ii) compares k/ell
-    against a rigorous upper enclosure of the log, doubling precision if the
-    enclosure straddles the comparison value.
+    (iii) and (iv) are pure rational comparisons.  (i) and (ii) are decided
+    from rigorous enclosures (of the power and of the log), doubling precision
+    until the enclosure no longer straddles the comparison value.
     """
     eps, k, delta, t, ell = params.epsilon, params.k, params.delta, params.t, params.ell
     checks = []
 
-    lhs1 = (1 - eps) ** ell
+    base = 1 - eps
+    # the left side bounds the exact power's bit count from below; only a power
+    # of at most 128 bits prints exactly (see _fmt), so only that is computed
+    if ell * (abs(base.numerator).bit_length() + base.denominator.bit_length() - 2) + 2 <= 128:
+        lhs1 = base**ell
+        passed1 = lhs1 <= delta
+    else:
+        # _fmt's "~" rendering is monotone, so ends that print alike print the power
+        def decide1(lo: Fraction, hi: Fraction) -> bool | None:
+            if _fmt(lo) != _fmt(hi):
+                return None
+            return True if hi <= delta else False if lo > delta else None
+
+        passed1, lhs1, _ = _resolve(lambda prec: _enclose(lambda ctx, b: b**ell, prec, base), decide1)
     checks.append(
         ChainCheck("shrinkage reaches container size", f"(1-eps)^ell = {_fmt(lhs1)}",
-                   f"delta = {_fmt(delta)}", lhs1 <= delta)
+                   f"delta = {_fmt(delta)}", passed1)
     )
 
     ratio = Fraction(k, ell)
-    prec = 128
-    while True:
-        lo, hi = log_enclosure(1 / delta, prec)
-        if ratio >= hi:
-            passed2 = True
-            break
-        if ratio < lo:
-            passed2 = False
-            break
-        prec *= 2
-        if prec > _MAX_PREC:
-            raise ParameterError("log enclosure for check (ii) failed to resolve")
+    passed2, lo, hi = _resolve(
+        lambda prec: log_enclosure(1 / delta, prec),
+        lambda lo, hi: True if ratio >= hi else False if ratio < lo else None,
+    )
     checks.append(
         ChainCheck("budget dominates log(1/delta)", f"k/ell = {_fmt(ratio)}",
                    f"ln(1/delta) in [{_fmt(lo)}, {_fmt(hi)}]", passed2)

@@ -60,6 +60,17 @@ def test_hom_missing_file_is_input_error():
     assert invoke("hom", "does-not-exist.txt").exit_code == 2
 
 
+def test_oversized_headers_exit_3(tmp_path):
+    graph = tmp_path / "g.txt"
+    for header in ("3000000 0", "100000000000 0"):
+        graph.write_text(header + "\n")
+        assert invoke("hom", str(graph)).exit_code == 3
+    hyper = tmp_path / "h.txt"
+    hyper.write_text("3 100000000000 0\n")
+    result = invoke("containers", "verify", str(hyper), "--eps", "1/2", "--u", "2", "--k", "3")
+    assert result.exit_code == 3
+
+
 def test_containers_verify_ok(tmp_path):
     out = tmp_path / "g.txt"
     invoke("--seed", "2", "--out", str(out), "construct", "--kind", "gnp", "--n", "10")

@@ -40,6 +40,8 @@ def test_minimal_ell_examples():
     assert minimal_ell(10, Fraction(1, 2), 3) == 2
     assert minimal_ell(10, Fraction(1), 1) == 1
     assert minimal_ell(4, Fraction(1, 2), 4) == 0
+    with pytest.raises(ParameterError):
+        minimal_ell(3, Fraction(1, 3), 0)  # (2/3)^ell * 3 never reaches 0
 
 
 def test_params_reject_shrinkage_violation():
@@ -111,7 +113,7 @@ def test_precondition_uniform_variant_threshold():
     # single edge on 4 vertices: S of size 4 > u=3 has max degree 1 < (1/2)*3^2
     h = random_uniform_hypergraph(3, 4, Fraction(0), seed=0)
     h = type(h).from_edges(3, 4, [(0, 1, 2)])
-    ok, witness = verify_degree_precondition(h, Fraction(1, 2), 3, variant="uniform")
+    ok, witness = verify_degree_precondition(h, Fraction(1, 2), 3)
     assert not ok and witness == frozenset(range(4))
 
 

@@ -1,0 +1,71 @@
+"""Fuzzing of the text readers and of the CLI exit-code contract: arbitrary
+text, and well-formed files with a few random edits, may only be rejected with
+InputError (exit 2) or CapabilityError (exit 3)."""
+
+from fractions import Fraction
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homlab.cli import main
+from homlab.errors import CapabilityError, InputError
+from homlab.generators import gnp, random_tournament, random_uniform_hypergraph
+from homlab.graphs import read_graph, read_hypergraph, write_graph, write_hypergraph
+from homlab.tournaments import read_tournament, write_tournament
+
+_EDITS = ["", "0", "1", "7", " ", "\n", "-", "x", "1/2", "99999999999"]
+
+
+@st.composite
+def _edited(draw, write):
+    """A well-formed file of a small seeded instance with up to three edits."""
+    text = write(draw(st.integers(0, 8)), draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(_EDITS)) + text[i + draw(st.integers(0, 1)):]
+    return text
+
+
+_GARBAGE = st.text(max_size=40)
+GRAPH_FILES = _GARBAGE | _edited(lambda n, seed: write_graph(gnp(n, Fraction(1, 2), seed)))
+HYPERGRAPH_FILES = _GARBAGE | _edited(
+    lambda n, seed: write_hypergraph(random_uniform_hypergraph(3, n, Fraction(1, 3), seed))
+)
+TOURNAMENT_FILES = _GARBAGE | _edited(lambda n, seed: write_tournament(random_tournament(n, seed)))
+
+
+@pytest.mark.parametrize(
+    "reader, files",
+    [(read_graph, GRAPH_FILES), (read_hypergraph, HYPERGRAPH_FILES),
+     (read_tournament, TOURNAMENT_FILES)],
+    ids=["graph", "hypergraph", "tournament"],
+)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_readers_raise_only_input_or_capability_errors(reader, files, data):
+    try:
+        reader(data.draw(files))
+    except (InputError, CapabilityError):
+        pass
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [(["hom"], GRAPH_FILES),
+     (["containers", "verify"], GRAPH_FILES | HYPERGRAPH_FILES),
+     (["tournament", "dist"], TOURNAMENT_FILES)],
+    ids=["hom", "containers-verify", "tournament-dist"],
+)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cli_exits_0_2_or_3_on_fuzzed_files(tmp_path_factory, command, files, data):
+    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    path.write_text(data.draw(files))
+    args = command + [str(path)]
+    if command[0] == "containers":
+        args += ["--eps", data.draw(st.sampled_from(["1/3", "1/2", "1"])),
+                 "--u", str(data.draw(st.integers(0, 4))), "--k", str(data.draw(st.integers(0, 6)))]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3), (result.output, result.exception)

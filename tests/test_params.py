@@ -1,6 +1,10 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from homlab.errors import ParameterError
 from homlab.params import (
     GrowthFunction,
+    _fmt,
     compute_params,
     log_enclosure,
     verify_inequality_chain,
@@ -123,6 +128,25 @@ def test_chain_detects_corruption():
     assert failed == ["inverse delta exceeds 15t/k"]
 
 
+@pytest.mark.parametrize(
+    "variant, den",
+    [("graph", 2), ("graph", 3), ("graph", 4), ("graph", 50),
+     ("tournament", 2), ("tournament", 10), ("tournament", 50)],
+)
+def test_shrinkage_check_renders_and_decides_like_the_exact_power(variant, den):
+    # (1-eps)^ell of 19 to 672058 bits, both sides of _fmt's exact-rendering limit
+    import dataclasses
+
+    params = compute_params(variant, Fraction(1, den), F2, allow_out_of_range=True)
+    power = (1 - params.epsilon) ** params.ell
+    # delta = power/2 flips the decision; skipped for the power that prints as
+    # ~0, where the other checks would render a 1/delta beyond float range
+    for delta in [params.delta] + ([power / 2] if _fmt(power) != "~0" else []):
+        check = verify_inequality_chain(dataclasses.replace(params, delta=delta), h=4).checks[0]
+        assert check.lhs == f"(1-eps)^ell = {_fmt(power)}"
+        assert check.passed == (power <= delta)
+
+
 def test_compute_params_is_rerun_identical():
     runs = [compute_params("graph", Fraction(1, 256), F2) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
@@ -133,3 +157,33 @@ def test_check_operands_are_recomputable():
     report = verify_inequality_chain(params, h=4)
     for check in report.checks:
         assert check.lhs and check.rhs  # stored exact operands render non-empty
+
+
+def test_concurrent_callers_match_a_single_threaded_run():
+    def run():
+        out = []
+        for _ in range(3):
+            params = compute_params("graph", Fraction(1, 128), F2)
+            report = verify_inequality_chain(params, h=4)
+            out.append((params, [(c.name, c.lhs, c.rhs, c.passed) for c in report.checks]))
+        return out
+
+    expected = run()
+    prec_before = mpmath.iv.prec
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            start = threading.Barrier(4)
+
+            def racer():
+                start.wait(timeout=60)
+                return run()
+
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(racer) for _ in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+            assert results == [expected] * 4
+            assert mpmath.iv.prec == prec_before
+    finally:
+        sys.setswitchinterval(old_interval)
