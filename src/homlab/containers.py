@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CapabilityError, ConsistencyError, InputError, ParameterError
 from .graphs import Graph, UniformHypergraph, _bits, _mask
+from .params import _enclose, _enclose_at, _resolve_ceil
 
 __all__ = [
     "ContainerParams",
@@ -66,10 +67,9 @@ class ContainerParams:
 
     def check_for(self, n: int, r: int = 2) -> None:
         """Exact-rational validation of the bound-side invariants."""
-        if (1 - self.epsilon) ** self.ell * n > self.u:
-            raise ParameterError(
-                f"(1-eps)^ell * n = {(1 - self.epsilon) ** self.ell * n} exceeds u={self.u}"
-            )
+        value = _size_above(n, self.epsilon, self.ell, self.u)
+        if value is not None:
+            raise ParameterError(f"(1-eps)^ell * n = {value} exceeds u={self.u}")
         if r == 2:
             if self.ell > self.k:
                 raise ParameterError(f"graph case needs ell <= k, got {self.ell} > {self.k}")
@@ -77,21 +77,53 @@ class ContainerParams:
             raise ParameterError(f"need k >= (r-1)*ell, got {self.k} < {(r - 1) * self.ell}")
 
 
+def _exact_ell_limit(n: int) -> int:
+    """Largest ell for which (1-eps)^ell * n is multiplied out exactly.
+
+    (1-eps)^ell * n can equal an integer u only if the denominator of
+    (1-eps)^ell, at least 2^ell, divides n; past n.bit_length() the two are
+    never equal, so an enclosure of their ratio decides the comparison at
+    some finite precision."""
+    return max(64, n.bit_length())
+
+
+def _size_above(n: int, eps: Fraction, ell: int, u: int) -> str | None:
+    """(1-eps)^ell * n rendered if it exceeds u >= 1, else None.  Small
+    powers are multiplied out exactly; for a larger ell the comparison is
+    ell < minimal_ell(n, eps, u), and the value, then in (u, n], is rendered
+    from an enclosure."""
+    if ell <= _exact_ell_limit(n):
+        value = (1 - eps) ** ell * n
+        return str(value) if value > u else None
+    if ell >= minimal_ell(n, eps, u):
+        return None
+    lo, _ = _enclose_at(128, lambda ctx, b, n: b**ell * n, 1 - eps, n)
+    return f"~{float(lo):.12g}"
+
+
 def minimal_ell(n: int, epsilon: Fraction, u: int) -> int:
-    """Smallest ell with (1-eps)^ell * n <= u, in exact arithmetic."""
+    """Smallest ell with (1-eps)^ell * n <= u, in exact arithmetic.
+
+    Small ell are found by multiplying out the powers; a larger ell is the
+    ceiling of ln(n/u) / ln(1/(1-eps)), which an interval enclosure at
+    doubling precision decides."""
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise ParameterError(f"epsilon={eps} outside (0,1]")
-    if u <= 0 < n and eps < 1:
+    if n > u and (u < 0 or (u == 0 and eps < 1)):
         raise ParameterError(f"(1-eps)^ell * n stays above u={u} for every ell")
-    ell = 0
+    if eps == 1:
+        return int(n > u)
     value = Fraction(n)
-    while value > u:
-        if eps == 1:
-            return ell + 1
+    for ell in range(_exact_ell_limit(n) + 1):
+        if value <= u:
+            return ell
         value *= 1 - eps
-        ell += 1
-    return ell
+
+    def log_ratio(ctx, q, b):
+        return ctx.log(q) / ctx.log(b)
+
+    return _resolve_ceil(lambda ctx: _enclose(ctx, log_ratio, Fraction(n, u), 1 / (1 - eps)))
 
 
 @dataclass(frozen=True)

@@ -156,53 +156,68 @@ class ComboSummary:
     improved_bound_violations: int
 
 
-def _vectorized_tables(
-    n: int, eps_values: list[Fraction], u_values: list[int]
-) -> tuple[list[np.ndarray], dict[tuple[Fraction, int], np.ndarray]]:
-    """Per-graph tables over all 2^C(n,2) edge-set codes: independent-set
-    counts by size, and degree-precondition booleans per (eps, u)."""
+_BLOCK = 1 << 16  # codes per pass: a pass's rows and buffers stay in cache
+
+
+def _vectorized_tables(n: int, codes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-graph tables over edge-set codes (bit b of a code is the b-th pair
+    of ``range(n)`` in lexicographic order): all 2^C(n,2) codes by default,
+    else the given ones, column i belonging to ``codes[i]``.
+
+    Returns ``counts`` and ``low``, two (n+1, len(codes)) uint8 arrays:
+    counts[k] is the number of independent k-sets, low[s] (s >= 1) the
+    minimum over all s-sets S of the maximum degree of G[S].  One pass over
+    the 2^n vertex subsets S yields both: deg_S(v) is the popcount of v's
+    adjacency row masked by S, and S is independent exactly when the
+    maximum is 0.  Counts fit in uint8 since C(7, k) <= 35."""
     if n > 7:
         raise CapabilityError("exhaustive sweep capped at n=7 (2^21 graphs)")
+    if codes is None:
+        codes = np.arange(1 << n * (n - 1) // 2, dtype=np.uint32)
+    counts = np.zeros((n + 1, len(codes)), dtype=np.uint8)
+    counts[0] = 1
+    low = np.full((n + 1, len(codes)), np.iinfo(np.uint8).max, dtype=np.uint8)
+    for start in range(0, len(codes), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        _fill_tables(n, codes[block], counts[:, block], low[:, block])
+    return counts, low
+
+
+def _fill_tables(n: int, codes: np.ndarray, counts: np.ndarray, low: np.ndarray) -> None:
+    """Add the independent sets of each code's graph into ``counts`` and
+    lower ``low`` to its per-size minima of the maximum degree, in place."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    m = len(pairs)
-    codes = np.arange(1 << m, dtype=np.uint32)
-    # adjacency bitmask rows per graph
-    adj = [np.zeros(1 << m, dtype=np.uint8) for _ in range(n)]
+    adj = np.zeros((n, len(codes)), dtype=np.uint8)
+    bit = np.empty(len(codes), dtype=np.uint8)
     for b, (u, v) in enumerate(pairs):
-        bit = ((codes >> np.uint32(b)) & np.uint32(1)).astype(np.uint8)
+        np.bitwise_and(codes >> np.uint32(b), 1, out=bit, casting="unsafe")
         adj[u] |= bit << np.uint8(v)
         adj[v] |= bit << np.uint8(u)
-    pop = np.array([bin(i).count("1") for i in range(1 << n)], dtype=np.uint8)
-
-    # independent-set counts per size, and degree preconditions per (eps, u)
-    counts = [np.zeros(1 << m, dtype=np.int16) for _ in range(n + 1)]
-    ok: dict[tuple[Fraction, int], np.ndarray] = {
-        (eps, u): np.ones(1 << m, dtype=bool) for eps in eps_values for u in u_values
-    }
-    for smask in range(1 << n):
+    maxdeg = np.empty(len(codes), dtype=np.uint8)
+    deg = np.empty(len(codes), dtype=np.uint8)
+    indep = np.empty(len(codes), dtype=bool)
+    for smask in range(1, 1 << n):
         svertices = [v for v in range(n) if smask >> v & 1]
+        s = np.uint8(smask)
+        np.bitwise_count(np.bitwise_and(adj[svertices[0]], s, out=maxdeg), out=maxdeg)
+        for v in svertices[1:]:
+            np.bitwise_count(np.bitwise_and(adj[v], s, out=deg), out=deg)
+            np.maximum(maxdeg, deg, out=maxdeg)
         size = len(svertices)
-        ew_code = 0
-        for b, (u, v) in enumerate(pairs):
-            if smask >> u & 1 and smask >> v & 1:
-                ew_code |= 1 << b
-        indep = (codes & np.uint32(ew_code)) == 0
-        counts[size] += indep
-        if size == 0:
-            continue
-        maxdeg = np.zeros(1 << m, dtype=np.uint8)
-        for v in svertices:
-            np.maximum(maxdeg, pop[adj[v] & np.uint8(smask)], out=maxdeg)
-        for eps in eps_values:
-            thr = eps * size - 1
-            if thr <= 0:
-                continue
-            ithr = -((-thr.numerator) // thr.denominator)  # ceil
-            cond = maxdeg >= ithr
-            for u in u_values:
-                if size >= u:
-                    ok[(eps, u)] &= cond
-    return counts, ok
+        counts[size] += np.equal(maxdeg, 0, out=indep)
+        np.minimum(low[size], maxdeg, out=low[size])
+
+
+def _precondition_ok(low: np.ndarray, n: int, eps: Fraction, u: int) -> np.ndarray:
+    """Per-graph degree precondition from the per-size minima of
+    :func:`_vectorized_tables`: every S with |S| >= u has max degree at least
+    eps*|S| - 1, i.e. low[s] >= ceil(eps*s - 1) for every s >= max(u, 1)."""
+    ok = np.ones(low.shape[1], dtype=bool)
+    for s in range(max(u, 1), n + 1):
+        thr = eps * s - 1
+        if thr > 0:
+            ok &= low[s] >= -((-thr.numerator) // thr.denominator)  # ceil
+    return ok
 
 
 def exhaustive_graph_container_check(
@@ -218,12 +233,12 @@ def exhaustive_graph_container_check(
     eps_values = list(eps_values)
     u_values = list(u_values)
     k_values = list(k_values)
-    counts, ok = _vectorized_tables(n, eps_values, u_values)
+    counts, low = _vectorized_tables(n)
     summaries = []
     for eps in eps_values:
         for u in u_values:
-            ok_arr = ok[(eps, u)]
-            checked = int(ok_arr.sum())
+            ok_arr = _precondition_ok(low, n, eps, u)
+            checked = int(np.count_nonzero(ok_arr))
             for k in k_values:
                 ell = minimal_ell(n, eps, u)
                 if ell > k:
@@ -231,8 +246,8 @@ def exhaustive_graph_container_check(
                 params = ContainerParams(eps, u=u, ell=ell, k=k)
                 bound = containers.kw_bound(n, params)
                 improved = containers.kw_bound(n, params, improved=True)
-                viol = int((ok_arr & (counts[k] > bound)).sum())
-                viol_improved = int((ok_arr & (counts[k] > improved)).sum())
+                viol = int(np.count_nonzero(ok_arr & (counts[k] > bound)))
+                viol_improved = int(np.count_nonzero(ok_arr & (counts[k] > improved)))
                 summaries.append(
                     ComboSummary(
                         n=n,
@@ -254,24 +269,30 @@ def spot_check_vectorized(
 ) -> None:
     """Cross-check the vectorized sweep's per-graph tables against the scalar
     oracles on specific edge-set codes; raises ConsistencyError on any
-    disagreement."""
+    disagreement.  The tables are built by the sweep's own kernel on just
+    these codes, and every entry (the IS count for each k, the degree
+    precondition for each (eps, u)) is compared."""
     from .errors import ConsistencyError
 
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    counts, ok = _vectorized_tables(n, eps_values, u_values)
-    for code in codes:
-        g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if code >> i & 1])
+    codes = list(codes)
+    if not all(0 <= code < 1 << len(pairs) for code in codes):
+        raise InputError(f"edge-set codes for n={n} lie in [0, 2^{len(pairs)})")
+    counts, low = _vectorized_tables(n, np.array(codes, dtype=np.uint32))
+    ok = {(eps, u): _precondition_ok(low, n, eps, u) for eps in eps_values for u in u_values}
+    for i, code in enumerate(codes):
+        g = Graph.from_edges(n, [p for j, p in enumerate(pairs) if code >> j & 1])
         for k in range(n + 1):
             exact = containers.count_independent_sets_exact(g, k)
-            if exact != int(counts[k][code]):
+            if exact != int(counts[k][i]):
                 raise ConsistencyError(
                     f"IS count mismatch at code={code}, k={k}: "
-                    f"scalar {exact} vs vectorized {int(counts[k][code])}"
+                    f"scalar {exact} vs vectorized {int(counts[k][i])}"
                 )
         for eps in eps_values:
             for u in u_values:
                 scalar_ok, _ = containers.verify_degree_precondition(g, eps, u)
-                if scalar_ok != bool(ok[(eps, u)][code]):
+                if scalar_ok != bool(ok[(eps, u)][i]):
                     raise ConsistencyError(
                         f"degree precondition mismatch at code={code}, eps={eps}, u={u}"
                     )

@@ -3,8 +3,8 @@ count-tradeoff theorems.
 
 All parameters are exact (integers and Fractions).  Transcendental
 subexpressions (logs, fractional and long powers) are evaluated as interval
-enclosures, each in a private mpmath interval context, so callers may run
-concurrently.  One resolver doubles the working precision until an enclosure
+enclosures in private mpmath interval contexts, one per resolver call, so
+callers may run concurrently.  One resolver doubles the working precision until an enclosure
 decides a ceiling or a chain check, so results are deterministic and
 platform-independent.
 """
@@ -42,12 +42,16 @@ def _raw_mpf_to_fraction(raw) -> Fraction:
     return -value if sign else value
 
 
-def _enclose(expr: Callable, prec: int, *values: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational ends of ``expr(ctx, *intervals)`` evaluated at ``prec`` bits in
-    a private interval context, each rational value entering as its enclosing
-    interval.  No mpmath state is shared, so callers may run concurrently."""
-    ctx = mpmath.MPIntervalContext()
-    ctx.prec = prec
+_Enclose = Callable[[mpmath.MPIntervalContext], tuple[Fraction, Fraction]]
+
+
+def _enclose(
+    ctx: mpmath.MPIntervalContext, expr: Callable, *values: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Rational ends of ``expr(ctx, *intervals)`` evaluated at the precision of
+    ``ctx``, an interval context private to the caller, each rational value
+    entering as its enclosing interval.  No mpmath state is shared, so callers
+    may run concurrently."""
     args = [ctx.mpf(q.numerator) / ctx.mpf(q.denominator) for q in map(Fraction, values)]
     raw_a, raw_b = expr(ctx, *args)._mpi_
     return _raw_mpf_to_fraction(raw_a), _raw_mpf_to_fraction(raw_b)
@@ -57,18 +61,31 @@ def log_enclosure(q: Fraction, prec: int = 128) -> tuple[Fraction, Fraction]:
     """Rigorous rational enclosure of ln(q) for q > 0."""
     if q <= 0:
         raise ParameterError(f"log of nonpositive value {q}")
-    return _enclose(lambda ctx, x: ctx.log(x), prec, q)
+    return _enclose_at(prec, _log, q)
+
+
+def _log(ctx: mpmath.MPIntervalContext, x):
+    return ctx.log(x)
+
+
+def _enclose_at(prec: int, expr: Callable, *values: Fraction) -> tuple[Fraction, Fraction]:
+    """:func:`_enclose` at ``prec`` bits in a fresh private context."""
+    ctx = mpmath.MPIntervalContext()
+    ctx.prec = prec
+    return _enclose(ctx, expr, *values)
 
 
 def _resolve(
-    enclose: Callable[[int], tuple[Fraction, Fraction]],
-    decide: Callable[[Fraction, Fraction], int | None],
+    enclose: _Enclose, decide: Callable[[Fraction, Fraction], int | None]
 ) -> tuple[int, Fraction, Fraction]:
     """Decision (an int or bool) and final ends of the first enclosure that
-    ``decide`` does not map to None, doubling the precision from 128 bits."""
+    ``decide`` does not map to None, doubling the precision from 128 bits.
+    Every evaluation runs in one interval context private to this call."""
+    ctx = mpmath.MPIntervalContext()
     prec = 128
     while prec <= _MAX_PREC:
-        lo, hi = enclose(prec)
+        ctx.prec = prec
+        lo, hi = enclose(ctx)
         decision = decide(lo, hi)
         if decision is not None:
             return decision, lo, hi
@@ -80,7 +97,7 @@ def _ceil_fraction(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-def _resolve_ceil(expr: Callable[[int], tuple[Fraction, Fraction]]) -> int:
+def _resolve_ceil(expr: _Enclose) -> int:
     """Ceiling of a real given an enclosure-producing evaluator, resolved once
     the enclosure no longer straddles an integer boundary."""
     def same_ceil(lo: Fraction, hi: Fraction) -> int | None:
@@ -162,7 +179,7 @@ def _pow_ceil(base: int, exponent: Fraction) -> int:
     exponent = Fraction(exponent)
     if exponent.denominator == 1:
         return base ** exponent.numerator
-    return _resolve_ceil(lambda prec: _enclose(lambda ctx, b, e: b**e, prec, base, exponent))
+    return _resolve_ceil(lambda ctx: _enclose(ctx, lambda ctx, b, e: b**e, base, exponent))
 
 
 def compute_params(
@@ -196,9 +213,9 @@ def compute_params(
     inv = 1 / eps
     inv_sq = inv * inv
 
-    def log_pow_expr(scale: Fraction, power: int) -> Callable[[int], tuple[Fraction, Fraction]]:
-        def expr(prec: int) -> tuple[Fraction, Fraction]:
-            lo, hi = log_enclosure(inv, prec)
+    def log_pow_expr(scale: Fraction, power: int) -> _Enclose:
+        def expr(ctx: mpmath.MPIntervalContext) -> tuple[Fraction, Fraction]:
+            lo, hi = _enclose(ctx, _log, inv)
             lo = max(lo, Fraction(0))
             return scale * lo**power, scale * hi**power
         return expr
@@ -222,8 +239,8 @@ def compute_params(
 
     ell_scale = inv_sq if variant == "tournament" else inv
 
-    def ell_expr(prec: int) -> tuple[Fraction, Fraction]:
-        lo, hi = log_enclosure(inv_delta, prec)
+    def ell_expr(ctx: mpmath.MPIntervalContext) -> tuple[Fraction, Fraction]:
+        lo, hi = _enclose(ctx, _log, inv_delta)
         return ell_scale * lo, ell_scale * hi
 
     ell = _resolve_ceil(ell_expr)
@@ -284,7 +301,7 @@ def verify_inequality_chain(params: TheoremParams, h: int) -> ChainReport:
                 return None
             return True if hi <= delta else False if lo > delta else None
 
-        passed1, lhs1, _ = _resolve(lambda prec: _enclose(lambda ctx, b: b**ell, prec, base), decide1)
+        passed1, lhs1, _ = _resolve(lambda ctx: _enclose(ctx, lambda ctx, b: b**ell, base), decide1)
     checks.append(
         ChainCheck("shrinkage reaches container size", f"(1-eps)^ell = {_fmt(lhs1)}",
                    f"delta = {_fmt(delta)}", passed1)
@@ -292,7 +309,7 @@ def verify_inequality_chain(params: TheoremParams, h: int) -> ChainReport:
 
     ratio = Fraction(k, ell)
     passed2, lo, hi = _resolve(
-        lambda prec: log_enclosure(1 / delta, prec),
+        lambda ctx: _enclose(ctx, _log, 1 / delta),
         lambda lo, hi: True if ratio >= hi else False if ratio < lo else None,
     )
     checks.append(

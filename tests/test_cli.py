@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
+import homlab
 from homlab.cli import main
 from homlab.graphs import read_graph
 from homlab.tournaments import read_tournament
@@ -88,6 +94,28 @@ def test_containers_verify_bad_params_exit_2(tmp_path):
     result = invoke("containers", "verify", str(out), "--eps", "1/2", "--u", "1",
                     "--k", "2", "--ell", "1")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--eps", "1/1000000000", "--u", "1", "--k", "3"], "got 1098612289 > 3"),
+        (["--eps", "1/3", "--u", "1", "--k", "3", "--ell", "100000000"], "got 100000000 > 3"),
+        (["--eps", "1/1000000000", "--u", "1", "--k", "3", "--ell", "100000000"],
+         "= ~2.71451225397 exceeds u=1"),
+    ],
+)
+def test_containers_verify_decides_huge_ell_within_seconds(tmp_path, options, message):
+    # a fresh process, so a hang fails on the timeout instead of stalling the suite
+    empty = tmp_path / "empty.txt"
+    empty.write_text("3 0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(homlab.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "homlab.cli", "containers", "verify", str(empty), *options],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert result.returncode == 2
+    assert message in result.stderr
 
 
 def test_params_chain_json():

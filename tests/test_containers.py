@@ -44,6 +44,68 @@ def test_minimal_ell_examples():
         minimal_ell(3, Fraction(1, 3), 0)  # (2/3)^ell * 3 never reaches 0
 
 
+def stepping_ell(n, eps, u):
+    """minimal_ell's definition, one exact step of ell at a time."""
+    ell, value = 0, Fraction(n)
+    while value > u:
+        value *= 1 - eps
+        ell += 1
+    return ell
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 10**6),
+    u=st.integers(1, 10**6),
+    q=st.integers(2, 64),
+    data=st.data(),
+)
+def test_minimal_ell_equals_the_stepping_loop(n, u, q, data):
+    eps = Fraction(data.draw(st.integers(1, q - 1)), q)
+    assert minimal_ell(n, eps, u) == stepping_ell(n, eps, u)
+
+
+def test_minimal_ell_past_the_exact_steps():
+    # (1-eps)^ell * n hits u exactly; n.bit_length() keeps those in the exact steps
+    assert minimal_ell(2**100, Fraction(1, 2), 1) == 100
+    assert minimal_ell(3**70, Fraction(2, 3), 1) == 70
+    assert minimal_ell(3**70, Fraction(2, 3), 2) == 70
+    eps = Fraction(1, 100)
+    assert minimal_ell(10**6, eps, 1) == 1375 == stepping_ell(10**6, eps, 1)
+    # ceil(ln 3 / -ln(1 - 10^-9)), far beyond any stepping
+    assert minimal_ell(3, Fraction(1, 10**9), 1) == 1098612289
+    with pytest.raises(ParameterError):
+        minimal_ell(0, Fraction(1, 2), -1)  # (1/2)^ell * 0 never drops below -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 10**4),
+    u=st.integers(1, 10**4),
+    ell=st.integers(0, 600),
+    q=st.integers(2, 200),
+    data=st.data(),
+)
+def test_shrinkage_check_agrees_with_the_exact_power(n, u, ell, q, data):
+    eps = Fraction(data.draw(st.integers(1, q - 1)), q)
+    params = ContainerParams(eps, u=u, ell=ell, k=ell)
+    if (1 - eps) ** ell * n > u:
+        with pytest.raises(ParameterError, match="exceeds u="):
+            params.check_for(n)
+    else:
+        params.check_for(n)
+
+
+@pytest.mark.parametrize("n, u, eps", [(10**4, 1, "1/100"), (10**6, 3, "1/50"), (3, 1, "1/1000")])
+def test_shrinkage_check_flips_at_minimal_ell_past_the_exact_steps(n, u, eps):
+    eps = Fraction(eps)
+    ell = stepping_ell(n, eps, u)
+    assert ell > 64
+    ContainerParams(eps, u=u, ell=ell, k=ell).check_for(n)
+    with pytest.raises(ParameterError, match="= ~"):
+        ContainerParams(eps, u=u, ell=ell - 1, k=ell).check_for(n)
+
+
 def test_params_reject_shrinkage_violation():
     with pytest.raises(ParameterError):
         ContainerParams(Fraction(1, 2), u=1, ell=1, k=2).check_for(10)

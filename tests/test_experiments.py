@@ -1,12 +1,16 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from homlab import experiments
 from homlab.errors import InputError
 from homlab.experiments import (
     ExperimentConfig,
     ReportRow,
+    _precondition_ok,
+    _vectorized_tables,
     emit_report,
     exhaustive_graph_container_check,
     render_value,
@@ -72,6 +76,91 @@ def test_vectorized_sweep_agrees_with_scalar_oracles():
     u_values = [2, 3]
     codes = [0, 1, 7, 100, 255, 500, 777, 1023]
     spot_check_vectorized(5, eps_values, u_values, codes)
+
+
+def reference_tables(n, eps_values, u_values, codes):
+    """The sweep's earlier kernel, kept as a reference: degrees by a popcount
+    lookup table, independence by scanning each subset's edge code, and one
+    precondition array per (eps, u) ANDed subset by subset."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    codes = np.asarray(codes, dtype=np.uint32)
+    adj = [np.zeros(len(codes), dtype=np.uint8) for _ in range(n)]
+    for b, (u, v) in enumerate(pairs):
+        bit = ((codes >> np.uint32(b)) & np.uint32(1)).astype(np.uint8)
+        adj[u] |= bit << np.uint8(v)
+        adj[v] |= bit << np.uint8(u)
+    pop = np.array([bin(i).count("1") for i in range(1 << n)], dtype=np.uint8)
+    counts = [np.zeros(len(codes), dtype=np.int16) for _ in range(n + 1)]
+    ok = {(eps, u): np.ones(len(codes), dtype=bool) for eps in eps_values for u in u_values}
+    for smask in range(1 << n):
+        svertices = [v for v in range(n) if smask >> v & 1]
+        size = len(svertices)
+        ew_code = 0
+        for b, (u, v) in enumerate(pairs):
+            if smask >> u & 1 and smask >> v & 1:
+                ew_code |= 1 << b
+        counts[size] += (codes & np.uint32(ew_code)) == 0
+        if size == 0:
+            continue
+        maxdeg = np.zeros(len(codes), dtype=np.uint8)
+        for v in svertices:
+            np.maximum(maxdeg, pop[adj[v] & np.uint8(smask)], out=maxdeg)
+        for eps in eps_values:
+            thr = eps * size - 1
+            if thr <= 0:
+                continue
+            cond = maxdeg >= -((-thr.numerator) // thr.denominator)
+            for u in u_values:
+                if size >= u:
+                    ok[(eps, u)] &= cond
+    return counts, ok
+
+
+REFERENCE_EPS = [Fraction(e) for e in ("1/7", "1/4", "1/3", "1/2", "2/3", "1")]
+
+
+def assert_tables_match_reference(n, codes, counts, low):
+    u_values = list(range(-1, n + 3))  # u <= 0 and u > n included
+    ref_counts, ref_ok = reference_tables(n, REFERENCE_EPS, u_values, codes)
+    for k in range(n + 1):
+        assert np.array_equal(counts[k], ref_counts[k]), k
+    for (eps, u), expected in ref_ok.items():
+        assert np.array_equal(_precondition_ok(low, n, eps, u), expected), (eps, u)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tables_match_the_reference_kernel_on_every_graph(n):
+    counts, low = _vectorized_tables(n)
+    assert counts.shape == low.shape == (n + 1, 1 << n * (n - 1) // 2)
+    assert_tables_match_reference(n, np.arange(1 << n * (n - 1) // 2), counts, low)
+
+
+def test_tables_built_in_many_blocks_match_the_reference_kernel(monkeypatch):
+    monkeypatch.setattr(experiments, "_BLOCK", 48)  # 1024 codes: 21 full blocks and a partial one
+    counts, low = _vectorized_tables(5)
+    assert_tables_match_reference(5, np.arange(1 << 10), counts, low)
+
+
+def test_tables_match_the_reference_kernel_on_seeded_seven_vertex_codes():
+    codes = np.random.default_rng(7).integers(0, 1 << 21, size=64, dtype=np.uint32)
+    counts, low = _vectorized_tables(7, codes)
+    assert_tables_match_reference(7, codes, counts, low)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_tables_on_a_code_subset_are_the_full_tables_at_those_codes(n):
+    full_counts, full_low = _vectorized_tables(n)
+    codes = np.random.default_rng(n).permutation(1 << n * (n - 1) // 2)[:100].astype(np.uint32)
+    counts, low = _vectorized_tables(n, codes)
+    assert np.array_equal(counts, full_counts[:, codes])
+    assert np.array_equal(low, full_low[:, codes])
+
+
+def test_spot_check_rejects_codes_outside_the_graph_range():
+    with pytest.raises(InputError):
+        spot_check_vectorized(4, [Fraction(1, 2)], [2], [1 << 6])
+    with pytest.raises(InputError):
+        spot_check_vectorized(4, [Fraction(1, 2)], [2], [-1])
 
 
 def test_sweep_summaries_have_no_violations_at_n5():
