@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CapabilityError, ConsistencyError, InputError, ParameterError
-from .graphs import Graph, UniformHypergraph, _bits, _mask
+from .graphs import Graph, UniformHypergraph, _bits, _count_k_sets, _mask
 from .params import _enclose, _enclose_at, _resolve_ceil
 
 __all__ = [
@@ -179,30 +179,15 @@ def is_independent(structure: Structure, vertices: Iterable[int]) -> bool:
 
 
 def count_independent_sets_exact(structure: Structure, k: int) -> int:
-    """Exact number of k-subsets spanning no edge."""
+    """Exact number of k-subsets spanning no edge, picked in ascending order:
+    a graph restricts each pick to the non-neighbors above it, a hypergraph
+    to the vertices above it, with its edges kept from being wholly picked."""
     if k < 0:
         raise InputError("k must be nonnegative")
-    if k == 0:
-        return 1
+    above = [(1 << structure.n) - (2 << v) for v in range(structure.n)]
     if isinstance(structure, Graph):
-        masks, n = structure.masks, structure.n
-
-        def rec(allowed: int, depth: int) -> int:
-            if depth == 1:
-                return allowed.bit_count()
-            total = 0
-            m = allowed
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                # only vertices above v may extend, killing double counting
-                total += rec(m & ~masks[v], depth - 1)
-            return total
-
-        return rec((1 << n) - 1, k)
-    _, live = _degree_rows(structure)
-    return sum(not live(_mask(combo)) for combo in itertools.combinations(range(structure.n), k))
+        return _count_k_sets([a & ~row for a, row in zip(above, structure.masks)], k)
+    return _count_k_sets(above, k, structure.edge_masks)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ as "p/q"; display floats use 12 significant digits.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -234,20 +235,27 @@ def exhaustive_graph_container_check(
     u_values = list(u_values)
     k_values = list(k_values)
     counts, low = _vectorized_tables(n)
+
+    def exceeding(ok_arr: np.ndarray, k: int, bound: int) -> int:
+        # no graph has more than C(n, k) independent k-sets (none for k > n)
+        if bound >= math.comb(n, k):
+            return 0
+        return int(np.count_nonzero(ok_arr & (counts[k] > bound)))
+
     summaries = []
     for eps in eps_values:
         for u in u_values:
             ok_arr = _precondition_ok(low, n, eps, u)
             checked = int(np.count_nonzero(ok_arr))
+            ell = minimal_ell(n, eps, u)
             for k in k_values:
-                ell = minimal_ell(n, eps, u)
                 if ell > k:
                     continue
                 params = ContainerParams(eps, u=u, ell=ell, k=k)
                 bound = containers.kw_bound(n, params)
                 improved = containers.kw_bound(n, params, improved=True)
-                viol = int(np.count_nonzero(ok_arr & (counts[k] > bound)))
-                viol_improved = int(np.count_nonzero(ok_arr & (counts[k] > improved)))
+                viol = exceeding(ok_arr, k, bound)
+                viol_improved = exceeding(ok_arr, k, improved)
                 summaries.append(
                     ComboSummary(
                         n=n,

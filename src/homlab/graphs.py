@@ -25,8 +25,6 @@ __all__ = [
     "count_induced_copies",
     "count_induced_p4",
     "automorphism_count",
-    "max_degree",
-    "min_degree",
     "path_graph",
     "cycle_graph",
     "complete_graph",
@@ -52,6 +50,39 @@ def _mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _count_k_sets(rows: Sequence[int], k: int, edges: Sequence[int] = ()) -> int:
+    """Number of k-sets of ``range(len(rows))`` that can be picked one vertex
+    at a time, each pick in ``rows`` of every earlier pick, with no edge mask
+    wholly picked; callers choose rows that give each set one pick order.
+    Each edge is kept as its rest, the part not yet picked: a one-vertex rest
+    takes its vertex out of the candidates, a rest outside them is dropped."""
+
+    def pick(cand: int, need: int, rests: list[int]) -> int:
+        if need == 1:
+            return cand.bit_count()
+        if cand.bit_count() < need:
+            return 0
+        total = 0
+        m = cand
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            nxt = cand & rows[v]
+            if rests:
+                rests_v = [rest & ~low for rest in rests]
+                for rest in rests_v:
+                    if not rest & (rest - 1):
+                        nxt &= ~rest
+                rests_v = [rest for rest in rests_v if not rest & ~nxt]
+            else:
+                rests_v = rests
+            total += pick(nxt, need - 1, rests_v)
+        return total
+
+    return pick((1 << len(rows)) - 1, k, list(edges)) if k else 1
 
 
 @dataclass(frozen=True)
@@ -83,11 +114,6 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
-
-    @classmethod
-    def from_adj(cls, adj: Sequence[Iterable[int]]) -> "Graph":
-        n = len(adj)
-        return cls(n, tuple(_mask(row) for row in adj))
 
     @property
     def adj(self) -> tuple[frozenset[int], ...]:
@@ -176,18 +202,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
             if u in pos:
                 rows[pos[v]] |= 1 << pos[u]
     return Graph(len(order), tuple(rows))
-
-
-def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        raise InputError("degree undefined on the empty vertex set")
-    return max(row.bit_count() for row in g.masks)
-
-
-def min_degree(g: Graph) -> int:
-    if g.n == 0:
-        raise InputError("degree undefined on the empty vertex set")
-    return min(row.bit_count() for row in g.masks)
 
 
 # ---------------------------------------------------------------------------

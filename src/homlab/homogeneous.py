@@ -14,11 +14,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
-from .containers import count_independent_sets_exact
 from .errors import CapabilityError, InputError, ParameterError, VerificationError
-from .graphs import Graph, _bits, _mask, complement, edge_density, induced_subgraph
+from .graphs import Graph, _bits, _count_k_sets, _mask, complement, edge_density, induced_subgraph
 
 __all__ = [
     "HomogeneousWitness",
@@ -107,18 +106,9 @@ class FamilyOracle:
     hereditary: bool
     description: str
 
-    def spot_check_hereditary(self, samples: Iterable[tuple[Graph, Iterable[int]]]) -> None:
-        if not self.hereditary:
-            return
-        for g, subset in samples:
-            if self.membership(g) and not self.membership(induced_subgraph(g, subset)):
-                raise VerificationError(
-                    f"family {self.description!r} declared hereditary but fails on a subset"
-                )
-
 
 def has_induced_p4(g: Graph) -> bool:
-    """Direct 4-subset scan; adequate for the small graphs it is used on."""
+    """Whether :func:`count_induced_p4` finds an induced path on 4 vertices."""
     from .graphs import count_induced_p4
 
     return count_induced_p4(g)[0] > 0
@@ -183,10 +173,13 @@ def max_clique(g: Graph) -> frozenset[int]:
     return frozenset(_bits(best_mask))
 
 
-def hom_exact(g: Graph, max_n: int = 200) -> tuple[int, HomogeneousWitness]:
+_HOM_EXACT_N = 200
+
+
+def hom_exact(g: Graph) -> tuple[int, HomogeneousWitness]:
     """Exact size of the largest clique-or-independent-set, with witness."""
-    if g.n > max_n:
-        raise CapabilityError(f"hom_exact capped at n={max_n}, got {g.n}")
+    if g.n > _HOM_EXACT_N:
+        raise CapabilityError(f"hom_exact capped at n={_HOM_EXACT_N}, got {g.n}")
     if g.n == 0:
         return 0, HomogeneousWitness(frozenset(), "clique")
     cl = max_clique(g)
@@ -202,26 +195,15 @@ def hom_exact(g: Graph, max_n: int = 200) -> tuple[int, HomogeneousWitness]:
 def count_homogeneous_k(g: Graph, k: int) -> int:
     """Number of k-subsets inducing a clique plus those inducing an empty graph.
 
-    For k >= 2 the two classes are disjoint, so the count is the identity
-    IS_k(G) + IS_k(complement(G)); k = 3 counts the triangles of both directly,
-    which is faster.
+    For k >= 2 the two classes are disjoint.  Both are counted in ascending
+    pick order: a clique picks among the neighbors above each pick, an
+    independent set among the non-neighbors above it.
     """
     if k < 2:
         raise InputError("count_homogeneous_k needs k >= 2")
-    if k == 3:
-        # triangle count on g and on its complement via neighborhood intersections
-        masks = g.masks
-        total = 0
-        full = (1 << g.n) - 1
-        comp = [~masks[v] & full & ~(1 << v) for v in range(g.n)]
-        for u in range(g.n):
-            above = full & ~((1 << (u + 1)) - 1)
-            for v in _bits(masks[u] & above):
-                total += (masks[u] & masks[v] & above & ~((1 << (v + 1)) - 1)).bit_count()
-            for v in _bits(comp[u] & above):
-                total += (comp[u] & comp[v] & above & ~((1 << (v + 1)) - 1)).bit_count()
-        return total
-    return count_independent_sets_exact(g, k) + count_independent_sets_exact(complement(g), k)
+    above = [(1 << g.n) - (2 << v) for v in range(g.n)]
+    cliques = _count_k_sets([a & row for a, row in zip(above, g.masks)], k)
+    return cliques + _count_k_sets([a & ~row for a, row in zip(above, g.masks)], k)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapabilityError, ConsistencyError, InputError
-from .graphs import UniformHypergraph, _bits, _mask
+from .graphs import UniformHypergraph, _bits, _count_k_sets, _mask
 
 __all__ = [
     "Tournament",
@@ -104,7 +104,10 @@ def cyclic_triangle_count(t: Tournament) -> int:
     return by_enum
 
 
-def dist_to_transitive_exact(t: Tournament, max_n: int = 20) -> TransitivityWitness:
+_SUBSET_DP_N = 20
+
+
+def dist_to_transitive_exact(t: Tournament) -> TransitivityWitness:
     """Minimum edge reversals to reach a transitive tournament, via the
     subset dynamic program (2^n states).
 
@@ -113,8 +116,8 @@ def dist_to_transitive_exact(t: Tournament, max_n: int = 20) -> TransitivityWitn
     the permutation brute-force oracle.
     """
     n = t.n
-    if n > max_n:
-        raise CapabilityError(f"subset DP capped at n={max_n}, got {n}")
+    if n > _SUBSET_DP_N:
+        raise CapabilityError(f"subset DP capped at n={_SUBSET_DP_N}, got {n}")
     if n == 0:
         return TransitivityWitness((), 0)
     size = 1 << n
@@ -168,11 +171,11 @@ def dist_to_transitive_bruteforce(t: Tournament) -> int:
     return best
 
 
-def is_eps_transitive(t: Tournament, epsilon: Fraction, max_n: int = 20) -> bool:
+def is_eps_transitive(t: Tournament, epsilon: Fraction) -> bool:
     """dist <= eps * C(n,2), compared in exact rational arithmetic."""
     if t.n < 2:
         return True
-    witness = dist_to_transitive_exact(t, max_n=max_n)
+    witness = dist_to_transitive_exact(t)
     return Fraction(witness.reversals) <= Fraction(epsilon) * math.comb(t.n, 2)
 
 
@@ -190,19 +193,12 @@ def triangle_hypergraph(t: Tournament) -> UniformHypergraph:
 
 def count_transitive_subtournaments(t: Tournament, k: int) -> int:
     """Exact number of k-subsets inducing a transitive subtournament; equals
-    the independent k-set count of the cyclic-triple hypergraph."""
+    the independent k-set count of the cyclic-triple hypergraph.  A transitive
+    set has one order in which each vertex beats all later ones, so it is
+    picked once with each pick among the out-neighbors of the earlier ones."""
     if k < 0:
         raise InputError("k must be nonnegative")
-    if k <= 2:
-        return math.comb(t.n, k)
-    total = 0
-    for combo in itertools.combinations(range(t.n), k):
-        smask = _mask(combo)
-        # transitive iff the restricted out-degrees are pairwise distinct
-        degs = [(t.out[v] & smask).bit_count() for v in combo]
-        if len(set(degs)) == k:
-            total += 1
-    return total
+    return _count_k_sets(t.out, k)
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,18 @@ def test_experiment_run_csv_and_violation_exit(tmp_path):
     assert invoke("experiment", "run", str(bad)).exit_code == 2
 
 
+def test_experiment_exhaustive_k_above_n_has_no_violations(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "graph-container-exhaustive",
+                               "grid": {"n": 4, "eps": ["1/2"], "u": [2], "k": [5]}}))
+    result = invoke("experiment", "run", str(cfg))
+    assert result.exit_code == 0, result.output
+    header, row = result.output.splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["k"] == "5"
+    assert fields["violations"] == fields["improved_bound_violations"] == "0"
+
+
 def test_experiment_threads_flag_identical_output(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "hypergraph-container-sample",

@@ -109,7 +109,7 @@ def test_witness_validation_catches_wrong_claim():
 
 def test_dp_capability_cap():
     with pytest.raises(CapabilityError):
-        dist_to_transitive_exact(random_tournament(22, seed=0), max_n=20)
+        dist_to_transitive_exact(random_tournament(22, seed=0))
 
 
 def test_scan_report_shape():
