@@ -42,8 +42,11 @@ def _fraction(text: str) -> Fraction:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         click.echo(text, nl=not text.endswith("\n"))
 
@@ -157,11 +160,9 @@ def verify(obj, structure_file, eps, u_val, k_val, ell):
     if ell is None:
         ell = containers.minimal_ell(n, epsilon, u_val)
     cp = containers.ContainerParams(epsilon, u=u_val, ell=ell, k=k_val)
-    is_graph = isinstance(structure, graphs.Graph)
-    r = 2 if is_graph else structure.r
-    cp.check_for(n, r=r)
+    r = 2 if isinstance(structure, graphs.Graph) else structure.r
+    bound = containers.hypergraph_bound(n, r, cp)  # checks cp before the precondition scan
     ok_pre, witness = containers.verify_degree_precondition(structure, epsilon, u_val)
-    bound = containers.kw_bound(n, cp) if is_graph else containers.hypergraph_bound(n, r, cp)
     exact = containers.count_independent_sets_exact(structure, k_val)
     result = {
         "n": n,
@@ -257,10 +258,7 @@ def run(obj, config_file):
     """Run an ExperimentConfig JSON file and emit its report."""
     config = ExperimentConfig.from_json(_read_file(config_file))
     rows = run_experiment(config, workers=obj["threads"])
-    out = obj["out"] or config.out
-    text = emit_report(rows, format=obj["format"], path=out)
-    if not out:
-        click.echo(text, nl=False)
+    _emit(emit_report(rows, format=obj["format"]), obj["out"] or config.out)
     bad = [r for r in rows if r.verdict.startswith("VIOLATION")]
     if bad:
         raise VerificationError(f"{len(bad)} rows reported violations")

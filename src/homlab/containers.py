@@ -70,11 +70,8 @@ class ContainerParams:
         value = _size_above(n, self.epsilon, self.ell, self.u)
         if value is not None:
             raise ParameterError(f"(1-eps)^ell * n = {value} exceeds u={self.u}")
-        if r == 2:
-            if self.ell > self.k:
-                raise ParameterError(f"graph case needs ell <= k, got {self.ell} > {self.k}")
-        elif self.k < (r - 1) * self.ell:
-            raise ParameterError(f"need k >= (r-1)*ell, got {self.k} < {(r - 1) * self.ell}")
+        if (r - 1) * self.ell > self.k:
+            raise ParameterError(f"need (r-1)*ell <= k, got {(r - 1) * self.ell} > {self.k}")
 
 
 def _exact_ell_limit(n: int) -> int:
@@ -195,28 +192,20 @@ def count_independent_sets_exact(structure: Structure, k: int) -> int:
 
 
 def kw_bound(n: int, params: ContainerParams, improved: bool = False) -> int:
-    """Graph-case count bound C(n,ell)*C(u,k-ell).
+    """Graph-case count bound C(n,ell)*C(u,k-ell), the r = 2 case of
+    :func:`hypergraph_bound`.
 
     With ``improved=True`` returns the exact integer ceiling of
     2^ell * (u/n)^((ell-1)/2) * C(n,ell) * C(u,k-ell).
     """
-    params.check_for(n, r=2)
-    base = math.comb(n, params.ell) * math.comb(params.u, params.k - params.ell)
-    if not improved:
-        return base
+    base = hypergraph_bound(n, 2, params)
     ell, u = params.ell, params.u
-    if ell == 0:
+    if not improved or ell == 0:
         return base
-    # value = 2^ell * base * sqrt((u/n)^(ell-1)); exact ceiling via integer sqrt:
-    # smallest integer c with c^2 * den >= num where value^2 = num/den
+    # the ceiling of value = sqrt(value^2) is the smallest c with c^2 >= ceil(value^2)
     sq = Fraction(2 ** (2 * ell) * base * base) * Fraction(u, n) ** (ell - 1)
-    num, den = sq.numerator, sq.denominator
-    c = math.isqrt((num + den - 1) // den)
-    while c * c * den < num:
-        c += 1
-    while c >= 1 and (c - 1) * (c - 1) * den >= num:
-        c -= 1
-    return c
+    q = -(-sq.numerator // sq.denominator)
+    return math.isqrt(q - 1) + 1 if q else 0
 
 
 def hypergraph_bound(n: int, r: int, params: ContainerParams) -> int:

@@ -7,12 +7,13 @@ as "p/q"; display floats use 12 significant digits.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -39,11 +40,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: ``kind`` names its row builder, ``generator`` and
+    ``grid`` hold the builder's options, ``seeds`` lists distinct non-negative
+    seeds whose rows are concatenated in order (none: seed 0 alone), and
+    ``out`` is an optional report path.  The shape is checked once, here;
+    a config that breaks it raises InputError."""
+
     kind: str
     generator: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     seeds: tuple[int, ...] = ()
     out: str | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+            raise InputError(f"unknown experiment kind {self.kind!r}; known: {sorted(_KINDS)}")
+        if not (isinstance(self.generator, dict) and isinstance(self.grid, dict)):
+            raise InputError("config fields 'generator' and 'grid' must be objects")
+        seeds = self.seeds
+        if not (
+            isinstance(seeds, (list, tuple))
+            and all(type(s) is int and s >= 0 for s in seeds)
+            and len(set(seeds)) == len(seeds)
+        ):
+            raise InputError(f"config 'seeds' must list distinct non-negative integers: {seeds!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise InputError(f"config 'out' must be a path or null, got {self.out!r}")
+        object.__setattr__(self, "seeds", tuple(seeds))
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -51,15 +74,15 @@ class ExperimentConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"config is not valid JSON: {exc}") from exc
-        if "kind" not in doc:
-            raise InputError("config needs a 'kind' field")
+        if not isinstance(doc, dict) or "kind" not in doc:
+            raise InputError("config must be a JSON object with a 'kind' field")
         if "caps" in doc:
             raise InputError("config field 'caps' is not supported; no limit would be enforced")
         return cls(
             kind=doc["kind"],
             generator=doc.get("generator", {}),
             grid=doc.get("grid", {}),
-            seeds=tuple(doc.get("seeds", [])),
+            seeds=doc.get("seeds", []),
             out=doc.get("out"),
         )
 
@@ -307,259 +330,204 @@ def spot_check_vectorized(
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds
+# experiment kinds: each builds the rows of one seed
 
 
-def _rows_graph_container_exhaustive(config: ExperimentConfig) -> list[ReportRow]:
+def _rows_graph_container_exhaustive(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
+    if config.seeds:
+        raise InputError(f"{config.kind} checks every graph and takes no seeds")
     n = int(config.grid.get("n", 7))
     eps_values = [Fraction(e) for e in config.grid.get("eps", ["1/4", "1/2", "1"])]
     u_values = [int(u) for u in config.grid.get("u", list(range(1, n + 1)))]
     k_values = [int(k) for k in config.grid.get("k", list(range(n + 1)))]
-    rows = []
     for s in exhaustive_graph_container_check(n, eps_values, u_values, k_values):
-        rows.append(
-            ReportRow(
-                experiment=config.kind,
-                instance=f"n{s.n}-eps{s.epsilon}-u{s.u}-k{s.k}",
-                params=(
-                    ("n", s.n),
-                    ("r", 2),
-                    ("eps", s.epsilon),
-                    ("u", s.u),
-                    ("ell", s.ell),
-                    ("k", s.k),
-                ),
-                measures=(
-                    ("instances_checked", s.instances_checked),
-                    ("bound", s.bound),
-                    ("violations", s.violations),
-                    ("improved_bound_violations", s.improved_bound_violations),
-                ),
-                verdict="ok" if s.violations == 0 else "VIOLATION",
-            )
+        yield ReportRow(
+            experiment=config.kind,
+            instance=f"n{s.n}-eps{s.epsilon}-u{s.u}-k{s.k}",
+            params=(
+                ("n", s.n), ("r", 2), ("eps", s.epsilon), ("u", s.u), ("ell", s.ell), ("k", s.k)
+            ),
+            measures=(
+                ("instances_checked", s.instances_checked),
+                ("bound", s.bound),
+                ("violations", s.violations),
+                ("improved_bound_violations", s.improved_bound_violations),
+            ),
+            verdict="ok" if s.violations == 0 else "VIOLATION",
         )
-    return rows
 
 
-def _hypergraph_instance_row(
-    kind: str, n: int, p: Fraction, eps: Fraction, seed: int, stream: int
-) -> ReportRow | None:
-    """One r=3 container-soundness instance; None when the degree
-    precondition fails (instance does not qualify)."""
-    r = 3
-    h = generators.random_uniform_hypergraph(r, n, p, seed, stream=stream)
-    u = n - 3
-    ok_pre, _ = containers.verify_degree_precondition(h, eps, u)
-    if not ok_pre:
-        return None
-    ell = minimal_ell(n, eps, u)
-    k = 2 * ell
-    params = ContainerParams(eps, u=u, ell=ell, k=k)
-    bound = containers.hypergraph_bound(n, r, params)
-    exact = containers.count_independent_sets_exact(h, k)
-    i_set = generators.random_independent_set(h, seed, stream=stream + 10**6)
-    trace = containers.scythe_fingerprint(h, i_set, params)
-    shrink_ok = all(
-        trace.round_sizes[i + 1] <= (1 - eps) * trace.round_sizes[i]
-        for i in range(len(trace.round_sizes) - 1)
-    )
-    contain_ok = i_set <= trace.segment_union | trace.container
-    ok = exact <= bound and shrink_ok and contain_ok
-    return ReportRow(
-        experiment=kind,
-        instance=f"n{n}-p{p}-eps{eps}-s{seed}-i{stream}",
-        params=(("n", n), ("r", r), ("eps", eps), ("u", u), ("ell", ell), ("k", k)),
-        measures=(
-            ("edges", h.edge_count),
-            ("exact_count", exact),
-            ("bound", bound),
-            ("shrinkage_ok", shrink_ok),
-            ("containment_ok", contain_ok),
-            ("ok", ok),
-        ),
-        verdict="ok" if ok else "VIOLATION",
-    )
-
-
-def _rows_hypergraph_container_sample(config: ExperimentConfig) -> list[ReportRow]:
+def _rows_hypergraph_container_sample(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
+    """r=3 container-soundness instances, one stream per attempt; an instance
+    failing the degree precondition does not qualify and yields no row."""
     n_values = [int(n) for n in config.grid.get("n", [8, 9, 10, 11, 12])]
     p_values = [Fraction(p) for p in config.grid.get("p", ["4/5"])]
     eps_values = [Fraction(e) for e in config.grid.get("eps", ["1/8"])]
     per_cell = int(config.grid.get("count", 10))
-    rows = []
-    for seed in config.seeds or (0,):
-        stream = 0
-        for n in n_values:
-            for p in p_values:
-                for eps in eps_values:
-                    for _ in range(per_cell):
-                        row = _hypergraph_instance_row(config.kind, n, p, eps, seed, stream)
-                        stream += 1
-                        if row is not None:
-                            rows.append(row)
-    return rows
+    r = 3
+    attempts = itertools.product(n_values, p_values, eps_values, range(per_cell))
+    for stream, (n, p, eps, _) in enumerate(attempts):
+        h = generators.random_uniform_hypergraph(r, n, p, seed, stream=stream)
+        u = n - 3
+        if not containers.verify_degree_precondition(h, eps, u)[0]:
+            continue
+        ell = minimal_ell(n, eps, u)
+        k = 2 * ell
+        params = ContainerParams(eps, u=u, ell=ell, k=k)
+        bound = containers.hypergraph_bound(n, r, params)
+        exact = containers.count_independent_sets_exact(h, k)
+        i_set = generators.random_independent_set(h, seed, stream=stream + 10**6)
+        trace = containers.scythe_fingerprint(h, i_set, params)
+        sizes = trace.round_sizes
+        shrink_ok = all(after <= (1 - eps) * before for before, after in zip(sizes, sizes[1:]))
+        contain_ok = i_set <= trace.segment_union | trace.container
+        ok = exact <= bound and shrink_ok and contain_ok
+        yield ReportRow(
+            experiment=config.kind,
+            instance=f"n{n}-p{p}-eps{eps}-s{seed}-i{stream}",
+            params=(("n", n), ("r", r), ("eps", eps), ("u", u), ("ell", ell), ("k", k)),
+            measures=(
+                ("edges", h.edge_count),
+                ("exact_count", exact),
+                ("bound", bound),
+                ("shrinkage_ok", shrink_ok),
+                ("containment_ok", contain_ok),
+                ("ok", ok),
+            ),
+            verdict="ok" if ok else "VIOLATION",
+        )
 
 
-def _rows_homog_count_pipeline(config: ExperimentConfig) -> list[ReportRow]:
+def _rows_homog_count_pipeline(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
     n = int(config.grid.get("n", 40))
     p = Fraction(config.grid.get("p", "1/20"))
     t = int(config.grid.get("t", 5))
     k = int(config.grid.get("k", 3))
-    count = int(config.grid.get("count", 10))
-    rows = []
-    for seed in config.seeds or (0,):
-        for i in range(count):
-            g = generators.gnp(n, p, seed, stream=i)
-            embeddings = graphs.count_induced_p4(g)[1]
-            report = homogeneous.verify_count_lower_bound(g, path_graph(4), t, k, embeddings=embeddings)
-            rows.append(
-                ReportRow(
-                    experiment=config.kind,
-                    instance=f"n{n}-p{p}-s{seed}-i{i}",
-                    params=(("n", n), ("p", p), ("t", t), ("k", k)),
-                    measures=(
-                        ("embeddings", report.embeddings),
-                        ("threshold", report.threshold),
-                        ("premise_ok", report.premise_ok),
-                        ("homogeneous_count", report.homogeneous_count),
-                        ("lower_bound", report.lower_bound),
-                    ),
-                    verdict="ok" if report.ok else ("premise" if not report.premise_ok else "VIOLATION"),
-                )
-            )
-    return rows
+    for i in range(int(config.grid.get("count", 10))):
+        g = generators.gnp(n, p, seed, stream=i)
+        embeddings = graphs.count_induced_p4(g)[1]
+        report = homogeneous.verify_count_lower_bound(g, path_graph(4), t, k, embeddings=embeddings)
+        yield ReportRow(
+            experiment=config.kind,
+            instance=f"n{n}-p{p}-s{seed}-i{i}",
+            params=(("n", n), ("p", p), ("t", t), ("k", k)),
+            measures=(
+                ("embeddings", report.embeddings),
+                ("threshold", report.threshold),
+                ("premise_ok", report.premise_ok),
+                ("homogeneous_count", report.homogeneous_count),
+                ("lower_bound", report.lower_bound),
+            ),
+            verdict="ok" if report.ok else ("premise" if not report.premise_ok else "VIOLATION"),
+        )
 
 
-def _rows_closeness_pipeline(config: ExperimentConfig) -> list[ReportRow]:
+def _rows_closeness_pipeline(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
     n = int(config.grid.get("n", 40))
     t = int(config.grid.get("t", 5))
     k = int(config.grid.get("k", 3))
     flips = int(config.grid.get("flips", n * n // (2 * t) // t))
-    count = int(config.grid.get("count", 10))
     closeness_budget = n * n // (2 * t)
-    rows = []
-    for seed in config.seeds or (0,):
-        for i in range(count):
-            base = generators.random_cograph(n, seed, stream=i)
-            g = generators.perturb_edges(base, flips, seed, stream=i + 10**6)
-            hom_count = homogeneous.count_homogeneous_k(g, k)
-            bound = Fraction(1, 2) * Fraction(n, 2 * t) ** k
-            ok = flips <= closeness_budget and hom_count >= bound
-            rows.append(
-                ReportRow(
-                    experiment=config.kind,
-                    instance=f"n{n}-s{seed}-i{i}",
-                    params=(("n", n), ("t", t), ("k", k), ("flips", flips)),
-                    measures=(
-                        ("closeness_budget", closeness_budget),
-                        ("homogeneous_count", hom_count),
-                        ("lower_bound", bound),
-                    ),
-                    verdict="ok" if ok else "VIOLATION",
-                )
-            )
-    return rows
+    bound = Fraction(1, 2) * Fraction(n, 2 * t) ** k
+    for i in range(int(config.grid.get("count", 10))):
+        base = generators.random_cograph(n, seed, stream=i)
+        g = generators.perturb_edges(base, flips, seed, stream=i + 10**6)
+        hom_count = homogeneous.count_homogeneous_k(g, k)
+        ok = flips <= closeness_budget and hom_count >= bound
+        yield ReportRow(
+            experiment=config.kind,
+            instance=f"n{n}-s{seed}-i{i}",
+            params=(("n", n), ("t", t), ("k", k), ("flips", flips)),
+            measures=(
+                ("closeness_budget", closeness_budget),
+                ("homogeneous_count", hom_count),
+                ("lower_bound", bound),
+            ),
+            verdict="ok" if ok else "VIOLATION",
+        )
 
 
-def _rows_overlay_audit(config: ExperimentConfig) -> list[ReportRow]:
+def _rows_overlay_audit(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
+    """Induced P4s of the overlay construction: all inside one part, and at
+    most embedding_constant * eps^6 * n^4 embeddings.  The default constant
+    1000 is the calibrated regression bound (scripts/overlay_calibration.py;
+    the worst observed ratio at n = 150 is 681)."""
     n = int(config.grid.get("n", 150))
     eps_values = [Fraction(e) for e in config.grid.get("eps", ["1/20", "1/10"])]
-    cap = int(config.grid.get("embedding_constant", 100))
-    rows = []
-    for seed in config.seeds or (0,):
-        for eps in eps_values:
-            art = generators.overlay_construction(n, eps, seed)
-            subsets, embeddings, copies = graphs.count_induced_p4(art.graph)
-            within = all(
-                len({art.part_of(v) for v in copy}) == 1 for copy in copies
-            )
-            limit = cap * eps**6 * n**4
-            ok = within and embeddings <= limit
-            rows.append(
-                ReportRow(
-                    experiment=config.kind,
-                    instance=f"n{n}-eps{eps}-s{seed}",
-                    params=(("n", n), ("eps", eps), ("s", art.s)),
-                    measures=(
-                        ("p4_subsets", subsets),
-                        ("p4_embeddings", embeddings),
-                        ("embedding_limit", limit),
-                        ("all_within_part", within),
-                    ),
-                    verdict="ok" if ok else "VIOLATION",
-                )
-            )
-    return rows
+    cap = int(config.grid.get("embedding_constant", 1000))
+    for eps in eps_values:
+        art = generators.overlay_construction(n, eps, seed)
+        subsets, embeddings, copies = graphs.count_induced_p4(art.graph)
+        within = all(len({art.part_of(v) for v in copy}) == 1 for copy in copies)
+        limit = cap * eps**6 * n**4
+        ok = within and embeddings <= limit
+        yield ReportRow(
+            experiment=config.kind,
+            instance=f"n{n}-eps{eps}-s{seed}",
+            params=(("n", n), ("eps", eps), ("s", art.s)),
+            measures=(
+                ("p4_subsets", subsets),
+                ("p4_embeddings", embeddings),
+                ("embedding_limit", limit),
+                ("all_within_part", within),
+            ),
+            verdict="ok" if ok else "VIOLATION",
+        )
 
 
-def _rows_eps_homog_curve(config: ExperimentConfig) -> list[ReportRow]:
+def _rows_eps_homog_curve(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
     kind = config.generator.get("kind", "bipartite")
     n = int(config.grid.get("n", 60))
     p = Fraction(config.grid.get("p", "1/2"))
     eps_values = [Fraction(e) for e in config.grid.get("eps", ["1/4", "1/8", "1/16"])]
-    rows = []
-    for seed in config.seeds or (0,):
-        if kind == "bipartite":
-            g = generators.random_bipartite(n, p, seed)
-        elif kind == "cograph":
-            g = generators.random_cograph(n, seed)
-        elif kind == "gnp":
-            g = generators.gnp(n, p, seed)
-        else:
-            raise InputError(f"unknown generator kind {kind!r}")
-        for eps in eps_values:
-            witness = homogeneous.find_eps_homogeneous(g, eps, mode="density", strategy="greedy-peel")
-            rows.append(
-                ReportRow(
-                    experiment=config.kind,
-                    instance=f"{kind}-n{n}-eps{eps}-s{seed}",
-                    params=(("generator", kind), ("n", n), ("eps", eps)),
-                    measures=(
-                        ("witness_size", len(witness.vertices)),
-                        ("witness_side", witness.side),
-                        ("size_over_eps_n", Fraction(len(witness.vertices)) / (eps * n)),
-                    ),
-                    verdict="ok",
-                )
-            )
-    return rows
-
-
-def _rows_triangle_scan(config: ExperimentConfig) -> list[ReportRow]:
-    m = int(config.grid.get("m", 9))
-    samples = int(config.grid.get("samples", 100))
-    rows = []
-    for seed in config.seeds or (0,):
-        report = tournaments.triangle_distance_scan(m, samples, seed)
-        for pt in report.points:
-            rows.append(
-                ReportRow(
-                    experiment=config.kind,
-                    instance=f"m{m}-s{seed}-i{pt.instance}",
-                    params=(("m", m), ("seed", seed)),
-                    measures=(
-                        ("triangles", pt.triangles),
-                        ("dist", pt.dist),
-                        ("ratio", pt.dist_rate**2 * m**3 / pt.triangles if pt.triangles else ""),
-                    ),
-                    verdict="ok",
-                )
-            )
-        rows.append(
-            ReportRow(
-                experiment=config.kind,
-                instance=f"m{m}-s{seed}-summary",
-                params=(("m", m), ("seed", seed)),
-                measures=(
-                    ("worst_ratio", report.worst_ratio if report.worst_ratio is not None else ""),
-                ),
-                verdict="ok",
-            )
+    if kind == "bipartite":
+        g = generators.random_bipartite(n, p, seed)
+    elif kind == "cograph":
+        g = generators.random_cograph(n, seed)
+    elif kind == "gnp":
+        g = generators.gnp(n, p, seed)
+    else:
+        raise InputError(f"unknown generator kind {kind!r}")
+    for eps in eps_values:
+        witness = homogeneous.find_eps_homogeneous(g, eps, mode="density", strategy="greedy-peel")
+        yield ReportRow(
+            experiment=config.kind,
+            instance=f"{kind}-n{n}-eps{eps}-s{seed}",
+            params=(("generator", kind), ("n", n), ("eps", eps)),
+            measures=(
+                ("witness_size", len(witness.vertices)),
+                ("witness_side", witness.side),
+                ("size_over_eps_n", Fraction(len(witness.vertices)) / (eps * n)),
+            ),
+            verdict="ok",
         )
-    return rows
 
 
-_KINDS: dict[str, Callable[[ExperimentConfig], list[ReportRow]]] = {
+def _rows_triangle_scan(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
+    m = int(config.grid.get("m", 9))
+    report = tournaments.triangle_distance_scan(m, int(config.grid.get("samples", 100)), seed)
+    for pt in report.points:
+        yield ReportRow(
+            experiment=config.kind,
+            instance=f"m{m}-s{seed}-i{pt.instance}",
+            params=(("m", m), ("seed", seed)),
+            measures=(
+                ("triangles", pt.triangles),
+                ("dist", pt.dist),
+                ("ratio", pt.dist_rate**2 * m**3 / pt.triangles if pt.triangles else ""),
+            ),
+            verdict="ok",
+        )
+    yield ReportRow(
+        experiment=config.kind,
+        instance=f"m{m}-s{seed}-summary",
+        params=(("m", m), ("seed", seed)),
+        measures=(("worst_ratio", report.worst_ratio if report.worst_ratio is not None else ""),),
+        verdict="ok",
+    )
+
+
+_KINDS: dict[str, Callable[[ExperimentConfig, int], Iterator[ReportRow]]] = {
     "graph-container-exhaustive": _rows_graph_container_exhaustive,
     "hypergraph-container-sample": _rows_hypergraph_container_sample,
     "homog-count-pipeline": _rows_homog_count_pipeline,
@@ -571,26 +539,17 @@ _KINDS: dict[str, Callable[[ExperimentConfig], list[ReportRow]]] = {
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ReportRow]:
-    """Run one experiment; deterministic row list for identical configs,
-    independent of the worker count.
+    """Run one experiment: the rows of each seed (seed 0 when there are none)
+    concatenated in seed order, so identical configs give identical rows at
+    any worker count.
 
-    Per-seed work units run in parallel when workers > 1; per-row capability
-    errors become rows with verdict "error:<type>" instead of aborting."""
-    if config.kind not in _KINDS:
-        raise InputError(f"unknown experiment kind {config.kind!r}; known: {sorted(_KINDS)}")
+    Per-seed work units run in parallel when workers > 1; a unit's capability
+    error becomes one row with verdict "error:capability" instead of aborting."""
     builder = _KINDS[config.kind]
-    seeds = list(config.seeds) or [0]
 
     def unit(seed: int) -> list[ReportRow]:
-        sub = ExperimentConfig(
-            kind=config.kind,
-            generator=config.generator,
-            grid=config.grid,
-            seeds=(seed,),
-            out=None,
-        )
         try:
-            return builder(sub)
+            return list(builder(config, seed))
         except CapabilityError as exc:
             return [
                 ReportRow(
@@ -602,12 +561,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ReportRow
                 )
             ]
 
+    seeds = config.seeds or (0,)
     if workers > 1 and len(seeds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(unit, seeds))
     else:
-        chunks = [unit(seed) for seed in seeds]
-    rows: list[ReportRow] = []
-    for chunk in chunks:  # chunk order fixed by seed order, not completion order
-        rows.extend(chunk)
-    return rows
+        chunks = map(unit, seeds)
+    return [row for chunk in chunks for row in chunk]  # seed order, not completion order

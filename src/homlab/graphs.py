@@ -116,10 +116,6 @@ class Graph:
         return cls(n, tuple(rows))
 
     @property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(_bits(row)) for row in self.masks)
-
-    @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.masks) // 2
 

@@ -57,11 +57,11 @@ def _enclose(
     return _raw_mpf_to_fraction(raw_a), _raw_mpf_to_fraction(raw_b)
 
 
-def log_enclosure(q: Fraction, prec: int = 128) -> tuple[Fraction, Fraction]:
-    """Rigorous rational enclosure of ln(q) for q > 0."""
+def log_enclosure(q: Fraction) -> tuple[Fraction, Fraction]:
+    """Rigorous rational enclosure of ln(q) for q > 0, at 128 bits."""
     if q <= 0:
         raise ParameterError(f"log of nonpositive value {q}")
-    return _enclose_at(prec, _log, q)
+    return _enclose_at(128, _log, q)
 
 
 def _log(ctx: mpmath.MPIntervalContext, x):

@@ -76,7 +76,10 @@ def test_graph_container_soundness_exhaustive_seven_vertices():
 
 def test_hypergraph_container_soundness_with_shrinkage():
     """>= 1000 qualifying seeded 3-uniform instances on 8..12 vertices: exact
-    count <= bound and every fingerprint trace shrinks by (1-eps) per round."""
+    count <= bound and every fingerprint trace shrinks by (1-eps) per round.
+    At n <= 12 the count check cannot fail (k = 2*ell makes the bound C(n, k),
+    and k > n on many rows); the checks that bite are the shrinkage and the
+    containment of each independent set in its segments plus container."""
     config = ExperimentConfig(
         kind="hypergraph-container-sample",
         grid={"n": [8, 9, 10, 11, 12], "p": ["7/10", "17/20"], "eps": ["1/16", "1/8"], "count": 11},

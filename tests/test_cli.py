@@ -164,3 +164,69 @@ def test_experiment_threads_flag_identical_output(tmp_path):
     four = invoke("--threads", "4", "experiment", "run", str(cfg))
     assert one.exit_code == four.exit_code == 0
     assert one.output == four.output
+
+
+_TRIANGLE_SCAN = {"kind": "triangle-scan", "grid": {"m": 4, "samples": 2}, "seeds": [0]}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {**_TRIANGLE_SCAN, "seeds": 5},
+        {**_TRIANGLE_SCAN, "seeds": ["a"]},
+        {**_TRIANGLE_SCAN, "seeds": [-1]},
+        {**_TRIANGLE_SCAN, "seeds": [True]},
+        {**_TRIANGLE_SCAN, "seeds": [0, 0]},
+        {**_TRIANGLE_SCAN, "grid": [1]},
+        {**_TRIANGLE_SCAN, "generator": "gnp"},
+        {**_TRIANGLE_SCAN, "kind": []},
+        {**_TRIANGLE_SCAN, "kind": "no-such-kind"},
+        {**_TRIANGLE_SCAN, "out": 1},
+        5,
+        [_TRIANGLE_SCAN],
+        {"kind": "graph-container-exhaustive", "grid": {"n": 4}, "seeds": [0, 1, 2]},
+    ],
+    ids=["seeds-int", "seeds-str", "seeds-negative", "seeds-bool", "seeds-repeated", "grid-list",
+         "generator-str", "kind-list", "kind-unknown", "out-int", "bare-int", "list",
+         "exhaustive-with-seeds"],
+)
+def test_experiment_run_rejects_malformed_configs(tmp_path, document):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(document))
+    result = invoke("experiment", "run", str(cfg))
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.output.startswith("error: ")
+
+
+def test_experiment_run_writes_the_config_out_path(tmp_path):
+    report = tmp_path / "report.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_TRIANGLE_SCAN, "out": str(report)}))
+    result = invoke("experiment", "run", str(cfg))
+    assert result.exit_code == 0 and result.output == ""
+    assert report.read_text().startswith("experiment,instance_id,m,seed")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["construct", "--kind", "gnp", "--n", "5"],
+        ["hom", "{graph}"],
+        ["containers", "verify", "{graph}", "--eps", "1/2", "--u", "2", "--k", "3"],
+        ["tournament", "dist", "{tournament}"],
+        ["params", "--eps", "1/128"],
+        ["experiment", "run", "{config}"],
+    ],
+    ids=["construct", "hom", "containers-verify", "tournament-dist", "params", "experiment-run"],
+)
+def test_unwritable_out_path_exits_2(tmp_path, args):
+    files = {"graph": tmp_path / "g.txt", "tournament": tmp_path / "t.txt",
+             "config": tmp_path / "cfg.json"}
+    files["graph"].write_text("4 2\n0 1\n2 3\n")
+    files["tournament"].write_text("3\n010\n001\n100\n")
+    files["config"].write_text(json.dumps(_TRIANGLE_SCAN))
+    unwritable = tmp_path / "no-such-dir" / "out.txt"
+    argv = ["--out", str(unwritable)] + [a.format(**files) for a in args]
+    result = invoke(*argv)
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "cannot write" in result.output

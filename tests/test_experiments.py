@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -36,6 +37,20 @@ def test_config_rejects_bad_json():
 def test_unknown_kind_rejected():
     with pytest.raises(InputError):
         run_experiment(ExperimentConfig(kind="no-such-kind"))
+
+
+def test_config_seeds_become_a_tuple_of_distinct_seeds():
+    assert ExperimentConfig(kind="triangle-scan", seeds=[3, 1]).seeds == (3, 1)
+    with pytest.raises(InputError):
+        ExperimentConfig(kind="triangle-scan", seeds=(1, 1))
+
+
+def test_exhaustive_kind_takes_no_seeds():
+    grid = {"n": 4, "eps": ["1/2"], "u": [2], "k": [2, 3]}
+    rows = run_experiment(ExperimentConfig(kind="graph-container-exhaustive", grid=grid))
+    assert [r.instance for r in rows] == ["n4-eps1/2-u2-k2", "n4-eps1/2-u2-k3"]
+    with pytest.raises(InputError):
+        run_experiment(ExperimentConfig(kind="graph-container-exhaustive", grid=grid, seeds=(0,)))
 
 
 def test_render_value_formats():
@@ -206,6 +221,15 @@ def test_worker_count_does_not_change_report(cfg):
         assert emit_report(run_experiment(cfg, workers=workers)) == base
 
 
+@pytest.mark.parametrize("cfg", SMALL_CONFIGS, ids=lambda c: c.kind)
+def test_rows_are_the_one_seed_rows_in_seed_order(cfg):
+    one_seed = [
+        run_experiment(dataclasses.replace(cfg, seeds=(seed,))) for seed in reversed(cfg.seeds)
+    ]
+    reversed_cfg = dataclasses.replace(cfg, seeds=tuple(reversed(cfg.seeds)))
+    assert run_experiment(reversed_cfg, workers=2) == [row for rows in one_seed for row in rows]
+
+
 def test_rerun_is_byte_identical():
     cfg = SMALL_CONFIGS[0]
     assert emit_report(run_experiment(cfg)) == emit_report(run_experiment(cfg))
@@ -229,3 +253,11 @@ def test_hypergraph_rows_carry_spec_columns():
     d = rows[0].as_dict()
     for column in ("instance_id", "n", "r", "eps", "u", "ell", "k", "exact_count", "bound", "ok"):
         assert column in d
+
+
+def test_overlay_audit_default_constant_passes_at_n150():
+    # the default embedding constant is the calibrated 1000 (worst observed ratio 681)
+    cfg = ExperimentConfig(kind="overlay-audit", grid={"eps": ["1/20"]}, seeds=(0,))
+    rows = run_experiment(cfg)
+    assert [r.params[0] for r in rows] == [("n", 150)]
+    assert all(r.verdict == "ok" for r in rows), rows

@@ -1,7 +1,9 @@
 """Fuzzing of the text readers and of the CLI exit-code contract: arbitrary
 text, and well-formed files with a few random edits, may only be rejected with
-InputError (exit 2) or CapabilityError (exit 3)."""
+InputError (exit 2) or CapabilityError (exit 3); an experiment config with one
+top-level field replaced by arbitrary JSON runs or exits 2."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -69,3 +71,27 @@ def test_cli_exits_0_2_or_3_on_fuzzed_files(tmp_path_factory, command, files, da
                  "--u", str(data.draw(st.integers(0, 4))), "--k", str(data.draw(st.integers(0, 6)))]
     result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 2, 3), (result.output, result.exception)
+
+
+# Object keys leave out the grid fields of the triangle scan below (m, samples):
+# they size the work, and a large one asks for a long run, not a malformed config.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8).filter(lambda k: k not in ("m", "samples")), inner,
+                      max_size=4),
+    max_leaves=8,
+)
+
+
+@given(field=st.sampled_from(["kind", "generator", "grid", "seeds", "out"]), value=_JSON)
+@settings(max_examples=60, deadline=None)
+def test_experiment_run_exits_0_or_2_on_fuzzed_configs(tmp_path_factory, field, value):
+    document = {"kind": "triangle-scan", "generator": {}, "grid": {"m": 4, "samples": 2},
+                "seeds": [0], "out": None, field: value}
+    workdir = tmp_path_factory.mktemp("config")
+    (workdir / "cfg.json").write_text(json.dumps(document))
+    # --out takes precedence over the config's out, which is then only checked
+    args = ["--out", str(workdir / "report.csv"), "experiment", "run", str(workdir / "cfg.json")]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2), (document, result.output, result.exception)
