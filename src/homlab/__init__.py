@@ -1,43 +1,4 @@
 """homlab: exact combinatorics lab for container bounds, homogeneous-set
 counting, tournament reductions, and the associated parameter calculus."""
 
-from .containers import (
-    ContainerParams,
-    FingerprintTrace,
-    count_independent_sets_exact,
-    hypergraph_bound,
-    kw_bound,
-    kw_fingerprint,
-    minimal_ell,
-    reconstruct_segments,
-    scythe_fingerprint,
-    verify_degree_precondition,
-)
-from .errors import (
-    CapabilityError,
-    ConsistencyError,
-    ConstructionError,
-    HomlabError,
-    InputError,
-    ParameterError,
-    VerificationError,
-)
-from .experiments import ExperimentConfig, ReportRow, emit_report, run_experiment
-from .generators import gnp, overlay_construction, random_cograph, random_tournament
-from .graphs import Graph, UniformHypergraph, read_graph, write_graph
-from .homogeneous import (
-    count_homogeneous_k,
-    find_eps_homogeneous,
-    hom_exact,
-    verify_count_lower_bound,
-)
-from .params import GrowthFunction, TheoremParams, compute_params, verify_inequality_chain
-from .tournaments import (
-    Tournament,
-    cyclic_triangle_count,
-    dist_to_transitive_exact,
-    read_tournament,
-    write_tournament,
-)
-
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import click
 
-from . import containers, generators, graphs, homogeneous, params as params_mod, tournaments
+from . import graphs, homogeneous, tournaments
 from .errors import (
     CapabilityError,
     ConstructionError,
@@ -22,7 +22,6 @@ from .errors import (
     ParameterError,
     VerificationError,
 )
-from .experiments import ExperimentConfig, emit_report, run_experiment
 
 
 def _exit_code(exc: HomlabError) -> int:
@@ -90,10 +89,13 @@ def main(ctx, seed, threads, out, fmt):
 @click.option("--n", type=int, required=True)
 @click.option("--eps", type=str, default=None, help="Rational, e.g. 1/20.")
 @click.option("--p", type=str, default=None, help="Edge probability, rational.")
-@click.option("--parts", type=int, default=None, help="Part count for multipartite.")
+@click.option("--parts", type=int, default=2, show_default=True,
+              help="Part count for multipartite.")
 @click.pass_obj
 def construct(obj, kind, n, eps, p, parts):
     """Generate a seeded instance and print it in text format."""
+    from . import generators
+
     seed = obj["seed"]
     if kind == "gnp":
         g = generators.gnp(n, _fraction(p or "1/2"), seed)
@@ -104,8 +106,7 @@ def construct(obj, kind, n, eps, p, parts):
         art = generators.overlay_construction(n, _fraction(eps), seed)
         _emit(graphs.write_graph(art.graph), obj["out"])
     elif kind == "multipartite":
-        s = parts or 2
-        sizes = [len(block) for block in generators.equitable_parts(n, s)]
+        sizes = [len(block) for block in generators.equitable_parts(n, parts)]
         _emit(graphs.write_graph(generators.complete_multipartite(sizes)), obj["out"])
     elif kind == "tournament":
         _emit(tournaments.write_tournament(generators.random_tournament(n, seed)), obj["out"])
@@ -148,6 +149,8 @@ def containers_group():
 def verify(obj, structure_file, eps, u_val, k_val, ell):
     """Verify the degree precondition and count bound on a graph or
     hypergraph file; exits 1 if the exact count exceeds the bound."""
+    from . import containers
+
     text = _read_file(structure_file)
     first = next((ln for ln in text.splitlines() if ln.strip()), "")
     # graph header is "n m", hypergraph header is "r n m"
@@ -223,6 +226,8 @@ def dist(obj, tournament_file):
 @click.pass_obj
 def params_cmd(obj, variant, eps, f_value, h_val, improved_k, check):
     """Compute exact theorem parameters and verify the inequality chain."""
+    from . import params as params_mod
+
     f = params_mod.GrowthFunction.constant(_fraction(f_value))
     p = params_mod.compute_params(variant, _fraction(eps), f, improved_k=improved_k)
     doc = {
@@ -256,6 +261,8 @@ def experiment():
 @click.pass_obj
 def run(obj, config_file):
     """Run an ExperimentConfig JSON file and emit its report."""
+    from .experiments import ExperimentConfig, emit_report, run_experiment
+
     config = ExperimentConfig.from_json(_read_file(config_file))
     rows = run_experiment(config, workers=obj["threads"])
     _emit(emit_report(rows, format=obj["format"]), obj["out"] or config.out)

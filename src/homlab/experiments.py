@@ -11,15 +11,15 @@ import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import containers, generators, graphs, homogeneous, tournaments
 from .containers import ContainerParams, minimal_ell
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, ConsistencyError, InputError
 from .graphs import Graph, path_graph
 
 __all__ = [
@@ -43,8 +43,10 @@ class ExperimentConfig:
     """One experiment: ``kind`` names its row builder, ``generator`` and
     ``grid`` hold the builder's options, ``seeds`` lists distinct non-negative
     seeds whose rows are concatenated in order (none: seed 0 alone), and
-    ``out`` is an optional report path.  The shape is checked once, here;
-    a config that breaks it raises InputError."""
+    ``out`` is an optional report path.  The shape is checked once, here,
+    including that every grid and generator key is one the builder reads and
+    every grid value casts the way the builder reads it; a config that breaks
+    it raises InputError."""
 
     kind: str
     generator: dict = field(default_factory=dict)
@@ -57,6 +59,14 @@ class ExperimentConfig:
             raise InputError(f"unknown experiment kind {self.kind!r}; known: {sorted(_KINDS)}")
         if not (isinstance(self.generator, dict) and isinstance(self.grid, dict)):
             raise InputError("config fields 'generator' and 'grid' must be objects")
+        spec = _KINDS[self.kind]
+        _reject_unknown(f"{self.kind} generator", self.generator, spec.generator)
+        _reject_unknown(f"{self.kind} grid", self.grid, spec.grid)
+        for key, value in self.grid.items():
+            try:
+                spec.grid[key](value)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise InputError(f"grid key {key!r}: cannot read {value!r}: {exc}") from exc
         seeds = self.seeds
         if not (
             isinstance(seeds, (list, tuple))
@@ -76,28 +86,27 @@ class ExperimentConfig:
             raise InputError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "kind" not in doc:
             raise InputError("config must be a JSON object with a 'kind' field")
-        if "caps" in doc:
-            raise InputError("config field 'caps' is not supported; no limit would be enforced")
-        return cls(
-            kind=doc["kind"],
-            generator=doc.get("generator", {}),
-            grid=doc.get("grid", {}),
-            seeds=doc.get("seeds", []),
-            out=doc.get("out"),
-        )
+        _reject_unknown("config", doc, [f.name for f in fields(cls)])
+        return cls(**doc)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "generator": self.generator,
-                "grid": self.grid,
-                "seeds": list(self.seeds),
-                "out": self.out,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+
+def _reject_unknown(what: str, doc: dict, known: Iterable[str]) -> None:
+    """A key no reader reads would change nothing, so it is an error."""
+    unknown = sorted(map(str, set(doc) - set(known)))
+    if unknown:
+        raise InputError(f"unknown {what} keys {unknown}; known: {sorted(known)}")
+
+
+def _list_of(cast: Callable[[Any], Any]) -> Callable[[Any], list]:
+    """Cast of a JSON list whose items each go through ``cast``."""
+    def cast_list(value: Any) -> list:
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return [cast(item) for item in value]
+    return cast_list
 
 
 @dataclass(frozen=True)
@@ -303,8 +312,6 @@ def spot_check_vectorized(
     disagreement.  The tables are built by the sweep's own kernel on just
     these codes, and every entry (the IS count for each k, the degree
     precondition for each (eps, u)) is compared."""
-    from .errors import ConsistencyError
-
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     codes = list(codes)
     if not all(0 <= code < 1 << len(pairs) for code in codes):
@@ -527,14 +534,29 @@ def _rows_triangle_scan(config: ExperimentConfig, seed: int) -> Iterator[ReportR
     )
 
 
-_KINDS: dict[str, Callable[[ExperimentConfig, int], Iterator[ReportRow]]] = {
-    "graph-container-exhaustive": _rows_graph_container_exhaustive,
-    "hypergraph-container-sample": _rows_hypergraph_container_sample,
-    "homog-count-pipeline": _rows_homog_count_pipeline,
-    "closeness-pipeline": _rows_closeness_pipeline,
-    "overlay-audit": _rows_overlay_audit,
-    "eps-homog-curve": _rows_eps_homog_curve,
-    "triangle-scan": _rows_triangle_scan,
+class _Kind(NamedTuple):
+    rows: Callable[[ExperimentConfig, int], Iterator[ReportRow]]  # one seed's rows
+    grid: dict[str, Callable[[Any], Any]]  # each grid key rows reads -> the cast it applies
+    generator: tuple[str, ...] = ()  # the generator keys rows reads
+
+
+_INTS, _RATIONALS = _list_of(int), _list_of(Fraction)
+
+_KINDS: dict[str, _Kind] = {
+    "graph-container-exhaustive": _Kind(_rows_graph_container_exhaustive,
+                                        {"n": int, "eps": _RATIONALS, "u": _INTS, "k": _INTS}),
+    "hypergraph-container-sample": _Kind(
+        _rows_hypergraph_container_sample,
+        {"n": _INTS, "p": _RATIONALS, "eps": _RATIONALS, "count": int}),
+    "homog-count-pipeline": _Kind(_rows_homog_count_pipeline,
+                                  {"n": int, "p": Fraction, "t": int, "k": int, "count": int}),
+    "closeness-pipeline": _Kind(_rows_closeness_pipeline,
+                                {"n": int, "t": int, "k": int, "flips": int, "count": int}),
+    "overlay-audit": _Kind(_rows_overlay_audit,
+                           {"n": int, "eps": _RATIONALS, "embedding_constant": int}),
+    "eps-homog-curve": _Kind(_rows_eps_homog_curve, {"n": int, "p": Fraction, "eps": _RATIONALS},
+                             generator=("kind",)),
+    "triangle-scan": _Kind(_rows_triangle_scan, {"m": int, "samples": int}),
 }
 
 
@@ -545,7 +567,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ReportRow
 
     Per-seed work units run in parallel when workers > 1; a unit's capability
     error becomes one row with verdict "error:capability" instead of aborting."""
-    builder = _KINDS[config.kind]
+    builder = _KINDS[config.kind].rows
 
     def unit(seed: int) -> list[ReportRow]:
         try:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .graphs import Graph
+from .graphs import Graph, UniformHypergraph
 from .tournaments import Tournament
 
 __all__ = [
@@ -94,7 +94,10 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
 
 
 def equitable_parts(n: int, s: int) -> list[list[int]]:
-    """Contiguous index blocks with sizes differing by at most one."""
+    """``s`` nonempty contiguous index blocks of ``range(n)`` with sizes
+    differing by at most one; needs 1 <= s <= n."""
+    if not 1 <= s <= n:
+        raise ParameterError(f"need 1 <= s <= n parts, got s={s}, n={n}")
     base, extra = divmod(n, s)
     parts = []
     start = 0
@@ -102,7 +105,7 @@ def equitable_parts(n: int, s: int) -> list[list[int]]:
         size = base + (1 if i < extra else 0)
         parts.append(list(range(start, start + size)))
         start += size
-    return [p for p in parts if p]
+    return parts
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,6 @@ def overlay_construction(n: int, epsilon: Fraction, seed: int) -> OverlayArtifac
         raise ParameterError(f"epsilon={eps} outside (0, 1/2)")
     inv = 1 / (5 * eps)
     s = max(1, int(inv + Fraction(1, 2)))  # round half up
-    if n < s:
-        raise ParameterError(f"need n >= s={s} parts, got n={n}")
     parts = tuple(tuple(p) for p in equitable_parts(n, s))
     cross = {
         (u, v)
@@ -196,8 +197,6 @@ def random_bipartite(n: int, p: Fraction, seed: int, stream: int | None = None) 
 def random_uniform_hypergraph(r: int, n: int, p: Fraction, seed: int, stream: int | None = None):
     """Each r-subset independently an edge with probability p (lexicographic
     tuple order)."""
-    from .graphs import UniformHypergraph
-
     tuples = list(itertools.combinations(range(n), r))
     draws = _pair_draws(rng_for(seed, stream), len(tuples))
     thr = _threshold(p)
@@ -222,7 +221,7 @@ def perturb_edges(g: Graph, flips: int, seed: int, stream: int | None = None) ->
 def random_independent_set(structure, seed: int, stream: int | None = None) -> frozenset[int]:
     """Greedy independent set over a random vertex order (graphs and uniform
     hypergraphs); useful as fingerprint input."""
-    from .containers import is_independent
+    from .containers import is_independent  # a top-level import would load mpmath in `construct`
 
     rng = rng_for(seed, stream)
     order = [int(v) for v in rng.permutation(structure.n)]

@@ -12,17 +12,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .errors import CapabilityError, InputError, ParameterError, VerificationError
-from .graphs import Graph, _bits, _count_k_sets, _mask, complement, edge_density, induced_subgraph
+from .graphs import (Graph, _bits, _count_k_sets, _mask, complement, count_induced_copies,
+                     count_induced_p4, edge_density, induced_subgraph)
 
 __all__ = [
     "HomogeneousWitness",
     "EpsHomogeneousWitness",
-    "FamilyOracle",
     "p4_free_family",
     "all_graphs_family",
     "hom_exact",
@@ -98,28 +98,19 @@ class EpsHomogeneousWitness:
         )
 
 
-@dataclass(frozen=True)
-class FamilyOracle:
-    """Membership predicate for a graph family, with a declared hereditary flag."""
-
-    membership: Callable[[Graph], bool]
-    hereditary: bool
-    description: str
-
-
 def has_induced_p4(g: Graph) -> bool:
     """Whether :func:`count_induced_p4` finds an induced path on 4 vertices."""
-    from .graphs import count_induced_p4
-
     return count_induced_p4(g)[0] > 0
 
 
-def p4_free_family() -> FamilyOracle:
-    return FamilyOracle(lambda g: not has_induced_p4(g), hereditary=True, description="P4-free")
+def p4_free_family() -> Callable[[Graph], bool]:
+    """Membership predicate of the P4-free graphs."""
+    return lambda g: not has_induced_p4(g)
 
 
-def all_graphs_family() -> FamilyOracle:
-    return FamilyOracle(lambda g: True, hereditary=True, description="all graphs")
+def all_graphs_family() -> Callable[[Graph], bool]:
+    """Membership predicate of all graphs."""
+    return lambda g: True
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +203,7 @@ def count_homogeneous_k(g: Graph, k: int) -> int:
 _TK_EXHAUSTIVE_T = 6
 
 
-def check_tk_property(family: FamilyOracle, t: int, k: int) -> tuple[bool, Graph | None]:
+def check_tk_property(family: Callable[[Graph], bool], t: int, k: int) -> tuple[bool, Graph | None]:
     """True iff every t-vertex member of the family has hom >= k.
 
     Exhaustive over all 2^C(t,2) labeled graphs, for t <= 6.
@@ -222,7 +213,7 @@ def check_tk_property(family: FamilyOracle, t: int, k: int) -> tuple[bool, Graph
     pairs = list(itertools.combinations(range(t), 2))
     for code in range(1 << len(pairs)):
         g = Graph.from_edges(t, [p for i, p in enumerate(pairs) if code >> i & 1])
-        if family.membership(g) and hom_exact(g)[0] < k:
+        if family(g) and hom_exact(g)[0] < k:
             return False, g
     return True, None
 
@@ -261,8 +252,6 @@ def verify_count_lower_bound(
     """
     threshold = copy_count_threshold(g.n, h.n, t)
     if embeddings is None:
-        from .graphs import count_induced_copies
-
         embeddings = count_induced_copies(g, h)[1]
     premise_ok = embeddings <= threshold
     count = count_homogeneous_k(g, k)
@@ -285,7 +274,7 @@ def verify_count_lower_bound(
 # edit distance to a family
 
 
-def distance_to_family(g: Graph, family: FamilyOracle, budget: int) -> int | None:
+def distance_to_family(g: Graph, family: Callable[[Graph], bool], budget: int) -> int | None:
     """Minimum number of edge flips to reach a family member, or None if it
     exceeds ``budget``.  Breadth-first over flip sets by size; exponential,
     so capped to n <= 8 or budget <= 3."""
@@ -298,7 +287,7 @@ def distance_to_family(g: Graph, family: FamilyOracle, budget: int) -> int | Non
             for u, v in flips:
                 rows[u] ^= 1 << v
                 rows[v] ^= 1 << u
-            if family.membership(Graph(g.n, tuple(rows))):
+            if family(Graph(g.n, tuple(rows))):
                 return size
     return None
 

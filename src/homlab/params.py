@@ -3,14 +3,15 @@ count-tradeoff theorems.
 
 All parameters are exact (integers and Fractions).  Transcendental
 subexpressions (logs, fractional and long powers) are evaluated as interval
-enclosures in private mpmath interval contexts, one per resolver call, so
-callers may run concurrently.  One resolver doubles the working precision until an enclosure
-decides a ceiling or a chain check, so results are deterministic and
-platform-independent.
+enclosures in private mpmath interval contexts, one per thread, so callers
+may run concurrently.  One resolver doubles the working precision until an
+enclosure decides a ceiling or a chain check, so results are deterministic
+and platform-independent.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 _MAX_PREC = 1 << 16
+_thread = threading.local()  # holds this thread's interval context, built on first use
 
 
 def _raw_mpf_to_fraction(raw) -> Fraction:
@@ -68,11 +70,19 @@ def _log(ctx: mpmath.MPIntervalContext, x):
     return ctx.log(x)
 
 
-def _enclose_at(prec: int, expr: Callable, *values: Fraction) -> tuple[Fraction, Fraction]:
-    """:func:`_enclose` at ``prec`` bits in a fresh private context."""
-    ctx = mpmath.MPIntervalContext()
+def _context(prec: int) -> mpmath.MPIntervalContext:
+    """This thread's interval context, set to ``prec`` bits.  Sharing it is safe:
+    no evaluator given to :func:`_resolve` calls :func:`_enclose_at`."""
+    ctx = getattr(_thread, "ctx", None)
+    if ctx is None:
+        ctx = _thread.ctx = mpmath.MPIntervalContext()
     ctx.prec = prec
-    return _enclose(ctx, expr, *values)
+    return ctx
+
+
+def _enclose_at(prec: int, expr: Callable, *values: Fraction) -> tuple[Fraction, Fraction]:
+    """:func:`_enclose` at ``prec`` bits in this thread's context."""
+    return _enclose(_context(prec), expr, *values)
 
 
 def _resolve(
@@ -80,12 +90,10 @@ def _resolve(
 ) -> tuple[int, Fraction, Fraction]:
     """Decision (an int or bool) and final ends of the first enclosure that
     ``decide`` does not map to None, doubling the precision from 128 bits.
-    Every evaluation runs in one interval context private to this call."""
-    ctx = mpmath.MPIntervalContext()
+    Every evaluation runs in this thread's interval context."""
     prec = 128
     while prec <= _MAX_PREC:
-        ctx.prec = prec
-        lo, hi = enclose(ctx)
+        lo, hi = enclose(_context(prec))
         decision = decide(lo, hi)
         if decision is not None:
             return decision, lo, hi

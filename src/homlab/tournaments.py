@@ -224,7 +224,7 @@ def triangle_distance_scan(m: int, sample_size: int, seed: int) -> ScanReport:
     largest observed (dist/C(m,2))^2 * m^3 / triangles.  No constant is
     asserted.
     """
-    from .generators import random_tournament
+    from .generators import random_tournament  # generators imports this module
 
     if m > 12:
         raise CapabilityError("exact distances in the scan are capped at m=12")

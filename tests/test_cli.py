@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 import homlab
 from homlab.cli import main
-from homlab.graphs import read_graph
+from homlab.graphs import complete_graph, read_graph
 from homlab.tournaments import read_tournament
 
 
@@ -43,6 +43,18 @@ def test_construct_tournament_and_dist(tmp_path):
     doc = json.loads(result.output)
     assert doc["n"] == t.n == 8
     assert doc["dist"] >= 0 and len(doc["ordering"]) == 8
+
+
+@pytest.mark.parametrize("parts", ["-1", "0", "6"])
+def test_construct_multipartite_rejects_part_counts_outside_1_to_n(parts):
+    result = invoke("construct", "--kind", "multipartite", "--n", "5", "--parts", parts)
+    assert result.exit_code == 2, (result.output, result.exception)
+
+
+def test_construct_multipartite_with_n_parts_is_the_complete_graph():
+    result = invoke("construct", "--kind", "multipartite", "--n", "5", "--parts", "5")
+    assert result.exit_code == 0
+    assert read_graph(result.output) == complete_graph(5)
 
 
 def test_construct_overlay_requires_eps():
@@ -185,10 +197,13 @@ _TRIANGLE_SCAN = {"kind": "triangle-scan", "grid": {"m": 4, "samples": 2}, "seed
         5,
         [_TRIANGLE_SCAN],
         {"kind": "graph-container-exhaustive", "grid": {"n": 4}, "seeds": [0, 1, 2]},
+        {"kind": "triangle-scan", "grid": {"m": "x"}},
+        {"kind": "overlay-audit", "grid": {"eps": "1/10"}},
+        {"kind": "triangle-scan", "grid": {"m": 4, "samples": 1}, "seed": [3]},
     ],
     ids=["seeds-int", "seeds-str", "seeds-negative", "seeds-bool", "seeds-repeated", "grid-list",
          "generator-str", "kind-list", "kind-unknown", "out-int", "bare-int", "list",
-         "exhaustive-with-seeds"],
+         "exhaustive-with-seeds", "grid-value-not-int", "grid-eps-not-a-list", "key-misspelt"],
 )
 def test_experiment_run_rejects_malformed_configs(tmp_path, document):
     cfg = tmp_path / "cfg.json"
@@ -230,3 +245,41 @@ def test_unwritable_out_path_exits_2(tmp_path, args):
     result = invoke(*argv)
     assert result.exit_code == 2, (result.output, result.exception)
     assert "cannot write" in result.output
+
+
+# Runs a command (or only imports) in a fresh interpreter, then prints which of
+# the heavy dependencies it loaded.
+_LOADED_MODULES = """
+import json, sys
+try:
+    if sys.argv[1:]:
+        from homlab.cli import main
+        main(sys.argv[1:])
+    else:
+        import homlab.graphs, homlab.homogeneous, homlab.tournaments
+finally:
+    print(json.dumps(sorted(m for m in ("numpy", "mpmath") if m in sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (["hom", "{graph}"], []),
+        (["tournament", "dist", "{tournament}"], []),
+        (["params", "--eps", "1/128"], ["mpmath"]),
+        ([], []),
+    ],
+    ids=["hom", "tournament-dist", "params", "import-pure-python-modules"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, loaded):
+    files = {"graph": tmp_path / "g.txt", "tournament": tmp_path / "t.txt"}
+    files["graph"].write_text("4 2\n0 1\n2 3\n")
+    files["tournament"].write_text("3\n010\n001\n100\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(homlab.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *(a.format(**files) for a in args)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stderr.splitlines()[-1]) == loaded

@@ -187,3 +187,21 @@ def test_concurrent_callers_match_a_single_threaded_run():
             assert mpmath.iv.prec == prec_before
     finally:
         sys.setswitchinterval(old_interval)
+
+
+def test_one_call_builds_one_interval_context_per_thread(monkeypatch):
+    built = []
+
+    class CountingContext(mpmath.MPIntervalContext):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(mpmath, "MPIntervalContext", CountingContext)
+
+    def call():
+        verify_inequality_chain(compute_params("graph", Fraction(1, 128), F2), h=4)
+
+    with ThreadPoolExecutor(1) as pool:  # a fresh thread, with no context yet
+        pool.submit(call).result(timeout=60)
+    assert len(built) == 1
