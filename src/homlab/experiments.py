@@ -540,6 +540,14 @@ class _Kind(NamedTuple):
     generator: tuple[str, ...] = ()  # the generator keys rows reads
 
 
+def _positive(value: Any) -> int:
+    """Cast of a grid value that a builder divides by: an int of at least 1."""
+    number = int(value)
+    if number < 1:
+        raise ValueError("must be a positive integer")
+    return number
+
+
 _INTS, _RATIONALS = _list_of(int), _list_of(Fraction)
 
 _KINDS: dict[str, _Kind] = {
@@ -548,10 +556,11 @@ _KINDS: dict[str, _Kind] = {
     "hypergraph-container-sample": _Kind(
         _rows_hypergraph_container_sample,
         {"n": _INTS, "p": _RATIONALS, "eps": _RATIONALS, "count": int}),
-    "homog-count-pipeline": _Kind(_rows_homog_count_pipeline,
-                                  {"n": int, "p": Fraction, "t": int, "k": int, "count": int}),
+    "homog-count-pipeline": _Kind(
+        _rows_homog_count_pipeline,
+        {"n": int, "p": Fraction, "t": _positive, "k": int, "count": int}),
     "closeness-pipeline": _Kind(_rows_closeness_pipeline,
-                                {"n": int, "t": int, "k": int, "flips": int, "count": int}),
+                                {"n": int, "t": _positive, "k": int, "flips": int, "count": int}),
     "overlay-audit": _Kind(_rows_overlay_audit,
                            {"n": int, "eps": _RATIONALS, "embedding_constant": int}),
     "eps-homog-curve": _Kind(_rows_eps_homog_curve, {"n": int, "p": Fraction, "eps": _RATIONALS},

@@ -11,7 +11,7 @@ an edge iff its 64-bit draw is below floor(p * 2^64).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -114,15 +114,22 @@ class OverlayArtifact:
 
     graph: Graph
     base: Graph
-    parts: tuple[tuple[int, ...], ...]
+    parts: tuple[tuple[int, ...], ...]  # a partition of range(graph.n)
     base_density: Fraction  # target density of the base graph (2*eps)
     s: int
+    _owner: tuple[int, ...] = field(init=False, repr=False, compare=False)  # vertex -> its part
+
+    def __post_init__(self) -> None:
+        if sorted(v for part in self.parts for v in part) != list(range(self.graph.n)):
+            raise InputError(f"parts must partition the vertices 0..{self.graph.n - 1}")
+        owner = {v: i for i, part in enumerate(self.parts) for v in part}
+        object.__setattr__(self, "_owner", tuple(owner[v] for v in range(self.graph.n)))
 
     def part_of(self, v: int) -> int:
-        for i, part in enumerate(self.parts):
-            if v in part:
-                return i
-        raise InputError(f"vertex {v} not in any part")
+        """Index of the part holding vertex ``v``."""
+        if not 0 <= v < len(self._owner):
+            raise InputError(f"vertex {v} not in any part")
+        return self._owner[v]
 
 
 def overlay_construction(n: int, epsilon: Fraction, seed: int) -> OverlayArtifact:

@@ -268,30 +268,65 @@ def count_induced_copies(g: Graph, h: Graph) -> tuple[int, int]:
     return subsets, subsets * automorphism_count(h)
 
 
-def count_induced_p4(g: Graph) -> tuple[int, int, list[tuple[int, int, int, int]]]:
-    """Fast exact induced-path-on-4-vertices count.
+def _induced_p4s(g: Graph) -> Iterator[tuple[int, int, int, int]]:
+    """Each induced path a-b-c-d of ``g`` once, as the embedding whose middle
+    pair ascends (b < c), ordered by b, then c, then a, then d.
 
-    Enumerates every labeled embedding a-b-c-d through its middle edge (b,c),
-    so it doubles as an exhaustive scan: the third return value lists one
-    labeled embedding per induced copy (the lexicographically first
-    orientation).  Returns (subsets, embeddings, copies).
-    """
-    embeddings = 0
-    copies: list[tuple[int, int, int, int]] = []
-    for b in range(g.n):
-        for c in _bits(g.masks[b]):
-            a_side = g.masks[b] & ~g.masks[c] & ~(1 << c)
-            d_side = g.masks[c] & ~g.masks[b] & ~(1 << b)
-            if not a_side or not d_side:
+    A middle edge {b, c} takes a from A = N(b) minus N[c] and d from
+    D = N(c) minus N[b]; a-b-c-d is induced iff d is outside N[a].  After each
+    middle edge the copies listed from the a side are checked against the same
+    pairs counted again from the d side, sum over d in D of |A minus N[d]|."""
+    masks = g.masks
+    outside = [~(row | 1 << v) for v, row in enumerate(masks)]  # complement of N[v]
+    for b, row_b in enumerate(masks):
+        out_b = outside[b]
+        above = row_b >> b + 1 << b + 1
+        while above:
+            low = above & -above
+            above ^= low
+            c = low.bit_length() - 1
+            a_side = row_b & outside[c]
+            d_side = masks[c] & out_b
+            if not (a_side and d_side):
                 continue
-            for a in _bits(a_side):
-                free = d_side & ~g.masks[a] & ~(1 << a)
-                embeddings += free.bit_count()
-                if b < c:
-                    copies.extend((a, b, c, d) for d in _bits(free))
-    if embeddings % 2:
-        raise AssertionError("labeled path-embedding count must be even")
-    return embeddings // 2, embeddings, copies
+            found = 0
+            rest = a_side
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = low.bit_length() - 1
+                free = d_side & outside[a]
+                while free:
+                    low = free & -free
+                    free ^= low
+                    found += 1
+                    yield a, b, c, low.bit_length() - 1
+            pairs = 0
+            rest = d_side
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                pairs += (a_side & outside[low.bit_length() - 1]).bit_count()
+            if pairs != found:
+                raise AssertionError(
+                    f"middle edge ({b},{c}): {found} copies listed, {pairs} counted from the d side"
+                )
+
+
+def count_induced_p4(g: Graph) -> tuple[int, int, list[tuple[int, int, int, int]]]:
+    """Fast exact induced-path-on-4-vertices count: (subsets, embeddings, copies).
+
+    The scan visits each middle edge {b, c} once, with b < c, so it doubles as
+    an exhaustive scan: ``copies`` lists one labeled embedding a-b-c-d per
+    induced copy, the orientation whose middle pair ascends (not always the
+    lexicographically first: the path 3-0-1-2 is listed as (3, 0, 1, 2)),
+    ordered by b, then c, then a, then d.  Reversal maps the two embeddings of
+    a copy onto each other, so embeddings = 2 * subsets.  Each middle edge's
+    copies are cross-checked against the same pairs counted from the d side;
+    a mismatch raises AssertionError.
+    """
+    copies = list(_induced_p4s(g))
+    return len(copies), 2 * len(copies), copies
 
 
 # ---------------------------------------------------------------------------

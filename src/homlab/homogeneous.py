@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import CapabilityError, InputError, ParameterError, VerificationError
-from .graphs import (Graph, _bits, _count_k_sets, _mask, complement, count_induced_copies,
-                     count_induced_p4, edge_density, induced_subgraph)
+from .graphs import (Graph, _bits, _count_k_sets, _induced_p4s, _mask, complement,
+                     count_induced_copies, edge_density, induced_subgraph)
 
 __all__ = [
     "HomogeneousWitness",
@@ -99,8 +99,9 @@ class EpsHomogeneousWitness:
 
 
 def has_induced_p4(g: Graph) -> bool:
-    """Whether :func:`count_induced_p4` finds an induced path on 4 vertices."""
-    return count_induced_p4(g)[0] > 0
+    """Whether ``g`` has an induced path on 4 vertices; the scan of
+    :func:`count_induced_p4`, stopped at the first copy."""
+    return next(_induced_p4s(g), None) is not None
 
 
 def p4_free_family() -> Callable[[Graph], bool]:

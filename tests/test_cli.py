@@ -213,6 +213,16 @@ def test_experiment_run_rejects_malformed_configs(tmp_path, document):
     assert result.output.startswith("error: ")
 
 
+@pytest.mark.parametrize("kind", ["closeness-pipeline", "homog-count-pipeline"])
+@pytest.mark.parametrize("t", [0, -1])
+def test_experiment_run_rejects_non_positive_t(tmp_path, kind, t):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": kind, "grid": {"t": t, "count": 1}}))
+    result = invoke("experiment", "run", str(cfg))
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.output.startswith("error: grid key 't'")
+
+
 def test_experiment_run_writes_the_config_out_path(tmp_path):
     report = tmp_path / "report.csv"
     cfg = tmp_path / "cfg.json"

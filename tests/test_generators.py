@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import statistics
@@ -114,6 +115,26 @@ def test_overlay_p4s_confined_to_parts():
     _, _, copies = count_induced_p4(art.graph)
     assert copies, "expected some induced four-vertex paths in the base"
     assert all(len({art.part_of(v) for v in c}) == 1 for c in copies)
+
+
+@pytest.mark.parametrize(
+    "n, eps", [(40, Fraction(1, 20)), (41, Fraction(1, 10)), (3, Fraction(1, 5))]
+)
+def test_overlay_part_of_matches_a_linear_search(n, eps):
+    art = overlay_construction(n, eps, seed=0)
+    for v in range(n):
+        assert art.part_of(v) == next(i for i, part in enumerate(art.parts) if v in part)
+    for v in (-1, n):
+        with pytest.raises(InputError):
+            art.part_of(v)
+
+
+def test_overlay_artifact_parts_must_partition_the_vertices():
+    art = overlay_construction(10, Fraction(1, 10), seed=0)
+    first, second = art.parts
+    for parts in ((first,), (first, second + (10,)), (first + (0,), second)):
+        with pytest.raises(InputError):
+            dataclasses.replace(art, parts=parts)
 
 
 def test_overlay_rejects_bad_epsilon():

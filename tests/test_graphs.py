@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab.errors import InputError
+from homlab.generators import gnp, overlay_construction
 from homlab.graphs import (
     Graph,
+    _bits,
     UniformHypergraph,
     automorphism_count,
     complement,
@@ -24,6 +27,7 @@ from homlab.graphs import (
     write_graph,
     write_hypergraph,
 )
+from homlab.homogeneous import has_induced_p4
 
 small_graphs = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.builds(
@@ -90,6 +94,92 @@ def test_p4_fast_counter_matches_generic(g):
     subsets, embeddings, copies = count_induced_p4(g)
     assert (subsets, embeddings) == count_induced_copies(g, path_graph(4))
     assert len(copies) == subsets
+
+
+def reference_p4(g):
+    """The two-orientation scan the once-per-copy kernel replaced, kept verbatim
+    as its oracle (same triple, same copy order)."""
+    embeddings = 0
+    copies: list[tuple[int, int, int, int]] = []
+    for b in range(g.n):
+        for c in _bits(g.masks[b]):
+            a_side = g.masks[b] & ~g.masks[c] & ~(1 << c)
+            d_side = g.masks[c] & ~g.masks[b] & ~(1 << b)
+            if not a_side or not d_side:
+                continue
+            for a in _bits(a_side):
+                free = d_side & ~g.masks[a] & ~(1 << a)
+                embeddings += free.bit_count()
+                if b < c:
+                    copies.extend((a, b, c, d) for d in _bits(free))
+    if embeddings % 2:
+        raise AssertionError("labeled path-embedding count must be even")
+    return embeddings // 2, embeddings, copies
+
+
+def assert_p4_scan_matches_reference(g):
+    result = count_induced_p4(g)
+    assert result == reference_p4(g)
+    for a, b, c, d in result[2]:
+        assert b < c and len({a, b, c, d}) == 4
+        assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
+        assert not (g.has_edge(a, c) or g.has_edge(b, d) or g.has_edge(a, d))
+
+
+graphs_up_to_14 = st.integers(min_value=0, max_value=14).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+        lambda keep: Graph.from_edges(
+            n, [e for e, k in zip(itertools.combinations(range(n), 2), keep) if k]
+        )
+    )
+)
+
+
+@given(graphs_up_to_14)
+@settings(max_examples=300, deadline=None)
+def test_p4_scan_matches_reference_on_small_graphs(g):
+    assert_p4_scan_matches_reference(g)
+
+
+@given(graphs_up_to_14)
+@settings(max_examples=200, deadline=None)
+def test_has_induced_p4_stops_on_the_same_scan(g):
+    assert has_induced_p4(g) == (count_induced_p4(g)[0] > 0)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_p4_scan_matches_reference_on_empty_and_complete_graphs(n):
+    for g in (empty_graph(n), complete_graph(n)):
+        assert_p4_scan_matches_reference(g)
+        assert count_induced_p4(g) == (0, 0, [])
+
+
+@pytest.mark.parametrize("n", [40, 80])
+@pytest.mark.parametrize("eps", [Fraction(1, 20), Fraction(1, 10)])
+def test_p4_scan_matches_reference_on_overlays(n, eps):
+    for seed in range(3):
+        assert_p4_scan_matches_reference(overlay_construction(n, eps, seed).graph)
+
+
+def test_p4_scan_matches_reference_on_sparse_random_graphs():
+    for seed in range(50):
+        assert_p4_scan_matches_reference(gnp(40, Fraction(1, 20), seed))
+
+
+def test_p4_scan_lists_the_orientation_whose_middle_pair_ascends():
+    g = Graph.from_edges(4, [(3, 0), (0, 1), (1, 2)])
+    assert count_induced_p4(g) == (1, 2, [(3, 0, 1, 2)])
+
+
+def test_p4_scan_cross_checks_each_middle_edge_from_the_d_side():
+    # rows that skip Graph validation: vertex 0 sees 3 but 3 does not see 0, so
+    # the a side (row of a = 0) finds no copy on the middle edge (1, 2) while the
+    # d side (row of d = 3) counts one
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", 4)
+    object.__setattr__(g, "masks", (0b1010, 0b0101, 0b1010, 0b0100))
+    with pytest.raises(AssertionError, match="d side"):
+        count_induced_p4(g)
 
 
 @given(small_graphs)
