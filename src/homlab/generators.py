@@ -2,22 +2,27 @@
 
 All generators are pure functions of (parameters, seed): randomness comes
 from the Philox counter-based bit generator keyed through
-``numpy.random.SeedSequence(seed, spawn_key=(stream,))``, and each vertex
-pair consumes the stream in lexicographic order, so outputs are bit-exact
-across platforms and reruns.  Probabilities are exact rationals: a pair is
-an edge iff its 64-bit draw is below floor(p * 2^64).
+``numpy.random.SeedSequence(seed, spawn_key=(stream,))``, so outputs are
+bit-exact across platforms and reruns.  One draw rule, in ``_coins``, serves
+every random edge set: the candidate pairs (or r-subsets) take one 64-bit
+word each in lexicographic order, and a candidate is an edge iff its word is
+below floor(p * 2^64), p an exact rational.  A random tournament is the
+orientation of G(n, 1/2): for u < v, u beats v iff {u, v} is an edge.  An
+instance may draw at most 2^24 words; a larger one raises CapabilityError
+before any candidate is enumerated.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import CapabilityError, InputError, ParameterError
 from .graphs import Graph, UniformHypergraph
 from .tournaments import Tournament
 
@@ -36,6 +41,7 @@ __all__ = [
 ]
 
 _TWO64 = 1 << 64
+_MAX_DRAWS = 1 << 24  # words per instance; gnp(1000) draws 499,500
 
 
 def rng_for(seed: int, stream: int | None = None) -> np.random.Generator:
@@ -44,53 +50,52 @@ def rng_for(seed: int, stream: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _pair_draws(rng: np.random.Generator, count: int) -> np.ndarray:
-    return rng.integers(0, _TWO64, size=count, dtype=np.uint64)
+def _check_draws(count: int) -> None:
+    if count > _MAX_DRAWS:
+        raise CapabilityError(f"{count} random draws exceed the cap of {_MAX_DRAWS} per instance")
 
 
-def _threshold(p: Fraction) -> int:
+def _coins(rng: np.random.Generator, items: Iterable[tuple[int, ...]], count: int,
+           p: Fraction) -> Iterator[tuple[int, ...]]:
+    """The items whose word is below floor(p * 2^64): ``count`` words, one per
+    item in order; ``items`` is read lazily and must hold exactly ``count``."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise InputError(f"probability {p} outside [0,1]")
-    return (p.numerator * _TWO64) // p.denominator if p < 1 else _TWO64
+    _check_draws(count)
+    thr = p.numerator * _TWO64 // p.denominator
+    draws = rng.integers(0, _TWO64, size=count, dtype=np.uint64).tolist()
+    return itertools.compress(items, [d < thr for d in draws])
+
+
+def _subsets(n: int, r: int) -> tuple[Iterator[tuple[int, ...]], int]:
+    """The r-subsets of ``range(n)`` in lexicographic order, and their number."""
+    if n < 0:
+        raise InputError(f"vertex count n={n} is negative")
+    return itertools.combinations(range(n), r), math.comb(n, r)
 
 
 def gnp(n: int, p: Fraction, seed: int, stream: int | None = None) -> Graph:
     """Erdos-Renyi graph: each pair independently an edge with probability p."""
-    pairs = list(itertools.combinations(range(n), 2))
-    draws = _pair_draws(rng_for(seed, stream), len(pairs))
-    thr = _threshold(p)
-    edges = [pair for pair, d in zip(pairs, draws) if int(d) < thr]
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, _coins(rng_for(seed, stream), *_subsets(n, 2), p))
 
 
 def random_tournament(n: int, seed: int, stream: int | None = None) -> Tournament:
-    """Each pair oriented by an independent fair coin."""
-    pairs = list(itertools.combinations(range(n), 2))
-    draws = _pair_draws(rng_for(seed, stream), len(pairs))
-    out = [0] * n
-    for (u, v), d in zip(pairs, draws):
-        if int(d) < _TWO64 // 2:
-            out[u] |= 1 << v
-        else:
-            out[v] |= 1 << u
-    return Tournament(n, tuple(out))
+    """The orientation of ``gnp(n, 1/2, seed, stream)``: for u < v, u beats v
+    iff {u, v} is an edge.  Row u has no bit u, so flipping its bits below u
+    makes it u's out-row: the edges up to v > u, the non-edges down to w < u."""
+    g = gnp(n, Fraction(1, 2), seed, stream)
+    return Tournament(n, tuple(row ^ (1 << u) - 1 for u, row in enumerate(g.masks)))
 
 
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     if any(s <= 0 for s in part_sizes):
         raise InputError("part sizes must be positive")
-    n = sum(part_sizes)
-    part_of = []
-    for i, s in enumerate(part_sizes):
-        part_of += [i] * s
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if part_of[u] != part_of[v]
-    ]
-    return Graph.from_edges(n, edges)
+    full = (1 << sum(part_sizes)) - 1
+    rows: list[int] = []
+    for size in part_sizes:
+        rows += [full & ~(((1 << size) - 1) << len(rows))] * size
+    return Graph(len(rows), tuple(rows))
 
 
 def equitable_parts(n: int, s: int) -> list[list[int]]:
@@ -99,13 +104,8 @@ def equitable_parts(n: int, s: int) -> list[list[int]]:
     if not 1 <= s <= n:
         raise ParameterError(f"need 1 <= s <= n parts, got s={s}, n={n}")
     base, extra = divmod(n, s)
-    parts = []
-    start = 0
-    for i in range(s):
-        size = base + (1 if i < extra else 0)
-        parts.append(list(range(start, start + size)))
-        start += size
-    return parts
+    starts = [i * base + min(i, extra) for i in range(s + 1)]  # the first `extra` get one more
+    return [list(range(a, b)) for a, b in zip(starts, starts[1:])]
 
 
 @dataclass(frozen=True)
@@ -138,20 +138,11 @@ def overlay_construction(n: int, epsilon: Fraction, seed: int) -> OverlayArtifac
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
         raise ParameterError(f"epsilon={eps} outside (0, 1/2)")
-    inv = 1 / (5 * eps)
-    s = max(1, int(inv + Fraction(1, 2)))  # round half up
+    s = max(1, int(1 / (5 * eps) + Fraction(1, 2)))  # round half up
     parts = tuple(tuple(p) for p in equitable_parts(n, s))
-    cross = {
-        (u, v)
-        for i, pu in enumerate(parts)
-        for j, pv in enumerate(parts)
-        if i < j
-        for u in pu
-        for v in pv
-    }
     base = gnp(n, 2 * eps, seed, stream=0)
-    edges = set(base.edges()) | {(min(u, v), max(u, v)) for u, v in cross}
-    graph = Graph.from_edges(n, edges)
+    cross = complete_multipartite([len(part) for part in parts])
+    graph = Graph(n, tuple(b | c for b, c in zip(base.masks, cross.masks)))
     return OverlayArtifact(graph=graph, base=base, parts=parts, base_density=2 * eps, s=s)
 
 
@@ -187,39 +178,29 @@ def random_bipartite(n: int, p: Fraction, seed: int, stream: int | None = None) 
     """Random balanced split plus cross edges at rate p; guaranteed bipartite."""
     if n < 1:
         raise InputError("n must be >= 1")
+    count = (n + 1) // 2 * (n // 2)
+    _check_draws(count)  # before the permutation, which is sized by n
     rng = rng_for(seed, stream)
     perm = [int(v) for v in rng.permutation(n)]
     left = set(perm[: (n + 1) // 2])
-    pairs = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u in left) != (v in left)
-    ]
-    draws = _pair_draws(rng, len(pairs))
-    thr = _threshold(p)
-    return Graph.from_edges(n, [pair for pair, d in zip(pairs, draws) if int(d) < thr])
+    cross = ((u, v) for u, v in itertools.combinations(range(n), 2) if (u in left) != (v in left))
+    return Graph.from_edges(n, _coins(rng, cross, count, p))
 
 
 def random_uniform_hypergraph(r: int, n: int, p: Fraction, seed: int, stream: int | None = None):
     """Each r-subset independently an edge with probability p (lexicographic
     tuple order)."""
-    tuples = list(itertools.combinations(range(n), r))
-    draws = _pair_draws(rng_for(seed, stream), len(tuples))
-    thr = _threshold(p)
-    return UniformHypergraph.from_edges(r, n, [t for t, d in zip(tuples, draws) if int(d) < thr])
+    return UniformHypergraph.from_edges(r, n, _coins(rng_for(seed, stream), *_subsets(n, r), p))
 
 
 def perturb_edges(g: Graph, flips: int, seed: int, stream: int | None = None) -> Graph:
     """Flip `flips` distinct uniformly chosen vertex pairs."""
     pairs = list(itertools.combinations(range(g.n), 2))
-    if flips > len(pairs):
+    if not 0 <= flips <= len(pairs):
         raise InputError(f"cannot flip {flips} of {len(pairs)} pairs")
-    rng = rng_for(seed, stream)
-    chosen = rng.choice(len(pairs), size=flips, replace=False)
     rows = list(g.masks)
-    for idx in sorted(int(i) for i in chosen):
-        u, v = pairs[idx]
+    for i in rng_for(seed, stream).choice(len(pairs), size=flips, replace=False).tolist():
+        u, v = pairs[i]  # distinct pairs, so the order of the flips does not matter
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
     return Graph(g.n, tuple(rows))

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -293,3 +295,52 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, loaded):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stderr.splitlines()[-1]) == loaded
+
+
+def test_experiment_run_rejects_negative_flips(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "closeness-pipeline", "grid": {"flips": -5, "count": 1}}))
+    result = invoke("experiment", "run", str(cfg))
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.output.startswith("error: ")
+
+
+def test_construct_above_the_draw_cap_exits_3_at_once():
+    start = time.monotonic()
+    result = invoke("construct", "--kind", "gnp", "--n", "5794")  # C(5794, 2) > 2^24 draws
+    assert result.exit_code == 3, (result.output, result.exception)
+    assert result.output.startswith("error: ")
+    assert time.monotonic() - start < 2
+
+
+def test_experiment_instance_above_the_draw_cap_is_a_capability_row(tmp_path):
+    cfg = tmp_path / "cfg.json"  # C(2000, 3) = 1.33e9 triples, never enumerated
+    cfg.write_text(json.dumps({"kind": "hypergraph-container-sample",
+                               "grid": {"n": [2000], "count": 1}}))
+    start = time.monotonic()
+    result = invoke("experiment", "run", str(cfg))
+    assert result.exit_code == 0, (result.output, result.exception)
+    rows = result.stdout.splitlines()[1:]
+    assert len(rows) == 1 and rows[0].endswith(",error:capability")
+    assert time.monotonic() - start < 2
+
+
+# The first 16 hex digits of the SHA-256 of `homlab --seed 11 construct ...`,
+# pinned across commits: a change to any generator's draws shows here.
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ("gnp --n 40 --p 1/3", "b28a7c35690e6c68"),
+        ("overlay --n 60 --eps 1/20", "a5f41ba0834a5cc2"),
+        ("multipartite --n 7", "43e62f4f8a71957c"),
+        ("multipartite --n 7 --parts 3", "6b792d81f1343ff3"),
+        ("multipartite --n 7 --parts 7", "51ac8588af7eae34"),
+        ("tournament --n 12", "c05871e19fdf7e07"),
+        ("cograph --n 30", "dd21ab268217b560"),
+        ("bipartite --n 30 --p 2/3", "54b8f73f1ca6cddd"),
+    ],
+)
+def test_construct_output_is_pinned(args, digest):
+    result = invoke("--seed", "11", "construct", "--kind", *args.split())
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert hashlib.sha256(result.stdout_bytes).hexdigest()[:16] == digest

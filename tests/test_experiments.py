@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -261,3 +262,24 @@ def test_overlay_audit_default_constant_passes_at_n150():
     rows = run_experiment(cfg)
     assert [r.params[0] for r in rows] == [("n", 150)]
     assert all(r.verdict == "ok" for r in rows), rows
+
+
+# The first 16 hex digits of the SHA-256 of each CSV report of gate 10's
+# configs, pinned across commits (gate 10 compares reruns of one commit only).
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (ExperimentConfig(kind="hypergraph-container-sample",
+                          grid={"n": [8, 9], "p": ["4/5"], "eps": ["1/8"], "count": 3},
+                          seeds=(0, 1, 2)), "f8ca3de9c1a5c7e3"),
+        (ExperimentConfig(kind="triangle-scan", grid={"m": 6, "samples": 10}, seeds=(0, 1)),
+         "26174cf3c0b04f91"),
+        (ExperimentConfig(kind="eps-homog-curve", generator={"kind": "bipartite"},
+                          grid={"n": 30, "eps": ["1/4", "1/8"]}, seeds=(0, 1)),
+         "f7435fbd09132c9c"),
+    ],
+    ids=["hypergraph-container-sample", "triangle-scan", "eps-homog-curve"],
+)
+def test_report_bytes_are_pinned(config, digest):
+    csv = emit_report(run_experiment(config))
+    assert hashlib.sha256(csv.encode()).hexdigest()[:16] == digest

@@ -95,3 +95,22 @@ def test_experiment_run_exits_0_or_2_on_fuzzed_configs(tmp_path_factory, field, 
     args = ["--out", str(workdir / "report.csv"), "experiment", "run", str(workdir / "cfg.json")]
     result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 2), (document, result.output, result.exception)
+
+
+_RATIONAL_TEXT = st.text(max_size=8) | st.builds(
+    lambda a, b: f"{a}/{b}", st.integers(-3, 50), st.integers(-1, 50)
+)
+
+
+@given(kind=st.sampled_from(["gnp", "overlay", "multipartite", "tournament", "cograph",
+                             "bipartite"]),
+       n=st.integers(-3, 40), p=st.none() | _RATIONAL_TEXT, eps=st.none() | _RATIONAL_TEXT,
+       parts=st.integers(-2, 42), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_construct_exits_0_2_or_3(kind, n, p, eps, parts, seed):
+    args = ["--seed", str(seed), "construct", "--kind", kind, "--n", str(n),
+            "--parts", str(parts)]
+    args += ["--p", p] if p is not None else []
+    args += ["--eps", eps] if eps is not None else []
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3), (args, result.output, result.exception)

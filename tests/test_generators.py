@@ -4,11 +4,13 @@ import math
 import statistics
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.errors import InputError, ParameterError
+from homlab import generators
+from homlab.errors import CapabilityError, InputError, ParameterError
 from homlab.generators import (
     complete_multipartite,
     equitable_parts,
@@ -20,10 +22,18 @@ from homlab.generators import (
     random_independent_set,
     random_tournament,
     random_uniform_hypergraph,
+    rng_for,
 )
-from homlab.graphs import complete_graph, count_induced_p4, edge_density, empty_graph
+from homlab.graphs import (
+    Graph,
+    UniformHypergraph,
+    complete_graph,
+    count_induced_p4,
+    edge_density,
+    empty_graph,
+)
 from homlab.homogeneous import has_induced_p4
-from homlab.tournaments import cyclic_triangle_count
+from homlab.tournaments import Tournament, cyclic_triangle_count
 
 
 def test_gnp_extremes():
@@ -229,3 +239,230 @@ def test_random_independent_set_is_independent_and_maximal(n, seed):
     assert is_independent(g, iset)
     for v in set(range(n)) - iset:
         assert not is_independent(g, iset | {v})
+
+
+# ---------------------------------------------------------------------------
+# references: the generators as they were before one draw helper served them
+# all (each with its own pair list and compare loop), kept verbatim apart from
+# the two inlined draw helpers; the generators must match them bit for bit
+
+_TWO64 = 1 << 64
+
+
+def reference_gnp(n, p, seed, stream=None):
+    pairs = list(itertools.combinations(range(n), 2))
+    draws = rng_for(seed, stream).integers(0, _TWO64, size=len(pairs), dtype=np.uint64)
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise InputError(f"probability {p} outside [0,1]")
+    thr = (p.numerator * _TWO64) // p.denominator if p < 1 else _TWO64
+    edges = [pair for pair, d in zip(pairs, draws) if int(d) < thr]
+    return Graph.from_edges(n, edges)
+
+
+def reference_random_tournament(n, seed, stream=None):
+    pairs = list(itertools.combinations(range(n), 2))
+    draws = rng_for(seed, stream).integers(0, _TWO64, size=len(pairs), dtype=np.uint64)
+    out = [0] * n
+    for (u, v), d in zip(pairs, draws):
+        if int(d) < _TWO64 // 2:
+            out[u] |= 1 << v
+        else:
+            out[v] |= 1 << u
+    return Tournament(n, tuple(out))
+
+
+def reference_complete_multipartite(part_sizes):
+    if any(s <= 0 for s in part_sizes):
+        raise InputError("part sizes must be positive")
+    n = sum(part_sizes)
+    part_of = []
+    for i, s in enumerate(part_sizes):
+        part_of += [i] * s
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if part_of[u] != part_of[v]
+    ]
+    return Graph.from_edges(n, edges)
+
+
+def reference_equitable_parts(n, s):
+    if not 1 <= s <= n:
+        raise ParameterError(f"need 1 <= s <= n parts, got s={s}, n={n}")
+    base, extra = divmod(n, s)
+    parts = []
+    start = 0
+    for i in range(s):
+        size = base + (1 if i < extra else 0)
+        parts.append(list(range(start, start + size)))
+        start += size
+    return parts
+
+
+def reference_overlay_construction(n, epsilon, seed):
+    """(graph, base, parts, s) of the overlay construction."""
+    eps = Fraction(epsilon)
+    if not 0 < eps < Fraction(1, 2):
+        raise ParameterError(f"epsilon={eps} outside (0, 1/2)")
+    inv = 1 / (5 * eps)
+    s = max(1, int(inv + Fraction(1, 2)))  # round half up
+    parts = tuple(tuple(p) for p in reference_equitable_parts(n, s))
+    cross = {
+        (u, v)
+        for i, pu in enumerate(parts)
+        for j, pv in enumerate(parts)
+        if i < j
+        for u in pu
+        for v in pv
+    }
+    base = reference_gnp(n, 2 * eps, seed, stream=0)
+    edges = set(base.edges()) | {(min(u, v), max(u, v)) for u, v in cross}
+    graph = Graph.from_edges(n, edges)
+    return graph, base, parts, s
+
+
+def reference_random_bipartite(n, p, seed, stream=None):
+    if n < 1:
+        raise InputError("n must be >= 1")
+    rng = rng_for(seed, stream)
+    perm = [int(v) for v in rng.permutation(n)]
+    left = set(perm[: (n + 1) // 2])
+    pairs = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (u in left) != (v in left)
+    ]
+    draws = rng.integers(0, _TWO64, size=len(pairs), dtype=np.uint64)
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise InputError(f"probability {p} outside [0,1]")
+    thr = (p.numerator * _TWO64) // p.denominator if p < 1 else _TWO64
+    return Graph.from_edges(n, [pair for pair, d in zip(pairs, draws) if int(d) < thr])
+
+
+def reference_random_uniform_hypergraph(r, n, p, seed, stream=None):
+    tuples = list(itertools.combinations(range(n), r))
+    draws = rng_for(seed, stream).integers(0, _TWO64, size=len(tuples), dtype=np.uint64)
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise InputError(f"probability {p} outside [0,1]")
+    thr = (p.numerator * _TWO64) // p.denominator if p < 1 else _TWO64
+    return UniformHypergraph.from_edges(r, n, [t for t, d in zip(tuples, draws) if int(d) < thr])
+
+
+_EDGE_PROBABILITIES = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(1, _TWO64), 1 - Fraction(1, _TWO64)]
+) | st.builds(lambda a, b: Fraction(min(a, b), max(a, b, 1)), st.integers(0, 10**6),
+              st.integers(0, 10**6))
+
+
+@given(n=st.integers(0, 14), p=_EDGE_PROBABILITIES, seed=st.integers(0, 2**32 - 1),
+       stream=st.none() | st.integers(0, 10**6), r=st.sampled_from([2, 3, 4]))
+@settings(max_examples=200, deadline=None)
+def test_generators_match_their_references(n, p, seed, stream, r):
+    assert gnp(n, p, seed, stream) == reference_gnp(n, p, seed, stream)
+    assert random_tournament(n, seed, stream) == reference_random_tournament(n, seed, stream)
+    assert (random_uniform_hypergraph(r, n, p, seed, stream)
+            == reference_random_uniform_hypergraph(r, n, p, seed, stream))
+    if n >= 1:
+        assert random_bipartite(n, p, seed, stream) == reference_random_bipartite(n, p, seed, stream)
+
+
+@pytest.mark.parametrize("n", [40, 100])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gnp_matches_its_reference_at_larger_n(n, seed):
+    for p in (Fraction(1, 20), Fraction(1, 2), Fraction(9, 10)):
+        assert gnp(n, p, seed, stream=seed) == reference_gnp(n, p, seed, stream=seed)
+
+
+@pytest.mark.parametrize("n", [10, 40, 150])
+@pytest.mark.parametrize("eps", [Fraction(1, 20), Fraction(1, 10), Fraction(1, 5), Fraction(2, 5)])
+def test_overlay_matches_its_reference(n, eps):
+    for seed in range(3):
+        art = overlay_construction(n, eps, seed)
+        assert (art.graph, art.base, art.parts, art.s) == reference_overlay_construction(n, eps, seed)
+
+
+@pytest.mark.parametrize("sizes", [[], [1], [4], [1, 1], [2, 3], [3, 1, 2], [5, 5, 5], [1, 7, 1, 2]])
+def test_complete_multipartite_matches_its_reference(sizes):
+    assert complete_multipartite(sizes) == reference_complete_multipartite(sizes)
+
+
+def test_equitable_parts_match_their_reference():
+    for n in range(1, 40):
+        for s in range(1, n + 1):
+            assert equitable_parts(n, s) == reference_equitable_parts(n, s)
+
+
+_GENERATOR_CALLS = {
+    "gnp": lambda n, p: gnp(n, p, 0),
+    "tournament": lambda n, p: random_tournament(n, 0),
+    "bipartite": lambda n, p: random_bipartite(n, p, 0),
+    "hypergraph": lambda n, p: random_uniform_hypergraph(3, n, p, 0),
+    "cograph": lambda n, p: random_cograph(n, 0),
+    "overlay": lambda n, p: overlay_construction(n, p, 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERATOR_CALLS))
+def test_generators_reject_negative_n(kind):
+    with pytest.raises(InputError):
+        _GENERATOR_CALLS[kind](-1, Fraction(1, 10))
+
+
+@pytest.mark.parametrize("kind", ["gnp", "bipartite", "hypergraph"])
+@pytest.mark.parametrize("p", [Fraction(-1, 3), Fraction(-1, _TWO64), 1 + Fraction(1, _TWO64), 2])
+def test_generators_reject_probabilities_outside_0_1(kind, p):
+    with pytest.raises(InputError):
+        _GENERATOR_CALLS[kind](6, p)
+
+
+def test_perturb_rejects_negative_flips():
+    with pytest.raises(InputError):
+        perturb_edges(empty_graph(4), -1, seed=0)
+
+
+class _Words:
+    """Stands in for a generator that draws the given 64-bit words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, size, dtype) == (0, _TWO64, len(self.words), np.uint64)
+        return np.array(self.words, dtype=np.uint64)
+
+
+def test_a_candidate_is_kept_iff_its_word_is_below_floor_p_times_2_64():
+    floor = _TWO64 // 3
+    words = _Words([0, floor - 1, floor, floor + 1, _TWO64 - 1])
+    assert list(generators._coins(words, "abcde", 5, Fraction(1, 3))) == ["a", "b"]
+    assert list(generators._coins(words, "abcde", 5, Fraction(0))) == []
+    assert list(generators._coins(words, "abcde", 5, Fraction(1))) == list("abcde")
+    assert list(generators._coins(words, "abcde", 5, 1 - Fraction(1, _TWO64))) == list("abcd")
+
+
+def test_draw_cap_is_checked_per_instance(monkeypatch):
+    monkeypatch.setattr(generators, "_MAX_DRAWS", 10)
+    assert gnp(5, Fraction(1, 2), 0) == reference_gnp(5, Fraction(1, 2), 0)  # C(5, 2) = 10 draws
+    assert random_tournament(5, 0) == reference_random_tournament(5, 0)
+    assert random_bipartite(6, Fraction(1, 2), 0) == reference_random_bipartite(6, Fraction(1, 2), 0)
+    h = random_uniform_hypergraph(3, 5, Fraction(1, 2), 0)  # C(5, 3) = 10 draws
+    assert h == reference_random_uniform_hypergraph(3, 5, Fraction(1, 2), 0)
+    for too_many in (lambda: gnp(6, Fraction(1, 2), 0),  # 15 draws
+                     lambda: random_tournament(6, 0),
+                     lambda: random_bipartite(7, Fraction(1, 2), 0),  # 4 * 3 = 12 draws
+                     lambda: random_uniform_hypergraph(3, 6, Fraction(1, 2), 0),  # 20 draws
+                     lambda: overlay_construction(6, Fraction(1, 10), 0)):
+        with pytest.raises(CapabilityError):
+            too_many()
+
+
+def test_draw_cap_is_checked_before_anything_is_enumerated():
+    with pytest.raises(CapabilityError):  # 1.3e15 triples: enumerating them would never end
+        random_uniform_hypergraph(3, 200_000, Fraction(1, 2), 0)
+    with pytest.raises(CapabilityError):  # and the split would be a permutation of 10^12
+        random_bipartite(10**12, Fraction(1, 2), 0)
