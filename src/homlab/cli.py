@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 
 import click
 
@@ -22,6 +21,7 @@ from .errors import (
     ParameterError,
     VerificationError,
 )
+from .graphs import _rational
 
 
 def _exit_code(exc: HomlabError) -> int:
@@ -30,13 +30,6 @@ def _exit_code(exc: HomlabError) -> int:
     if isinstance(exc, CapabilityError):
         return 3
     return 1  # VerificationError, ConsistencyError, ConstructionError
-
-
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {text!r}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -98,12 +91,12 @@ def construct(obj, kind, n, eps, p, parts):
 
     seed = obj["seed"]
     if kind == "gnp":
-        g = generators.gnp(n, _fraction(p or "1/2"), seed)
+        g = generators.gnp(n, _rational(p or "1/2"), seed)
         _emit(graphs.write_graph(g), obj["out"])
     elif kind == "overlay":
         if eps is None:
             raise InputError("overlay construction needs --eps")
-        art = generators.overlay_construction(n, _fraction(eps), seed)
+        art = generators.overlay_construction(n, _rational(eps), seed)
         _emit(graphs.write_graph(art.graph), obj["out"])
     elif kind == "multipartite":
         sizes = [len(block) for block in generators.equitable_parts(n, parts)]
@@ -113,7 +106,7 @@ def construct(obj, kind, n, eps, p, parts):
     elif kind == "cograph":
         _emit(graphs.write_graph(generators.random_cograph(n, seed)), obj["out"])
     else:
-        _emit(graphs.write_graph(generators.random_bipartite(n, _fraction(p or "1/2"), seed)), obj["out"])
+        _emit(graphs.write_graph(generators.random_bipartite(n, _rational(p or "1/2"), seed)), obj["out"])
 
 
 @main.command()
@@ -130,7 +123,7 @@ def hom(obj, graph_file, eps, mode):
         size, witness = homogeneous.hom_exact(g)
         _emit(witness.to_json() + "\n", obj["out"])
     else:
-        witness = homogeneous.find_eps_homogeneous(g, _fraction(eps), mode=mode)
+        witness = homogeneous.find_eps_homogeneous(g, _rational(eps), mode=mode)
         _emit(witness.to_json() + "\n", obj["out"])
 
 
@@ -158,7 +151,7 @@ def verify(obj, structure_file, eps, u_val, k_val, ell):
         structure = graphs.read_hypergraph(text)
     else:
         structure = graphs.read_graph(text)
-    epsilon = _fraction(eps)
+    epsilon = _rational(eps)
     n = structure.n
     if ell is None:
         ell = containers.minimal_ell(n, epsilon, u_val)
@@ -228,8 +221,8 @@ def params_cmd(obj, variant, eps, f_value, h_val, improved_k, check):
     """Compute exact theorem parameters and verify the inequality chain."""
     from . import params as params_mod
 
-    f = params_mod.GrowthFunction.constant(_fraction(f_value))
-    p = params_mod.compute_params(variant, _fraction(eps), f, improved_k=improved_k)
+    f = params_mod.GrowthFunction.constant(_rational(f_value))
+    p = params_mod.compute_params(variant, _rational(eps), f, improved_k=improved_k)
     doc = {
         "variant": p.variant,
         "eps": str(p.epsilon),

@@ -5,6 +5,13 @@ orderings on edge masks, whose r = 2 case is the graph max-degree fingerprint
 (Kleitman-Winston style), the closed-form counting bounds, and the exact
 enumeration oracle used to verify them at desk scale.
 
+Degrees are popcounts over incident-edge rows: edge i sets bit i in the row
+of each of its vertices (a graph's edges are its 2-masks).  The scythe keeps
+the mask of the edges still alive as it picks, so a co-degree is one AND and
+one popcount.  The degree-precondition check ANDs each vertex's row with the
+edges inside a vertex set (for a graph, its adjacency row with the set) and
+compares the counts with one integer threshold per set size.
+
 Conventions fixed here (fingerprints and reconstruction alike):
 
 * ties in every degree / co-degree maximization break by ascending vertex
@@ -146,6 +153,19 @@ class FingerprintTrace:
 # exact enumeration oracle
 
 
+def _incidence_rows(n: int, edges: Sequence[int]) -> list[int]:
+    """One incident-edge row per vertex: bit i of ``rows[v]`` is set iff the
+    edge mask ``edges[i]`` passes through v."""
+    rows = [0] * n
+    for i, e in enumerate(edges):
+        bit = 1 << i
+        while e:  # _bits inline: a generator per edge costs more than the row update
+            low = e & -e
+            rows[low.bit_length() - 1] |= bit
+            e ^= low
+    return rows
+
+
 def _degree_rows(structure: Structure) -> tuple[Sequence[int], Callable[[int], int]]:
     """``rows`` and ``live`` with deg_S(v) = (rows[v] & live(S)).bit_count()
     for a vertex mask S.  A graph's rows are its adjacency masks and live(S)
@@ -153,10 +173,7 @@ def _degree_rows(structure: Structure) -> tuple[Sequence[int], Callable[[int], i
     live(S) masks the edges inside S, those meeting no vertex outside S."""
     if isinstance(structure, Graph):
         return structure.masks, lambda smask: smask
-    rows = [0] * structure.n
-    for i, e in enumerate(structure.edge_masks):
-        for v in _bits(e):
-            rows[v] |= 1 << i
+    rows = _incidence_rows(structure.n, structure.edge_masks)
     all_edges, all_vertices = (1 << structure.edge_count) - 1, (1 << structure.n) - 1
 
     def live(smask: int) -> int:
@@ -229,28 +246,25 @@ def verify_degree_precondition(structure: Structure, epsilon: Fraction, u: int):
     subgraph.  r-uniform hypergraph (exponent r-1 on the degree threshold):
     every S with |S| > u has max degree >= eps*(|S|-1)^(r-1).
 
-    Returns (ok, witness) where witness is a violating vertex set or None.
-    Exhaustive, for structures of at most 16 vertices.
+    Returns (ok, witness) where witness is the first violating vertex set,
+    by size and then lexicographically, or None.  Degrees are integers, so
+    each size s is held to the integer threshold ceil(eps*s - 1), resp.
+    ceil(eps*(s-1)^(r-1)), and a size whose threshold is at most 0 cannot
+    fail.  Exhaustive, for structures of at most 16 vertices.
     """
     eps = Fraction(epsilon)
     n = structure.n
     if n > _PRECONDITION_EXHAUSTIVE_N:
         raise CapabilityError(f"n={n} exceeds exhaustive cap {_PRECONDITION_EXHAUSTIVE_N}")
     is_graph = isinstance(structure, Graph)
-    r = 2 if is_graph else structure.r
     rows, live = _degree_rows(structure)
-
-    def holds(svertices: tuple[int, ...]) -> bool:
-        s = len(svertices)
-        inside = live(_mask(svertices))
-        md = max((rows[v] & inside).bit_count() for v in svertices)
-        if is_graph:
-            return md >= eps * s - 1
-        return md >= eps * (s - 1) ** (r - 1)
-
     for size in range(max(u if is_graph else u + 1, 1), n + 1):
+        need = math.ceil(eps * size - 1 if is_graph else eps * (size - 1) ** (structure.r - 1))
+        if need <= 0:
+            continue
         for combo in itertools.combinations(range(n), size):
-            if not holds(combo):
+            inside = live(_mask(combo))
+            if not any((rows[v] & inside).bit_count() >= need for v in combo):
                 return False, frozenset(combo)
     return True, None
 
@@ -277,13 +291,21 @@ def _scythe_core(structure: Structure, marked: int, params: ContainerParams) -> 
     the order of their co-degree, the number of rests through them, and each
     is taken out of W until a marked one is hit.  The last rests are then
     single vertices, which the segment spoils: they leave W as well.
+
+    Edges are numbered and each vertex x has its incident-edge row, bit i
+    set iff edge i passes through x.  ``inside`` holds the edges with every
+    vertex in W and ``alive`` the edges whose rests are alive; a vertex of W
+    is never on the segment, so its co-degree is (rows[x] & alive).bit_count()
+    and it is spoiled iff rows[x] & alive.
     """
     if isinstance(structure, Graph):
         r, edges = 2, [1 << u | 1 << v for u, v in structure.edges()]
     else:
         r, edges = structure.r, structure.edge_masks
     n = structure.n
+    rows = _incidence_rows(n, edges)
     w = (1 << n) - 1
+    inside = (1 << len(edges)) - 1
     segments: list[tuple[int, ...]] = []
     round_sizes = []
     while (
@@ -292,24 +314,26 @@ def _scythe_core(structure: Structure, marked: int, params: ContainerParams) -> 
         and (marked & w).bit_count() >= r - 1
     ):
         round_sizes.append(w.bit_count())
-        edges = [e for e in edges if not e & ~w]
-        rests, segment = edges, []
+        alive, segment = inside, []
         while len(segment) < r - 1:
-            codegree = [0] * n
-            for rest in rests:
-                for v in _bits(rest):
-                    codegree[v] += 1
-            v = max(_bits(w), key=codegree.__getitem__)  # ties: lowest index
+            top = -1
+            for x in _bits(w):
+                codegree = (rows[x] & alive).bit_count()
+                if codegree > top:  # ties: lowest index
+                    top, v = codegree, x
             bit = 1 << v
             w ^= bit
+            inside &= ~rows[v]
             if marked & bit:
                 marked ^= bit
                 segment.append(v)
-                rests = [rest ^ bit for rest in rests if rest & bit]
+                alive &= rows[v]
             else:
-                rests = [rest for rest in rests if not rest & bit]
-        for rest in rests:
-            w &= ~rest
+                alive &= ~rows[v]
+        for x in _bits(w):
+            if rows[x] & alive:
+                w ^= 1 << x
+                inside &= ~rows[x]
         segments.append(tuple(segment))
     round_sizes.append(w.bit_count())
     used = _mask(v for seg in segments for v in seg)

@@ -20,7 +20,7 @@ import numpy as np
 from . import containers, generators, graphs, homogeneous, tournaments
 from .containers import ContainerParams, minimal_ell
 from .errors import CapabilityError, ConsistencyError, InputError
-from .graphs import Graph, path_graph
+from .graphs import Graph, _rational, path_graph
 
 __all__ = [
     "ExperimentConfig",
@@ -65,7 +65,7 @@ class ExperimentConfig:
         for key, value in self.grid.items():
             try:
                 spec.grid[key](value)
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            except (InputError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise InputError(f"grid key {key!r}: cannot read {value!r}: {exc}") from exc
         seeds = self.seeds
         if not (
@@ -548,7 +548,7 @@ def _positive(value: Any) -> int:
     return number
 
 
-_INTS, _RATIONALS = _list_of(int), _list_of(Fraction)
+_INTS, _RATIONALS = _list_of(int), _list_of(_rational)
 
 _KINDS: dict[str, _Kind] = {
     "graph-container-exhaustive": _Kind(_rows_graph_container_exhaustive,
@@ -558,12 +558,12 @@ _KINDS: dict[str, _Kind] = {
         {"n": _INTS, "p": _RATIONALS, "eps": _RATIONALS, "count": int}),
     "homog-count-pipeline": _Kind(
         _rows_homog_count_pipeline,
-        {"n": int, "p": Fraction, "t": _positive, "k": int, "count": int}),
+        {"n": int, "p": _rational, "t": _positive, "k": int, "count": int}),
     "closeness-pipeline": _Kind(_rows_closeness_pipeline,
                                 {"n": int, "t": _positive, "k": int, "flips": int, "count": int}),
     "overlay-audit": _Kind(_rows_overlay_audit,
                            {"n": int, "eps": _RATIONALS, "embedding_constant": int}),
-    "eps-homog-curve": _Kind(_rows_eps_homog_curve, {"n": int, "p": Fraction, "eps": _RATIONALS},
+    "eps-homog-curve": _Kind(_rows_eps_homog_curve, {"n": int, "p": _rational, "eps": _RATIONALS},
                              generator=("kind",)),
     "triangle-scan": _Kind(_rows_triangle_scan, {"m": int, "samples": int}),
 }

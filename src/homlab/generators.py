@@ -8,8 +8,10 @@ every random edge set: the candidate pairs (or r-subsets) take one 64-bit
 word each in lexicographic order, and a candidate is an edge iff its word is
 below floor(p * 2^64), p an exact rational.  A random tournament is the
 orientation of G(n, 1/2): for u < v, u beats v iff {u, v} is an edge.  An
-instance may draw at most 2^24 words; a larger one raises CapabilityError
-before any candidate is enumerated.
+instance may have at most 2^24 candidate edges, one drawn word each; a
+larger one raises CapabilityError before any candidate is enumerated.  A
+complete multipartite graph draws nothing and is held to the same cap on its
+C(n, 2) pairs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapabilityError, InputError, ParameterError
-from .graphs import Graph, UniformHypergraph
+from .graphs import Graph, UniformHypergraph, _bits
 from .tournaments import Tournament
 
 __all__ = [
@@ -41,7 +43,7 @@ __all__ = [
 ]
 
 _TWO64 = 1 << 64
-_MAX_DRAWS = 1 << 24  # words per instance; gnp(1000) draws 499,500
+_MAX_DRAWS = 1 << 24  # candidate edges per instance; gnp(1000) draws 499,500
 
 
 def rng_for(seed: int, stream: int | None = None) -> np.random.Generator:
@@ -52,7 +54,7 @@ def rng_for(seed: int, stream: int | None = None) -> np.random.Generator:
 
 def _check_draws(count: int) -> None:
     if count > _MAX_DRAWS:
-        raise CapabilityError(f"{count} random draws exceed the cap of {_MAX_DRAWS} per instance")
+        raise CapabilityError(f"{count} candidate edges exceed the cap of {_MAX_DRAWS} per instance")
 
 
 def _coins(rng: np.random.Generator, items: Iterable[tuple[int, ...]], count: int,
@@ -91,6 +93,7 @@ def random_tournament(n: int, seed: int, stream: int | None = None) -> Tournamen
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     if any(s <= 0 for s in part_sizes):
         raise InputError("part sizes must be positive")
+    _check_draws(math.comb(sum(part_sizes), 2))
     full = (1 << sum(part_sizes)) - 1
     rows: list[int] = []
     for size in part_sizes:
@@ -208,13 +211,19 @@ def perturb_edges(g: Graph, flips: int, seed: int, stream: int | None = None) ->
 
 def random_independent_set(structure, seed: int, stream: int | None = None) -> frozenset[int]:
     """Greedy independent set over a random vertex order (graphs and uniform
-    hypergraphs); useful as fingerprint input."""
-    from .containers import is_independent  # a top-level import would load mpmath in `construct`
-
-    rng = rng_for(seed, stream)
-    order = [int(v) for v in rng.permutation(structure.n)]
-    chosen: set[int] = set()
-    for v in order:
-        if is_independent(structure, chosen | {v}):
-            chosen.add(v)
-    return frozenset(chosen)
+    hypergraphs); useful as fingerprint input.  A vertex is taken unless it
+    is blocked: the only vertex of some edge that is not chosen (for a graph,
+    a neighbour of a chosen vertex)."""
+    chosen = blocked = 0
+    for v in rng_for(seed, stream).permutation(structure.n).tolist():
+        if blocked >> v & 1:
+            continue
+        chosen |= 1 << v
+        if isinstance(structure, Graph):
+            blocked |= structure.masks[v]
+        else:
+            for e in structure.edge_masks:
+                rest = e & ~chosen
+                if not rest & (rest - 1):  # chosen is independent, so rest is not empty
+                    blocked |= rest
+    return frozenset(_bits(chosen))

@@ -120,7 +120,14 @@ class Graph:
         return sum(row.bit_count() for row in self.masks) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in _bits(self.masks[u]) if u < v]
+        out = []
+        for u, row in enumerate(self.masks):
+            row >>= u + 1  # the neighbours above u, bit v - u - 1 for v
+            while row:
+                low = row & -row
+                out.append((u, u + low.bit_length()))
+                row ^= low
+        return out
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.masks[u] >> v & 1)
@@ -358,6 +365,30 @@ def cycle_graph(n: int) -> Graph:
 # it (hom_exact at n = 200); a larger header would only buy an allocation sized
 # by n and a row validation quadratic in n.
 _MAX_READ_N = 1 << 14
+
+
+# Most digits, and largest decimal exponent, a rational's text may carry.
+# Fraction multiplies a decimal exponent out, so "1e999999999" would build a
+# billion-digit integer before any range check could run.
+_MAX_RATIONAL_DIGITS = 1000
+
+
+def _rational(value) -> Fraction:
+    """``Fraction(value)`` for an option or config value, such as "1/128",
+    "0.5" or "1e-3"; text Fraction cannot read, or with too many digits or
+    too large an exponent, raises InputError."""
+    if isinstance(value, str):
+        try:
+            exponent = abs(int(value.upper().partition("E")[2] or 0))
+        except ValueError:
+            exponent = 0  # no integer exponent: Fraction rejects the text below
+        if max(exponent, sum(map(str.isdigit, value))) > _MAX_RATIONAL_DIGITS:
+            raise InputError(f"rational {value[:40]!r} has more than {_MAX_RATIONAL_DIGITS} "
+                             "digits or too large an exponent")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational {value!r}: {exc}") from exc
 
 
 def write_graph(g: Graph) -> str:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from click.testing import CliRunner
 
 import homlab
 from homlab.cli import main
-from homlab.graphs import complete_graph, read_graph
+from homlab.errors import InputError
+from homlab.generators import gnp, random_uniform_hypergraph
+from homlab.graphs import _rational, complete_graph, read_graph, write_graph, write_hypergraph
 from homlab.tournaments import read_tournament
 
 
@@ -342,5 +345,78 @@ def test_experiment_instance_above_the_draw_cap_is_a_capability_row(tmp_path):
 )
 def test_construct_output_is_pinned(args, digest):
     result = invoke("--seed", "11", "construct", "--kind", *args.split())
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert hashlib.sha256(result.stdout_bytes).hexdigest()[:16] == digest
+
+
+def _run_cli(*args):
+    """``homlab`` in a fresh process, so a hang fails on the timeout instead of
+    stalling the suite; returns the result and its wall time."""
+    env = {**os.environ, "PYTHONPATH": str(Path(homlab.__file__).resolve().parents[1])}
+    start = time.monotonic()
+    result = subprocess.run([sys.executable, "-m", "homlab.cli", *args],
+                            capture_output=True, text=True, timeout=10, env=env)
+    return result, time.monotonic() - start
+
+
+@pytest.mark.parametrize("p", ["1e999999999", "1e-999999999", "1e9_999_999_99", "1" * 2000])
+def test_construct_refuses_a_huge_rational_at_once(p):
+    result, seconds = _run_cli("construct", "--kind", "gnp", "--n", "5", "--p", p)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert seconds < 2
+
+
+def test_experiment_config_with_a_huge_rational_exits_2_at_once(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "eps-homog-curve", "grid": {"p": "1e999999999"}}))
+    result, seconds = _run_cli("experiment", "run", str(cfg))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: grid key 'p'")
+    assert seconds < 2
+
+
+@pytest.mark.parametrize("text, value", [("1/128", Fraction(1, 128)), ("0.5", Fraction(1, 2)),
+                                         ("1e-3", Fraction(1, 1000)), (" -2E+2 ", Fraction(-200)),
+                                         ("1_000e1_0", Fraction(10**13)),
+                                         ("1e1000", Fraction(10**1000))])
+def test_rationals_parse_to_their_fraction(text, value):
+    assert _rational(text) == value == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc", "1e", "1e1001", "0." + "0" * 1000 + "1"])
+def test_unreadable_or_oversized_rationals_are_input_errors(text):
+    with pytest.raises(InputError):
+        _rational(text)
+
+
+def test_construct_multipartite_above_the_cap_exits_3_at_once():
+    result, seconds = _run_cli("construct", "--kind", "multipartite", "--n", "20000")
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert seconds < 2
+
+
+# The first 16 hex digits of the SHA-256 of `homlab containers verify` on
+# seeded inputs, pinned across commits: the precondition's verdict and first
+# witness, the count and the bound all show here.
+@pytest.mark.parametrize(
+    "structure, options, digest",
+    [
+        ("graph 12 1/2 1", "--eps 1/2 --u 4 --k 5", "7a1e2fa4f7f7c727"),  # witness [0, 4, 10, 11]
+        ("graph 14 7/10 2", "--eps 1/4 --u 6 --k 6", "8e74c2375a5c4eec"),
+        ("3 10 4/5 4", "--eps 1/3 --u 6 --k 6", "848db7a7e749cb2f"),  # witness [0, 1, 3, 4, 5, 6, 9]
+        ("3 10 4/5 4", "--eps 1/4 --u 6 --k 8", "c76e959675836b21"),
+    ],
+)
+def test_containers_verify_output_is_pinned(tmp_path, structure, options, digest):
+    kind, n, p, seed = structure.split()
+    path = tmp_path / "s.txt"
+    if kind == "graph":
+        path.write_text(write_graph(gnp(int(n), Fraction(p), int(seed))))
+    else:
+        path.write_text(write_hypergraph(
+            random_uniform_hypergraph(int(kind), int(n), Fraction(p), int(seed))))
+    result = invoke("containers", "verify", str(path), *options.split())
     assert result.exit_code == 0, (result.output, result.exception)
     assert hashlib.sha256(result.stdout_bytes).hexdigest()[:16] == digest

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab.containers import (
+    _PRECONDITION_EXHAUSTIVE_N,
     ContainerParams,
     FingerprintTrace,
     _scythe_core,
@@ -21,9 +22,17 @@ from homlab.containers import (
     scythe_fingerprint,
     verify_degree_precondition,
 )
-from homlab.errors import ConsistencyError, ParameterError
+from homlab.errors import CapabilityError, ConsistencyError, ParameterError
 from homlab.generators import gnp, random_independent_set, random_uniform_hypergraph
-from homlab.graphs import Graph, complete_graph, cycle_graph, empty_graph, path_graph
+from homlab.graphs import (
+    Graph,
+    _bits,
+    _mask,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    path_graph,
+)
 
 
 def all_graphs(n):
@@ -343,3 +352,98 @@ def test_trace_round_sizes_shrink(n, seed):
     trace = kw_fingerprint(g, iset, _trace_params(n, Fraction(1, 2), max(1, n // 2)))
     sizes = trace.round_sizes
     assert all(sizes[i + 1] < sizes[i] for i in range(len(sizes) - 1))
+
+
+# ---------------------------------------------------------------------------
+# references: the precondition check as it was before its integer thresholds
+# (one Fraction compare per subset) and the degree rows it read, kept verbatim
+# apart from the renamed call; the checker must return the same (ok, witness)
+# pair
+
+
+def reference_degree_rows(structure):
+    if isinstance(structure, Graph):
+        return structure.masks, lambda smask: smask
+    rows = [0] * structure.n
+    for i, e in enumerate(structure.edge_masks):
+        for v in _bits(e):
+            rows[v] |= 1 << i
+    all_edges, all_vertices = (1 << structure.edge_count) - 1, (1 << structure.n) - 1
+
+    def live(smask: int) -> int:
+        inside = all_edges
+        for v in _bits(all_vertices & ~smask):
+            inside &= ~rows[v]
+        return inside
+
+    return rows, live
+
+
+def reference_verify_degree_precondition(structure, epsilon, u):
+    eps = Fraction(epsilon)
+    n = structure.n
+    if n > _PRECONDITION_EXHAUSTIVE_N:
+        raise CapabilityError(f"n={n} exceeds exhaustive cap {_PRECONDITION_EXHAUSTIVE_N}")
+    is_graph = isinstance(structure, Graph)
+    r = 2 if is_graph else structure.r
+    rows, live = reference_degree_rows(structure)
+
+    def holds(svertices: tuple[int, ...]) -> bool:
+        s = len(svertices)
+        inside = live(_mask(svertices))
+        md = max((rows[v] & inside).bit_count() for v in svertices)
+        if is_graph:
+            return md >= eps * s - 1
+        return md >= eps * (s - 1) ** (r - 1)
+
+    for size in range(max(u if is_graph else u + 1, 1), n + 1):
+        for combo in itertools.combinations(range(n), size):
+            if not holds(combo):
+                return False, frozenset(combo)
+    return True, None
+
+
+_EDGE_RATES = st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2),
+                               Fraction(3, 4), Fraction(1)])
+
+
+def _structure(kind, n, p, seed):
+    """A seeded graph (kind "graph") or r-uniform hypergraph (kind r)."""
+    if kind == "graph":
+        return gnp(n, p, seed)
+    return random_uniform_hypergraph(kind, n, p, seed)
+
+
+@given(
+    kind=st.sampled_from(["graph", 2, 3, 4]),
+    n=st.integers(0, 14),
+    p=_EDGE_RATES,
+    eps=st.sampled_from([Fraction(1, 16), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_precondition_matches_its_fraction_reference(kind, n, p, eps, seed, data):
+    structure = _structure(kind, n, p, seed)
+    u = data.draw(st.integers(-1, n + 1), label="u")
+    expected = reference_verify_degree_precondition(structure, eps, u)
+    assert verify_degree_precondition(structure, eps, u) == expected
+
+
+@given(
+    kind=st.sampled_from(["graph", 2, 3, 4]),
+    n=st.integers(0, 14),
+    p=_EDGE_RATES,
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_mask_scythe_matches_frozenset_reference_on_any_marked_set(kind, n, p, seed, data):
+    structure = _structure(kind, n, p, seed)
+    marked = data.draw(st.integers(0, (1 << n) - 1), label="marked")
+    drawn = ContainerParams(Fraction(1, 2), u=data.draw(st.integers(1, max(1, n)), label="u"),
+                            ell=data.draw(st.integers(0, n), label="ell"), k=n)
+    longest = ContainerParams(Fraction(1, 2), u=1, ell=n, k=n)  # runs on until marked runs out
+    h = as_two_uniform(structure) if kind == "graph" else structure
+    for params in (drawn, longest):
+        assert _scythe_core(structure, marked, params) == _reference_scythe(h, _bits(marked), params)

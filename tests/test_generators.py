@@ -466,3 +466,29 @@ def test_draw_cap_is_checked_before_anything_is_enumerated():
         random_uniform_hypergraph(3, 200_000, Fraction(1, 2), 0)
     with pytest.raises(CapabilityError):  # and the split would be a permutation of 10^12
         random_bipartite(10**12, Fraction(1, 2), 0)
+
+
+def reference_random_independent_set(structure, seed, stream=None):
+    """The greedy set as it was before its chosen and blocked masks: one
+    independence check of the whole set per vertex, kept verbatim."""
+    from homlab.containers import is_independent  # a top-level import would load mpmath in `construct`
+
+    rng = rng_for(seed, stream)
+    order = [int(v) for v in rng.permutation(structure.n)]
+    chosen: set[int] = set()
+    for v in order:
+        if is_independent(structure, chosen | {v}):
+            chosen.add(v)
+    return frozenset(chosen)
+
+
+@given(kind=st.sampled_from(["graph", 2, 3, 4]), n=st.integers(0, 14), p=_EDGE_PROBABILITIES,
+       seed=st.integers(0, 2**32 - 1), stream=st.none() | st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_random_independent_set_matches_its_reference(kind, n, p, seed, stream):
+    if kind == "graph":
+        structure = gnp(n, p, seed)
+    else:
+        structure = random_uniform_hypergraph(kind, n, p, seed)
+    expected = reference_random_independent_set(structure, seed, stream)
+    assert random_independent_set(structure, seed, stream) == expected
