@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapabilityError, ConsistencyError, InputError
-from .graphs import UniformHypergraph, _bits, _count_k_sets, _mask
+from .graphs import UniformHypergraph, _count_k_sets, _mask
 
 __all__ = [
     "Tournament",
@@ -86,22 +86,28 @@ class TransitivityWitness:
 def cyclic_triangle_count(t: Tournament) -> int:
     """Exact number of 3-subsets forming a directed cycle.
 
-    Computed two independent ways (triple enumeration and the out-degree
-    identity C(n,3) - sum_v C(outdeg(v),2)) and cross-asserted.
+    Computed two independent ways and cross-asserted: by pairs, and by the
+    out-degree identity C(n,3) - sum_v C(outdeg(v),2).  For each pair a < b
+    the third vertices c > b that close a cycle are one AND and a popcount:
+    ``out[b] & ~out[a]`` (b beats c, c beats a) when a beats b, else
+    ``out[a] & ~out[b]`` (a beats c, c beats b).
     """
-    by_identity = math.comb(t.n, 3) - sum(math.comb(t.outdegree(v), 2) for v in range(t.n))
-    by_enum = 0
-    for a, b, c in itertools.combinations(range(t.n), 3):
-        x = t.beats(a, b)
-        y = t.beats(b, c)
-        z = t.beats(c, a)
-        if x == y == z:
-            by_enum += 1
-    if by_enum != by_identity:
+    n, out = t.n, t.out
+    by_identity = math.comb(n, 3) - sum(math.comb(row.bit_count(), 2) for row in out)
+    by_pairs = 0
+    for a in range(n):
+        row_a = out[a]
+        for b in range(a + 1, n):
+            row_b = out[b]
+            if row_a >> b & 1:
+                by_pairs += ((row_b & ~row_a) >> (b + 1)).bit_count()
+            else:
+                by_pairs += ((row_a & ~row_b) >> (b + 1)).bit_count()
+    if by_pairs != by_identity:
         raise ConsistencyError(
-            f"triangle enumeration {by_enum} != out-degree identity {by_identity}"
+            f"triangle pair count {by_pairs} != out-degree identity {by_identity}"
         )
-    return by_enum
+    return by_pairs
 
 
 _SUBSET_DP_N = 20
@@ -112,8 +118,11 @@ def dist_to_transitive_exact(t: Tournament) -> TransitivityWitness:
     subset dynamic program (2^n states).
 
     Convention: the optimal ordering lists dominators first; appending v last
-    to the subset S costs |{u in S\\{v} : v beats u}| reversals.  Pinned by
-    the permutation brute-force oracle.
+    to the subset S costs |{u in S\\{v} : v beats u}| reversals.  Each state
+    walks its bits inline, lowest first, through a ``low bit -> (v, out[v])``
+    table, and a strict ``<`` keeps the lowest v among equal costs, so the
+    witness ordering is a function of the tournament alone.  Pinned by the
+    ordering-search oracle ``dist_to_transitive_bruteforce``.
     """
     n = t.n
     if n > _SUBSET_DP_N:
@@ -121,17 +130,22 @@ def dist_to_transitive_exact(t: Tournament) -> TransitivityWitness:
     if n == 0:
         return TransitivityWitness((), 0)
     size = 1 << n
+    entry = {1 << v: (v, row) for v, row in enumerate(t.out)}
     dist = [0] * size
     choice = [0] * size
     for s in range(1, size):
-        best = None
+        best = size  # above every cost: C(n, 2) < 2^n
         best_v = -1
-        for v in _bits(s):
-            rest = s & ~(1 << v)
-            cost = dist[rest] + (t.out[v] & rest).bit_count()
-            if best is None or cost < best or (cost == best and v < best_v):
+        r = s
+        while r:
+            low = r & -r
+            v, row = entry[low]
+            rest = s ^ low
+            cost = dist[rest] + (row & rest).bit_count()
+            if cost < best:
                 best = cost
                 best_v = v
+            r ^= low
         dist[s] = best
         choice[s] = best_v
     ordering = []
@@ -147,27 +161,42 @@ def dist_to_transitive_exact(t: Tournament) -> TransitivityWitness:
 
 
 def dist_to_transitive_bruteforce(t: Tournament) -> int:
-    """Exhaustive search over orderings (with running-cost pruning); the
-    independent oracle for the subset DP."""
+    """Branch and bound over orderings, built dominators first; the
+    independent oracle for the subset DP (no table indexed by subsets).
+
+    An ordering costs its back arcs, a later vertex beating an earlier one.
+    Every completion of a prefix with vertex set ``placed`` pays the back
+    arcs inside the prefix plus ``(out[v] & placed).bit_count()`` for each
+    unplaced v, wherever v goes, so their sum is a lower bound.  Placing u
+    next adds exactly the unplaced vertices that beat u, so the bound grows
+    by ``(beaten_by[u] & rest).bit_count()`` and equals the cost once nothing
+    is left.  The search starts from the incumbent ordering by descending
+    out-degree (ties to the lower index) and cuts every branch whose bound
+    reaches the best cost found.
+    """
     n = t.n
-    best = math.comb(n, 2) + 1
+    full = (1 << n) - 1
+    beaten_by = [full & ~row & ~(1 << v) for v, row in enumerate(t.out)]
+    order = sorted(range(n), key=lambda v: (-t.out[v].bit_count(), v))
+    best = 0
+    later = full
+    for v in order:
+        later &= ~(1 << v)
+        best += (beaten_by[v] & later).bit_count()
 
-    def rec(placed_mask: int, cost: int) -> None:
+    def rec(unplaced: int, bound: int) -> None:
         nonlocal best
-        if cost >= best:
-            return
-        if placed_mask == (1 << n) - 1:
-            best = cost
-            return
-        for v in range(n):
-            if placed_mask >> v & 1:
-                continue
-            # v placed next: reversals against later vertices it loses to are
-            # counted when those are placed; placing v now costs the edges
-            # v -> already-placed (v beats someone earlier in the ordering)
-            rec(placed_mask | (1 << v), cost + (t.out[v] & placed_mask).bit_count())
+        for v in order:
+            if unplaced >> v & 1:
+                rest = unplaced & ~(1 << v)
+                b = bound + (beaten_by[v] & rest).bit_count()
+                if b < best:
+                    if rest:
+                        rec(rest, b)
+                    else:
+                        best = b
 
-    rec(0, 0)
+    rec(full, 0)
     return best
 
 
@@ -217,6 +246,9 @@ class ScanReport:
     worst_ratio: Fraction | None  # max (dist/C(m,2))^2 * m^3 / triangles observed
 
 
+_MAX_SCAN_STATES = 1 << 24  # DP states per scan, the size of the per-instance draw cap
+
+
 def triangle_distance_scan(m: int, sample_size: int, seed: int) -> ScanReport:
     """Sampled frontier of (triangle density, transitivity distance) pairs.
 
@@ -228,6 +260,10 @@ def triangle_distance_scan(m: int, sample_size: int, seed: int) -> ScanReport:
 
     if m > 12:
         raise CapabilityError("exact distances in the scan are capped at m=12")
+    if sample_size << max(m, 0) > _MAX_SCAN_STATES:  # a negative m fails in the generator
+        raise CapabilityError(
+            f"{sample_size} samples of 2^{m} DP states exceed the cap of {_MAX_SCAN_STATES}"
+        )
     points = []
     worst: Fraction | None = None
     for i in range(sample_size):

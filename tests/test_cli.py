@@ -420,3 +420,36 @@ def test_containers_verify_output_is_pinned(tmp_path, structure, options, digest
     result = invoke("containers", "verify", str(path), *options.split())
     assert result.exit_code == 0, (result.output, result.exception)
     assert hashlib.sha256(result.stdout_bytes).hexdigest()[:16] == digest
+
+
+# The first 16 hex digits of the SHA-256 of `homlab tournament dist` on the
+# output of `homlab --seed 11 construct --kind tournament --n N`, pinned across
+# commits: the printed ordering, and with it the DP's lowest-v tie rule, shows here.
+@pytest.mark.parametrize("n, digest", [(8, "9d6f631950e09bf1"), (12, "b9c85419676a75e7"),
+                                       (16, "31b0e8e7b56a4e75")])
+def test_tournament_dist_output_is_pinned(tmp_path, n, digest):
+    path = tmp_path / "t.txt"
+    assert invoke("--seed", "11", "--out", str(path), "construct", "--kind", "tournament",
+                  "--n", str(n)).exit_code == 0
+    result = invoke("tournament", "dist", str(path))
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert hashlib.sha256(result.stdout_bytes).hexdigest()[:16] == digest
+
+
+def test_triangle_scan_report_is_pinned(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "triangle-scan", "grid": {"m": 9, "samples": 20},
+                               "seeds": [0, 1]}))
+    result = invoke("experiment", "run", str(cfg))
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert hashlib.sha256(result.stdout_bytes).hexdigest()[:16] == "75be2ce6bd8c10b2"
+
+
+def test_triangle_scan_above_the_state_cap_is_a_capability_row_at_once(tmp_path):
+    cfg = tmp_path / "cfg.json"  # 10^9 samples of 2^12 DP states, never drawn
+    cfg.write_text(json.dumps({"kind": "triangle-scan", "grid": {"m": 12, "samples": 10**9}}))
+    result, seconds = _run_cli("experiment", "run", str(cfg))
+    assert result.returncode == 0, result.stderr
+    rows = result.stdout.splitlines()[1:]
+    assert len(rows) == 1 and rows[0].endswith(",error:capability")
+    assert seconds < 2

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from homlab.containers import count_independent_sets_exact
 from homlab.errors import CapabilityError, ConsistencyError, InputError
 from homlab.generators import random_tournament
+from homlab.graphs import _bits
 from homlab.tournaments import (
+    _SUBSET_DP_N,
     Tournament,
     TransitivityWitness,
     count_transitive_subtournaments,
@@ -137,3 +139,152 @@ def test_read_rejects_bad_matrix():
     for text in ("2\n0a\n10\n", "2\n01\n00\n10\n"):
         with pytest.raises(InputError):
             read_tournament(text)
+
+
+# The kernels as they were before the pruned ordering search, the inline-bit
+# DP and the pair-popcount triangle count; the new kernels must return the
+# same values and the same witness orderings.
+
+
+def reference_cyclic_triangle_count(t: Tournament) -> int:
+    """Exact number of 3-subsets forming a directed cycle.
+
+    Computed two independent ways (triple enumeration and the out-degree
+    identity C(n,3) - sum_v C(outdeg(v),2)) and cross-asserted.
+    """
+    by_identity = math.comb(t.n, 3) - sum(math.comb(t.outdegree(v), 2) for v in range(t.n))
+    by_enum = 0
+    for a, b, c in itertools.combinations(range(t.n), 3):
+        x = t.beats(a, b)
+        y = t.beats(b, c)
+        z = t.beats(c, a)
+        if x == y == z:
+            by_enum += 1
+    if by_enum != by_identity:
+        raise ConsistencyError(
+            f"triangle enumeration {by_enum} != out-degree identity {by_identity}"
+        )
+    return by_enum
+
+
+def reference_dist_to_transitive_exact(t: Tournament) -> TransitivityWitness:
+    """Minimum edge reversals to reach a transitive tournament, via the
+    subset dynamic program (2^n states).
+
+    Convention: the optimal ordering lists dominators first; appending v last
+    to the subset S costs |{u in S\\{v} : v beats u}| reversals.  Pinned by
+    the permutation brute-force oracle.
+    """
+    n = t.n
+    if n > _SUBSET_DP_N:
+        raise CapabilityError(f"subset DP capped at n={_SUBSET_DP_N}, got {n}")
+    if n == 0:
+        return TransitivityWitness((), 0)
+    size = 1 << n
+    dist = [0] * size
+    choice = [0] * size
+    for s in range(1, size):
+        best = None
+        best_v = -1
+        for v in _bits(s):
+            rest = s & ~(1 << v)
+            cost = dist[rest] + (t.out[v] & rest).bit_count()
+            if best is None or cost < best or (cost == best and v < best_v):
+                best = cost
+                best_v = v
+        dist[s] = best
+        choice[s] = best_v
+    ordering = []
+    s = size - 1
+    while s:
+        v = choice[s]
+        ordering.append(v)
+        s &= ~(1 << v)
+    ordering.reverse()
+    witness = TransitivityWitness(tuple(ordering), dist[size - 1])
+    witness.validate(t)
+    return witness
+
+
+def reference_dist_to_transitive_bruteforce(t: Tournament) -> int:
+    """Exhaustive search over orderings (with running-cost pruning); the
+    independent oracle for the subset DP."""
+    n = t.n
+    best = math.comb(n, 2) + 1
+
+    def rec(placed_mask: int, cost: int) -> None:
+        nonlocal best
+        if cost >= best:
+            return
+        if placed_mask == (1 << n) - 1:
+            best = cost
+            return
+        for v in range(n):
+            if placed_mask >> v & 1:
+                continue
+            # v placed next: reversals against later vertices it loses to are
+            # counted when those are placed; placing v now costs the edges
+            # v -> already-placed (v beats someone earlier in the ordering)
+            rec(placed_mask | (1 << v), cost + (t.out[v] & placed_mask).bit_count())
+
+    rec(0, 0)
+    return best
+
+
+@st.composite
+def tournaments(draw, max_n):
+    """Any tournament on 0..max_n vertices, one coin per pair."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    wins = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    out = [0] * n
+    for (u, v), u_wins in zip(pairs, wins):
+        if u_wins:
+            out[u] |= 1 << v
+        else:
+            out[v] |= 1 << u
+    return Tournament(n, tuple(out))
+
+
+def rotational_tournament(n: int) -> Tournament:
+    """The regular tournament on odd n: v beats the next (n - 1) / 2 vertices mod n."""
+    return Tournament(n, tuple(sum(1 << (v + i) % n for i in range(1, n // 2 + 1))
+                               for v in range(n)))
+
+
+@given(tournaments(12))
+@settings(max_examples=200, deadline=None)
+def test_dp_and_triangles_match_their_references(t):
+    assert dist_to_transitive_exact(t) == reference_dist_to_transitive_exact(t)
+    assert cyclic_triangle_count(t) == reference_cyclic_triangle_count(t)
+
+
+@given(tournaments(9))
+@settings(max_examples=150, deadline=None)
+def test_ordering_search_matches_its_reference(t):
+    bf = dist_to_transitive_bruteforce(t)
+    assert bf == reference_dist_to_transitive_bruteforce(t)
+    assert bf == dist_to_transitive_exact(t).reversals
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+@pytest.mark.parametrize("kind", ["transitive", "reversed", "rotational"])
+def test_kernels_match_their_references_where_ties_abound(kind, n):
+    t = {"transitive": transitive_tournament, "rotational": rotational_tournament,
+         "reversed": lambda n: transitive_tournament(n).reversed()}[kind](n)
+    witness = dist_to_transitive_exact(t)
+    assert witness == reference_dist_to_transitive_exact(t)
+    assert cyclic_triangle_count(t) == reference_cyclic_triangle_count(t)
+    if n <= 9:
+        assert dist_to_transitive_bruteforce(t) == reference_dist_to_transitive_bruteforce(t)
+        assert dist_to_transitive_bruteforce(t) == witness.reversals
+
+
+def test_triangle_count_cross_assert_catches_rows_that_are_not_a_tournament():
+    # 0 -> 1, 1 -> 2 and 2 -> 1 both ways: the pair count sees the cycle
+    # 0 -> 1 -> 2 -> 0 although 2 does not beat 0, the identity does not
+    t = object.__new__(Tournament)
+    object.__setattr__(t, "n", 3)
+    object.__setattr__(t, "out", (0b010, 0b101, 0b010))
+    with pytest.raises(ConsistencyError):
+        cyclic_triangle_count(t)
