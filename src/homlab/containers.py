@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CapabilityError, ConsistencyError, InputError, ParameterError
 from .graphs import Graph, UniformHypergraph, _bits, _count_k_sets, _mask
-from .params import _enclose, _enclose_at, _resolve_ceil
+from .params import _enclose, _resolve, _resolve_ceil
 
 __all__ = [
     "ContainerParams",
@@ -46,7 +46,6 @@ __all__ = [
     "kw_fingerprint",
     "scythe_fingerprint",
     "reconstruct_segments",
-    "as_two_uniform",
     "is_independent",
 ]
 
@@ -95,14 +94,18 @@ def _size_above(n: int, eps: Fraction, ell: int, u: int) -> str | None:
     """(1-eps)^ell * n rendered if it exceeds u >= 1, else None.  Small
     powers are multiplied out exactly; for a larger ell the comparison is
     ell < minimal_ell(n, eps, u), and the value, then in (u, n], is rendered
-    from an enclosure."""
+    from an enclosure whose ends render alike."""
     if ell <= _exact_ell_limit(n):
         value = (1 - eps) ** ell * n
         return str(value) if value > u else None
     if ell >= minimal_ell(n, eps, u):
         return None
-    lo, _ = _enclose_at(128, lambda ctx, b, n: b**ell * n, 1 - eps, n)
-    return f"~{float(lo):.12g}"
+
+    def shown(lo: Fraction, hi: Fraction) -> str | None:
+        text = f"~{float(lo):.12g}"
+        return text if text == f"~{float(hi):.12g}" else None  # both ends print the value
+
+    return _resolve(lambda ctx: _enclose(ctx, lambda ctx, b, n: b**ell * n, 1 - eps, n), shown)[0]
 
 
 def minimal_ell(n: int, epsilon: Fraction, u: int) -> int:
@@ -377,7 +380,3 @@ def reconstruct_segments(
             f"replay consumed {sorted(trace.segment_union)} from union {sorted(union)}"
         )
     return trace.segments
-
-
-def as_two_uniform(g: Graph) -> UniformHypergraph:
-    return UniformHypergraph.from_edges(2, g.n, g.edges())

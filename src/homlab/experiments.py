@@ -496,7 +496,7 @@ def _rows_eps_homog_curve(config: ExperimentConfig, seed: int) -> Iterator[Repor
     else:
         raise InputError(f"unknown generator kind {kind!r}")
     for eps in eps_values:
-        witness = homogeneous.find_eps_homogeneous(g, eps, mode="density", strategy="greedy-peel")
+        witness = homogeneous.find_eps_homogeneous(g, eps, mode="density")
         yield ReportRow(
             experiment=config.kind,
             instance=f"{kind}-n{n}-eps{eps}-s{seed}",

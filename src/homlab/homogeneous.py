@@ -2,9 +2,8 @@
 
 Exact largest clique-or-independent-set (branch and bound with greedy
 coloring bounds on both the graph and its complement), homogeneous k-set
-counting, the (t,k) subset property checker, edit distance to a hereditary
-family, eps-homogeneous search, and greedy clique extraction from dense
-graphs.
+counting, the (t,k) subset property checker, the homogeneous-count lower
+bound, and greedy-peel eps-homogeneous search.
 """
 
 from __future__ import annotations
@@ -18,13 +17,12 @@ from typing import Callable
 
 from .errors import CapabilityError, InputError, ParameterError, VerificationError
 from .graphs import (Graph, _bits, _count_k_sets, _induced_p4s, _mask, complement,
-                     count_induced_copies, edge_density, induced_subgraph)
+                     edge_density, induced_subgraph)
 
 __all__ = [
     "HomogeneousWitness",
     "EpsHomogeneousWitness",
     "p4_free_family",
-    "all_graphs_family",
     "hom_exact",
     "max_clique",
     "count_homogeneous_k",
@@ -32,9 +30,7 @@ __all__ = [
     "copy_count_threshold",
     "verify_count_lower_bound",
     "CountLowerBoundReport",
-    "distance_to_family",
     "find_eps_homogeneous",
-    "turan_clique",
     "has_induced_p4",
 ]
 
@@ -107,11 +103,6 @@ def has_induced_p4(g: Graph) -> bool:
 def p4_free_family() -> Callable[[Graph], bool]:
     """Membership predicate of the P4-free graphs."""
     return lambda g: not has_induced_p4(g)
-
-
-def all_graphs_family() -> Callable[[Graph], bool]:
-    """Membership predicate of all graphs."""
-    return lambda g: True
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +233,17 @@ class CountLowerBoundReport:
 
 
 def verify_count_lower_bound(
-    g: Graph, h: Graph, t: int, k: int, embeddings: int | None = None
+    g: Graph, h: Graph, t: int, k: int, embeddings: int
 ) -> CountLowerBoundReport:
     """Exact check that a graph with few induced h-copies has many homogeneous
     k-sets: count >= (1/2) * (n/(2t))^k.
 
-    The caller is responsible for having established that every h-free graph
-    has the (t,k) subset property.  ``embeddings`` may be supplied when a
-    specialized counter was already run; otherwise the generic counter is used.
+    ``embeddings`` is the labeled induced-copy count of h in g, from a counter
+    the caller ran (``count_induced_p4`` for h = P4).  The caller is also
+    responsible for having established that every h-free graph has the (t,k)
+    subset property.
     """
     threshold = copy_count_threshold(g.n, h.n, t)
-    if embeddings is None:
-        embeddings = count_induced_copies(g, h)[1]
     premise_ok = embeddings <= threshold
     count = count_homogeneous_k(g, k)
     bound = Fraction(1, 2) * Fraction(g.n, 2 * t) ** k
@@ -269,28 +259,6 @@ def verify_count_lower_bound(
         lower_bound=bound,
         ok=premise_ok and count >= bound,
     )
-
-
-# ---------------------------------------------------------------------------
-# edit distance to a family
-
-
-def distance_to_family(g: Graph, family: Callable[[Graph], bool], budget: int) -> int | None:
-    """Minimum number of edge flips to reach a family member, or None if it
-    exceeds ``budget``.  Breadth-first over flip sets by size; exponential,
-    so capped to n <= 8 or budget <= 3."""
-    if g.n > 8 and budget > 3:
-        raise CapabilityError("distance_to_family requires n <= 8 or budget <= 3")
-    pairs = list(itertools.combinations(range(g.n), 2))
-    for size in range(budget + 1):
-        for flips in itertools.combinations(pairs, size):
-            rows = list(g.masks)
-            for u, v in flips:
-                rows[u] ^= 1 << v
-                rows[v] ^= 1 << u
-            if family(Graph(g.n, tuple(rows))):
-                return size
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +292,20 @@ def _peel_order(g: Graph) -> list[int]:
     return order
 
 
-def find_eps_homogeneous(
-    g: Graph, epsilon: Fraction, mode: str = "density", strategy: str = "greedy-peel"
-) -> EpsHomogeneousWitness:
-    """Largest found vertex set that is eps-sparse or eps-dense.
+_HOM_EPS_N = 1000
 
-    strategy="exact" enumerates all subsets (n <= 20); "greedy-peel" peels
-    the max-degree vertex in the graph (sparse side) and in the complement
-    (dense side) and keeps the largest suffix set satisfying the condition.
+
+def find_eps_homogeneous(
+    g: Graph, epsilon: Fraction, mode: str = "density"
+) -> EpsHomogeneousWitness:
+    """Largest found vertex set that is eps-sparse or eps-dense, for n <= 1000.
+
+    Greedy peel: peels the max-degree vertex in the graph (sparse side) and in
+    the complement (dense side) and keeps the largest suffix set satisfying
+    the condition.  The peel takes O(n^2) big-integer steps.
     """
+    if g.n > _HOM_EPS_N:
+        raise CapabilityError(f"eps-homogeneous search capped at n={_HOM_EPS_N}, got {g.n}")
     eps = Fraction(epsilon)
     if mode not in ("density", "degree"):
         raise InputError(f"unknown mode {mode!r}")
@@ -344,47 +317,18 @@ def find_eps_homogeneous(
         if (best is None or size > best[0]) and _condition(g, smask, eps, mode, side):
             best = (size, smask, side)
 
-    if strategy == "exact":
-        if g.n > 20:
-            raise CapabilityError("exact eps-homogeneous search capped at n=20")
-        for smask in range(1 << g.n):
-            consider(smask, "sparse")
-            consider(smask, "dense")
-    elif strategy == "greedy-peel":
-        for side, host in (("sparse", g), ("dense", complement(g))):
-            order = _peel_order(host)
-            smask = _mask(range(g.n))
-            for v in order + [None]:  # check every suffix including the full set
-                consider(smask, side)
-                if v is None:
-                    break
-                smask &= ~(1 << v)
-    else:
-        raise InputError(f"unknown strategy {strategy!r}")
-    if best is None:
-        best = (1, 1 if g.n else 0, "sparse")
+    for side, host in (("sparse", g), ("dense", complement(g))):
+        order = _peel_order(host)
+        smask = _mask(range(g.n))
+        for v in order + [None]:  # check every suffix including the full set
+            consider(smask, side)
+            if v is None:
+                break
+            smask &= ~(1 << v)
+    # the empty suffix always qualifies, so best is set
     witness = EpsHomogeneousWitness(
         vertices=frozenset(_bits(best[1])), side=best[2], mode=mode, epsilon=eps
     )
     if g.n:
         witness.validate(g)
     return witness
-
-
-def turan_clique(g: Graph) -> frozenset[int]:
-    """Greedy clique from a dense graph: repeatedly take the vertex with the
-    fewest complement-neighbors among the candidates and restrict to its
-    neighborhood.  Guarantees size >= n/(avg complement degree + 1)."""
-    cand = _mask(range(g.n))
-    clique: set[int] = set()
-    while cand:
-        size = cand.bit_count()
-        # fewest complement-neighbors == most graph-neighbors within cand
-        v = min(_bits(cand), key=lambda x: (size - 1 - (g.masks[x] & cand).bit_count(), x))
-        clique.add(v)
-        cand &= g.masks[v]
-    smask = _mask(clique)
-    for v in clique:
-        if (g.masks[v] & smask).bit_count() != len(clique) - 1:
-            raise VerificationError("greedy clique output is not complete")
-    return frozenset(clique)

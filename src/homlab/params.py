@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, TypeVar
 
 import mpmath
 
@@ -34,36 +34,55 @@ _MAX_PREC = 1 << 16
 _thread = threading.local()  # holds this thread's interval context, built on first use
 
 
-def _raw_mpf_to_fraction(raw) -> Fraction:
-    # a raw mpf tuple (sign, man, exp, bc) is exactly +-man * 2^exp
-    sign, man, exp, _bc = raw
+# An enclosure end above 2^_MAX_EXP in magnitude is not converted: its Fraction
+# would carry that many bits.  One below 2^-_MAX_EXP is widened outward.
+_MAX_EXP = 1 << 20
+_TINY = Fraction(1, 1 << _MAX_EXP)
+
+
+def _raw_mpf_to_fraction(raw, upper: bool) -> Fraction | None:
+    """The value of the raw mpf end (sign, man, exp, bc), exactly +-man * 2^exp,
+    or None if infinite or above 2^_MAX_EXP in magnitude.  Below 2^-_MAX_EXP
+    in magnitude a lower end is widened down and an upper end up, to 0 or
+    +-2^-_MAX_EXP, so the enclosure stays rigorous."""
+    sign, man, exp, bc = raw
     man, exp = int(man), int(exp)  # may arrive as gmpy2 types
-    if man == 0:
-        return Fraction(0)
+    if man == 0:  # zero is (0, 0, 0, 0); the infinities and nan carry a nonzero exp
+        return None if exp else Fraction(0)
+    top = exp + int(bc)  # 2^(top-1) <= |value| < 2^top
+    if top > _MAX_EXP:
+        return None
+    if top < -_MAX_EXP:
+        if upper == bool(sign):  # the end nearer zero
+            return Fraction(0)
+        return -_TINY if sign else _TINY
     value = Fraction(man, 1) * (Fraction(2) ** exp)
     return -value if sign else value
 
 
-_Enclose = Callable[[mpmath.MPIntervalContext], tuple[Fraction, Fraction]]
+_Enclose = Callable[[mpmath.MPIntervalContext], tuple[Fraction, Fraction] | None]
+_T = TypeVar("_T")
 
 
 def _enclose(
     ctx: mpmath.MPIntervalContext, expr: Callable, *values: Fraction
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Fraction, Fraction] | None:
     """Rational ends of ``expr(ctx, *intervals)`` evaluated at the precision of
     ``ctx``, an interval context private to the caller, each rational value
-    entering as its enclosing interval.  No mpmath state is shared, so callers
-    may run concurrently."""
+    entering as its enclosing interval; None if an end is infinite or too large
+    to convert, which a log of a rational never is.  No mpmath state is
+    shared, so callers may run concurrently."""
     args = [ctx.mpf(q.numerator) / ctx.mpf(q.denominator) for q in map(Fraction, values)]
     raw_a, raw_b = expr(ctx, *args)._mpi_
-    return _raw_mpf_to_fraction(raw_a), _raw_mpf_to_fraction(raw_b)
+    lo, hi = _raw_mpf_to_fraction(raw_a, False), _raw_mpf_to_fraction(raw_b, True)
+    return None if lo is None or hi is None else (lo, hi)
 
 
 def log_enclosure(q: Fraction) -> tuple[Fraction, Fraction]:
     """Rigorous rational enclosure of ln(q) for q > 0, at 128 bits."""
     if q <= 0:
         raise ParameterError(f"log of nonpositive value {q}")
-    return _enclose_at(128, _log, q)
+    return _enclose(_context(128), _log, q)
 
 
 def _log(ctx: mpmath.MPIntervalContext, x):
@@ -72,7 +91,7 @@ def _log(ctx: mpmath.MPIntervalContext, x):
 
 def _context(prec: int) -> mpmath.MPIntervalContext:
     """This thread's interval context, set to ``prec`` bits.  Sharing it is safe:
-    no evaluator given to :func:`_resolve` calls :func:`_enclose_at`."""
+    no evaluator given to :func:`_resolve` calls :func:`log_enclosure`."""
     ctx = getattr(_thread, "ctx", None)
     if ctx is None:
         ctx = _thread.ctx = mpmath.MPIntervalContext()
@@ -80,23 +99,19 @@ def _context(prec: int) -> mpmath.MPIntervalContext:
     return ctx
 
 
-def _enclose_at(prec: int, expr: Callable, *values: Fraction) -> tuple[Fraction, Fraction]:
-    """:func:`_enclose` at ``prec`` bits in this thread's context."""
-    return _enclose(_context(prec), expr, *values)
-
-
 def _resolve(
-    enclose: _Enclose, decide: Callable[[Fraction, Fraction], int | None]
-) -> tuple[int, Fraction, Fraction]:
-    """Decision (an int or bool) and final ends of the first enclosure that
-    ``decide`` does not map to None, doubling the precision from 128 bits.
-    Every evaluation runs in this thread's interval context."""
+    enclose: _Enclose, decide: Callable[[Fraction, Fraction], _T | None]
+) -> tuple[_T, Fraction, Fraction]:
+    """Decision (an int, bool or str) and final ends of the first enclosure that
+    ``decide`` does not map to None, doubling the precision from 128 bits; an
+    enclosure too large to convert is undecided.  Every evaluation runs in
+    this thread's interval context."""
     prec = 128
     while prec <= _MAX_PREC:
-        lo, hi = enclose(_context(prec))
-        decision = decide(lo, hi)
+        ends = enclose(_context(prec))
+        decision = None if ends is None else decide(*ends)
         if decision is not None:
-            return decision, lo, hi
+            return decision, *ends
         prec *= 2
     raise ParameterError(f"enclosure failed to resolve at {_MAX_PREC} bits")
 
@@ -116,53 +131,22 @@ def _resolve_ceil(expr: _Enclose) -> int:
 
 @dataclass(frozen=True)
 class GrowthFunction:
-    """Nondecreasing growth exponent f with 2 <= f(k) <= ln k on evaluation.
+    """Constant growth exponent f (for example the reciprocal of a power-law
+    exponent), at least 2 and checked against f(k) <= ln k on evaluation."""
 
-    kinds: "constant" (value, e.g. the reciprocal of a power-law exponent),
-    "log-form" (scale * ln k, clamped below at 2, materialized as the rational
-    lower enclosure bound so the ln-k cap is respected), or "table" (explicit
-    k -> value pairs, consulted with the largest key <= k).
-    """
-
-    kind: str
-    value: Fraction | None = None
-    table: tuple[tuple[int, Fraction], ...] | None = None
+    value: Fraction
 
     def __post_init__(self) -> None:
-        if self.kind == "constant":
-            if self.value is None or Fraction(self.value) < 2:
-                raise ParameterError("constant growth value must be >= 2")
-        elif self.kind == "log-form":
-            if self.value is None or not 0 < Fraction(self.value) <= 1:
-                raise ParameterError("log-form scale must lie in (0, 1]")
-        elif self.kind == "table":
-            if not self.table:
-                raise ParameterError("table growth function needs entries")
-            vals = [Fraction(v) for _, v in sorted(self.table)]
-            if vals != sorted(vals):
-                raise ParameterError("table growth function must be nondecreasing")
-        else:
-            raise ParameterError(f"unknown growth kind {self.kind!r}")
+        if Fraction(self.value) < 2:
+            raise ParameterError("constant growth value must be >= 2")
 
     @classmethod
     def constant(cls, value: Fraction) -> "GrowthFunction":
-        return cls(kind="constant", value=Fraction(value))
+        return cls(Fraction(value))
 
     def __call__(self, k: int) -> Fraction:
-        if self.kind == "constant":
-            result = Fraction(self.value)
-        elif self.kind == "log-form":
-            lo, _hi = log_enclosure(Fraction(k))
-            result = max(Fraction(2), Fraction(self.value) * lo)
-        else:
-            entries = sorted(self.table)
-            result = Fraction(entries[0][1])
-            for key, val in entries:
-                if key <= k:
-                    result = Fraction(val)
-        # enforce 2 <= f(k) <= ln k against the rigorous lower log bound
-        if result < 2:
-            raise ParameterError(f"growth value f({k})={result} below 2")
+        result = Fraction(self.value)
+        # enforce f(k) <= ln k against the rigorous lower log bound
         lo, _ = log_enclosure(Fraction(k))
         if result > lo:
             raise ParameterError(f"growth value f({k})={result} exceeds ln {k} enclosure {lo}")
@@ -177,7 +161,6 @@ class TheoremParams:
     t: int
     ell: int
     variant: str
-    constants: tuple[Fraction, Fraction]
     f_of_k: Fraction
 
 
@@ -194,16 +177,15 @@ def compute_params(
     variant: str,
     epsilon: Fraction,
     f: GrowthFunction,
-    constants: tuple[Fraction, Fraction] | None = None,
     allow_out_of_range: bool = False,
     improved_k: bool = False,
 ) -> TheoremParams:
     """Exact parameter tuple (epsilon, k, delta, t, ell) for a tradeoff variant.
 
     variants: "graph" (k = 200*ceil((1/eps) ln^4 (1/eps)), 1/delta = 16 k^(f(k)-1)),
-    "uniform" (same shapes with a user constant C in place of 200), and
-    "tournament" (k = C*ceil((1/eps^2) ln^4 (1/eps)), 1/delta = C' k^(f(k)-1),
-    ell computed against eps^2).  ``improved_k=True`` switches to the sharper
+    "uniform" (the same k, 1/delta = 200 k^(f(k)-1)), and "tournament"
+    (k = 200*ceil((1/eps^2) ln^4 (1/eps)), 1/delta = 200 k^(f(k)-1), ell
+    computed against eps^2).  ``improved_k=True`` switches to the sharper
     k = 200*ceil((1/eps) ln^2(1/eps) f((1/eps) ln^4(1/eps))^2) form (report-only
     alternative).
     """
@@ -215,9 +197,6 @@ def compute_params(
             )
     if variant not in ("graph", "uniform", "tournament"):
         raise ParameterError(f"unknown variant {variant!r}")
-    if constants is None:
-        constants = (Fraction(200), Fraction(200))
-    c_big, c_prime = (Fraction(c) for c in constants)
     inv = 1 / eps
     inv_sq = inv * inv
 
@@ -232,15 +211,13 @@ def compute_params(
         inner = _resolve_ceil(log_pow_expr(inv, 4))
         f_inner = f(max(inner, 2))
         k = 200 * _resolve_ceil(log_pow_expr(inv * f_inner**2, 2))
-    elif variant == "graph":
-        k = 200 * _resolve_ceil(log_pow_expr(inv, 4))
-    elif variant == "uniform":
-        k = int(c_big) * _resolve_ceil(log_pow_expr(inv, 4))
+    elif variant == "tournament":
+        k = 200 * _resolve_ceil(log_pow_expr(inv_sq, 4))
     else:
-        k = int(c_big) * _resolve_ceil(log_pow_expr(inv_sq, 4))
+        k = 200 * _resolve_ceil(log_pow_expr(inv, 4))
 
     f_k = f(k)
-    delta_mult = 16 if variant == "graph" else c_prime
+    delta_mult = 16 if variant == "graph" else 200
     inv_delta = Fraction(delta_mult) * _pow_ceil(k, f_k - 1)
     delta = 1 / inv_delta
     t = _pow_ceil(k, f_k)
@@ -259,7 +236,6 @@ def compute_params(
         t=t,
         ell=ell,
         variant=variant,
-        constants=(c_big, c_prime),
         f_of_k=f_k,
     )
 
@@ -303,13 +279,15 @@ def verify_inequality_chain(params: TheoremParams, h: int) -> ChainReport:
         lhs1 = base**ell
         passed1 = lhs1 <= delta
     else:
-        # _fmt's "~" rendering is monotone, so ends that print alike print the power
+        # _fmt's "~" rendering is monotone, so ends that print alike print the
+        # power; the power is positive, so a lower end of 0 is one that _enclose
+        # widened from below 2^-_MAX_EXP, and such a power prints as ~0
         def decide1(lo: Fraction, hi: Fraction) -> bool | None:
-            if _fmt(lo) != _fmt(hi):
+            if (_fmt(lo) if lo else "~0") != _fmt(hi):
                 return None
             return True if hi <= delta else False if lo > delta else None
 
-        passed1, lhs1, _ = _resolve(lambda ctx: _enclose(ctx, lambda ctx, b: b**ell, base), decide1)
+        passed1, _, lhs1 = _resolve(lambda ctx: _enclose(ctx, lambda ctx, b: b**ell, base), decide1)
     checks.append(
         ChainCheck("shrinkage reaches container size", f"(1-eps)^ell = {_fmt(lhs1)}",
                    f"delta = {_fmt(delta)}", passed1)

@@ -1,17 +1,16 @@
-"""Tournaments: cyclic-triangle counting, exact distance to transitivity,
-eps-transitivity, the auxiliary cyclic-triple 3-uniform hypergraph, and
-transitive-subtournament counting.
+"""Tournaments: cyclic-triangle counting, exact distance to transitivity
+(with a brute-force oracle), transitive-subtournament counting and the
+sampled triangle-distance scan.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapabilityError, ConsistencyError, InputError
-from .graphs import UniformHypergraph, _count_k_sets, _mask
+from .graphs import _count_k_sets, _mask
 
 __all__ = [
     "Tournament",
@@ -19,11 +18,8 @@ __all__ = [
     "cyclic_triangle_count",
     "dist_to_transitive_exact",
     "dist_to_transitive_bruteforce",
-    "is_eps_transitive",
-    "triangle_hypergraph",
     "count_transitive_subtournaments",
     "triangle_distance_scan",
-    "transitive_tournament",
     "read_tournament",
     "write_tournament",
 ]
@@ -57,12 +53,6 @@ class Tournament:
     def reversed(self) -> "Tournament":
         full = (1 << self.n) - 1
         return Tournament(self.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(self.out)))
-
-
-def transitive_tournament(n: int) -> Tournament:
-    # vertex v beats every u > v
-    full = (1 << n) - 1
-    return Tournament(n, tuple(full & ~((1 << (v + 1)) - 1) for v in range(n)))
 
 
 @dataclass(frozen=True)
@@ -198,26 +188,6 @@ def dist_to_transitive_bruteforce(t: Tournament) -> int:
 
     rec(full, 0)
     return best
-
-
-def is_eps_transitive(t: Tournament, epsilon: Fraction) -> bool:
-    """dist <= eps * C(n,2), compared in exact rational arithmetic."""
-    if t.n < 2:
-        return True
-    witness = dist_to_transitive_exact(t)
-    return Fraction(witness.reversals) <= Fraction(epsilon) * math.comb(t.n, 2)
-
-
-def triangle_hypergraph(t: Tournament) -> UniformHypergraph:
-    """3-uniform hypergraph whose edges are exactly the cyclic triples."""
-    edges = []
-    for a, b, c in itertools.combinations(range(t.n), 3):
-        if t.beats(a, b) == t.beats(b, c) == t.beats(c, a):
-            edges.append((a, b, c))
-    h = UniformHypergraph.from_edges(3, t.n, edges)
-    if h.edge_count != cyclic_triangle_count(t):
-        raise ConsistencyError("triangle hypergraph edge count mismatch")
-    return h
 
 
 def count_transitive_subtournaments(t: Tournament, k: int) -> int:

@@ -349,6 +349,37 @@ def test_construct_output_is_pinned(args, digest):
     assert hashlib.sha256(result.stdout_bytes).hexdigest()[:16] == digest
 
 
+# The first 16 hex digits of the SHA-256 of `homlab params --eps 1/128`, with
+# its exit code, pinned across commits: every parameter and chain line shows here.
+@pytest.mark.parametrize(
+    "options, code, digest",
+    [
+        ("--variant graph", 0, "494102e95eb9fcc2"),
+        ("--variant graph --improved-k", 0, "faa66268dc3cfb0a"),
+        ("--variant uniform", 0, "37f8ab2236ce34bd"),
+        ("--variant uniform --improved-k", 0, "52286399b51fb1ab"),
+        ("--variant tournament", 0, "ba83d18654ab04c2"),
+        ("--variant tournament --improved-k", 1, "cca46ee67de5d5b5"),  # check (ii) fails
+    ],
+)
+def test_params_output_is_pinned(options, code, digest):
+    result = invoke("params", "--eps", "1/128", *options.split())
+    assert result.exit_code == code, (result.output, result.exception)
+    assert hashlib.sha256(result.stdout_bytes).hexdigest()[:16] == digest
+
+
+# The same for `homlab hom --eps 1/4` on `homlab --seed 11 construct --kind gnp --n 40`.
+@pytest.mark.parametrize("mode, digest", [("density", "6cf7512d1cb02e8a"),
+                                          ("degree", "19b545d2002a3e8b")])
+def test_hom_eps_output_is_pinned(tmp_path, mode, digest):
+    path = tmp_path / "g.txt"
+    assert invoke("--seed", "11", "--out", str(path), "construct", "--kind", "gnp",
+                  "--n", "40").exit_code == 0
+    result = invoke("hom", str(path), "--eps", "1/4", "--mode", mode)
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert hashlib.sha256(result.stdout_bytes).hexdigest()[:16] == digest
+
+
 def _run_cli(*args):
     """``homlab`` in a fresh process, so a hang fails on the timeout instead of
     stalling the suite; returns the result and its wall time."""
@@ -388,6 +419,36 @@ def test_rationals_parse_to_their_fraction(text, value):
 def test_unreadable_or_oversized_rationals_are_input_errors(text):
     with pytest.raises(InputError):
         _rational(text)
+
+
+def test_params_decides_a_tiny_epsilon_within_seconds():
+    result, seconds = _run_cli("params", "--eps", "1e-50")
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert [c["passed"] for c in doc["chain"]] == [True] * 4
+    assert seconds < 2
+
+
+@pytest.mark.parametrize("variant", ["graph", "uniform", "tournament"])
+@pytest.mark.parametrize("eps", ["1e-25", "1e-50", "1e-300"])
+def test_params_at_a_tiny_epsilon_finishes(variant, eps):
+    # at 128 bits (1-eps)^ell has a binary exponent far past 2^20; for the
+    # tournament variant it lies below 2^(-10^27) at any precision
+    result, seconds = _run_cli("params", "--variant", variant, "--eps", eps)
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["all_passed"]
+    assert (doc["chain"][0]["lhs"] == "(1-eps)^ell = ~0") == (variant == "tournament")
+    assert seconds < 5
+
+
+def test_hom_eps_above_the_cap_exits_3_at_once(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("16384 0\n")
+    result, seconds = _run_cli("hom", str(path), "--eps", "1/4")
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert seconds < 2
 
 
 def test_construct_multipartite_above_the_cap_exits_3_at_once():

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from homlab.containers import (
     ContainerParams,
     FingerprintTrace,
     _scythe_core,
-    as_two_uniform,
     count_independent_sets_exact,
     hypergraph_bound,
     is_independent,
@@ -26,6 +26,7 @@ from homlab.errors import CapabilityError, ConsistencyError, ParameterError
 from homlab.generators import gnp, random_independent_set, random_uniform_hypergraph
 from homlab.graphs import (
     Graph,
+    UniformHypergraph,
     _bits,
     _mask,
     complete_graph,
@@ -39,6 +40,10 @@ def all_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for code in range(1 << len(pairs)):
         yield Graph.from_edges(n, [p for i, p in enumerate(pairs) if code >> i & 1])
+
+
+def as_two_uniform(g: Graph) -> UniformHypergraph:
+    return UniformHypergraph.from_edges(2, g.n, g.edges())
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +90,18 @@ def test_minimal_ell_past_the_exact_steps():
     assert minimal_ell(3, Fraction(1, 10**9), 1) == 1098612289
     with pytest.raises(ParameterError):
         minimal_ell(0, Fraction(1, 2), -1)  # (1/2)^ell * 0 never drops below -1
+
+
+def test_minimal_ell_and_the_shrinkage_check_at_a_tiny_epsilon():
+    # at 128 bits 1/(1 - 10^-300) encloses 1, so ln 3 / ln(1/(1-eps)) has infinite
+    # ends; an enclosure of them must not read as [0, 0]
+    eps = Fraction(1, 10**300)
+    with mpmath.workdps(800):
+        expected = int(mpmath.ceil(mpmath.log(3) / -mpmath.log(1 - mpmath.mpf(10) ** -300)))
+    assert minimal_ell(3, eps, 1) == expected
+    ContainerParams(eps, u=1, ell=expected, k=expected).check_for(3)
+    with pytest.raises(ParameterError, match=r"= ~1\.73205080757 exceeds"):  # 3^(1/2)
+        ContainerParams(eps, u=1, ell=expected // 2, k=expected).check_for(3)
 
 
 @settings(max_examples=200, deadline=None)

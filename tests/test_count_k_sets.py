@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.containers import as_two_uniform, count_independent_sets_exact
+from homlab.containers import count_independent_sets_exact
 from homlab.generators import gnp, perturb_edges, random_cograph, random_tournament
 from homlab.graphs import UniformHypergraph, _bits, _mask
 from homlab.homogeneous import count_homogeneous_k
@@ -73,7 +73,8 @@ def test_hypergraph_independent_sets_match_the_scan(case):
 def test_graph_count_equals_its_two_uniform_count(n, data):
     g = gnp(n, Fraction(data.draw(st.integers(0, 8)), 8), data.draw(st.integers(0, 10**6)))
     k = data.draw(st.integers(0, n + 1))
-    assert count_independent_sets_exact(g, k) == count_independent_sets_exact(as_two_uniform(g), k)
+    h = UniformHypergraph.from_edges(2, g.n, g.edges())
+    assert count_independent_sets_exact(g, k) == count_independent_sets_exact(h, k)
 
 
 @given(st.integers(0, 12), st.integers(0, 10**6), st.data())

@@ -265,7 +265,8 @@ def test_overlay_audit_default_constant_passes_at_n150():
 
 
 # The first 16 hex digits of the SHA-256 of each CSV report of gate 10's
-# configs, pinned across commits (gate 10 compares reruns of one commit only).
+# configs and of one homog-count-pipeline run, pinned across commits (gate 10
+# compares reruns of one commit only).
 @pytest.mark.parametrize(
     "config, digest",
     [
@@ -277,8 +278,10 @@ def test_overlay_audit_default_constant_passes_at_n150():
         (ExperimentConfig(kind="eps-homog-curve", generator={"kind": "bipartite"},
                           grid={"n": 30, "eps": ["1/4", "1/8"]}, seeds=(0, 1)),
          "f7435fbd09132c9c"),
+        (ExperimentConfig(kind="homog-count-pipeline", grid={"count": 2}, seeds=(0, 1)),
+         "bf8cf2eb68425547"),
     ],
-    ids=["hypergraph-container-sample", "triangle-scan", "eps-homog-curve"],
+    ids=["hypergraph-container-sample", "triangle-scan", "eps-homog-curve", "homog-count-pipeline"],
 )
 def test_report_bytes_are_pinned(config, digest):
     csv = emit_report(run_experiment(config))

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,8 @@ from homlab.graphs import (
     Graph,
     _bits,
     UniformHypergraph,
-    automorphism_count,
     complement,
     complete_graph,
-    count_induced_copies,
     count_induced_p4,
     cycle_graph,
     edge_density,
@@ -39,6 +38,73 @@ small_graphs = st.integers(min_value=1, max_value=7).flatmap(
         ),
     )
 )
+
+
+# The generic induced-copy counter, the oracle for count_induced_p4.
+
+
+def automorphism_count(h: Graph) -> int:
+    """|Aut(h)| by direct permutation scan (meant for |h| <= 8)."""
+    count = 0
+    for perm in itertools.permutations(range(h.n)):
+        if all(
+            h.has_edge(u, v) == h.has_edge(perm[u], perm[v])
+            for u in range(h.n)
+            for v in range(u + 1, h.n)
+        ):
+            count += 1
+    return count
+
+
+def _isomorphic_to(sub: Graph, h: Graph, h_degrees: Sequence[int]) -> bool:
+    """Backtracking isomorphism test against a fixed pattern h (small h only)."""
+    degs = sorted(sub.degree(v) for v in range(sub.n))
+    if degs != sorted(h_degrees):
+        return False
+    used = [False] * sub.n
+
+    def extend(i: int, image: list[int]) -> bool:
+        if i == h.n:
+            return True
+        for cand in range(sub.n):
+            if used[cand] or sub.degree(cand) != h_degrees[i]:
+                continue
+            if all(h.has_edge(i, j) == sub.has_edge(cand, image[j]) for j in range(i)):
+                used[cand] = True
+                image.append(cand)
+                if extend(i + 1, image):
+                    return True
+                image.pop()
+                used[cand] = False
+        return False
+
+    return extend(0, [])
+
+
+def count_induced_copies(g: Graph, h: Graph) -> tuple[int, int]:
+    """(subset count, labeled embedding count) of induced copies of h in g.
+
+    The embedding count is subsets * |Aut(h)|, i.e. the number of injective
+    maps preserving both adjacency and non-adjacency.
+    """
+    if h.n == 0:
+        return 1, 1
+    if h.n > g.n:
+        return 0, 0
+    h_edges = h.edge_count
+    h_degrees = [h.degree(v) for v in range(h.n)]
+    subsets = 0
+    for combo in itertools.combinations(range(g.n), h.n):
+        inner = 0
+        for i, u in enumerate(combo):
+            for v in combo[i + 1 :]:
+                if g.masks[u] >> v & 1:
+                    inner += 1
+        if inner != h_edges:
+            continue
+        if _isomorphic_to(induced_subgraph(g, combo), h, h_degrees):
+            subsets += 1
+    return subsets, subsets * automorphism_count(h)
 
 
 def test_graph_validation_rejects_asymmetry():

@@ -1,33 +1,69 @@
 import itertools
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.errors import InputError, ParameterError, VerificationError
+from homlab.errors import CapabilityError, InputError, ParameterError, VerificationError
 from homlab.generators import complete_multipartite, gnp, random_cograph
 from homlab.graphs import (
     Graph,
+    _bits,
     complete_graph,
+    count_induced_p4,
     cycle_graph,
     empty_graph,
     path_graph,
 )
 from homlab.homogeneous import (
     EpsHomogeneousWitness,
+    _condition,
     check_tk_property,
     copy_count_threshold,
     count_homogeneous_k,
-    distance_to_family,
     find_eps_homogeneous,
     has_induced_p4,
     hom_exact,
     max_clique,
     p4_free_family,
-    turan_clique,
     verify_count_lower_bound,
 )
+
+
+def all_graphs_family() -> Callable[[Graph], bool]:
+    """Membership predicate of all graphs."""
+    return lambda g: True
+
+
+def reference_exact_eps_homogeneous(
+    g: Graph, epsilon: Fraction, mode: str = "density"
+) -> EpsHomogeneousWitness:
+    """Largest eps-sparse or eps-dense vertex set, by enumerating all subsets
+    (n <= 20); the oracle for the greedy peel of ``find_eps_homogeneous``."""
+    eps = Fraction(epsilon)
+    best: tuple[int, int, str] | None = None  # (size, mask, side)
+
+    def consider(smask: int, side: str) -> None:
+        nonlocal best
+        size = smask.bit_count()
+        if (best is None or size > best[0]) and _condition(g, smask, eps, mode, side):
+            best = (size, smask, side)
+
+    if g.n > 20:
+        raise CapabilityError("exact eps-homogeneous search capped at n=20")
+    for smask in range(1 << g.n):
+        consider(smask, "sparse")
+        consider(smask, "dense")
+    if best is None:
+        best = (1, 1 if g.n else 0, "sparse")
+    witness = EpsHomogeneousWitness(
+        vertices=frozenset(_bits(best[1])), side=best[2], mode=mode, epsilon=eps
+    )
+    if g.n:
+        witness.validate(g)
+    return witness
 
 
 def petersen():
@@ -120,8 +156,6 @@ def test_p4_free_five_sets_contain_triangles_or_coindependent():
 
 
 def test_tk_property_fails_without_the_p4_restriction():
-    from homlab.homogeneous import all_graphs_family
-
     ok, counterexample = check_tk_property(all_graphs_family(), 5, 3)
     assert not ok
     assert hom_exact(counterexample)[0] < 3  # C5 is the canonical witness
@@ -138,30 +172,12 @@ def test_copy_threshold_needs_room():
 
 def test_count_lower_bound_report_on_sparse_graph():
     g = gnp(40, Fraction(1, 20), seed=7)
-    report = verify_count_lower_bound(g, path_graph(4), t=5, k=3)
+    embeddings = count_induced_p4(g)[1]
+    report = verify_count_lower_bound(g, path_graph(4), t=5, k=3, embeddings=embeddings)
     assert report.threshold == 640
     assert report.lower_bound == Fraction(32)
     if report.premise_ok:
         assert report.ok
-
-
-# ---------------------------------------------------------------------------
-# distance to a family
-
-
-def test_cograph_distance_zero():
-    g = random_cograph(8, seed=3)
-    assert distance_to_family(g, p4_free_family(), budget=2) == 0
-
-
-def test_p4_distance_one():
-    assert distance_to_family(path_graph(4), p4_free_family(), budget=2) == 1
-
-
-def test_distance_none_when_budget_too_small():
-    # two vertex-disjoint P4s need two flips
-    g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-    assert distance_to_family(g, p4_free_family(), budget=1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +186,13 @@ def test_distance_none_when_budget_too_small():
 
 def test_multipartite_dense_side_is_whole_set():
     g = complete_multipartite([2, 2, 2, 2])
-    witness = find_eps_homogeneous(g, Fraction(3, 10), strategy="exact")
+    witness = find_eps_homogeneous(g, Fraction(3, 10))
     assert witness.side == "dense"
     assert witness.vertices == frozenset(range(8))
 
 
 def test_empty_graph_sparse_side():
-    witness = find_eps_homogeneous(empty_graph(6), Fraction(1, 10), strategy="exact")
+    witness = find_eps_homogeneous(empty_graph(6), Fraction(1, 10))
     assert witness.side == "sparse" and len(witness.vertices) == 6
 
 
@@ -185,8 +201,8 @@ def test_empty_graph_sparse_side():
 def test_greedy_never_beats_exact_and_validates(n, seed):
     g = gnp(n, Fraction(1, 2), seed)
     eps = Fraction(1, 4)
-    greedy = find_eps_homogeneous(g, eps, strategy="greedy-peel")
-    exact = find_eps_homogeneous(g, eps, strategy="exact")
+    greedy = find_eps_homogeneous(g, eps)
+    exact = reference_exact_eps_homogeneous(g, eps)
     assert len(greedy.vertices) <= len(exact.vertices)
     greedy.validate(g)
     exact.validate(g)
@@ -195,9 +211,14 @@ def test_greedy_never_beats_exact_and_validates(n, seed):
 def test_degree_mode_is_stricter_than_density():
     g = gnp(14, Fraction(1, 2), seed=11)
     eps = Fraction(1, 4)
-    degree = find_eps_homogeneous(g, eps, mode="degree", strategy="exact")
-    density = find_eps_homogeneous(g, eps, mode="density", strategy="exact")
+    degree = reference_exact_eps_homogeneous(g, eps, mode="degree")
+    density = reference_exact_eps_homogeneous(g, eps, mode="density")
     assert len(degree.vertices) <= len(density.vertices)
+
+
+def test_eps_search_above_the_cap_is_refused():
+    with pytest.raises(CapabilityError):
+        find_eps_homogeneous(empty_graph(1001), Fraction(1, 4))
 
 
 def test_witness_self_validation_catches_lies():
@@ -205,20 +226,6 @@ def test_witness_self_validation_catches_lies():
         EpsHomogeneousWitness(
             vertices=frozenset(range(5)), side="sparse", mode="density", epsilon=Fraction(1, 10)
         ).validate(complete_graph(5))
-
-
-# ---------------------------------------------------------------------------
-# greedy clique from dense graphs
-
-
-@given(st.integers(1, 12), st.integers(0, 10**6))
-@settings(max_examples=60, deadline=None)
-def test_turan_clique_guarantee(n, seed):
-    g = gnp(n, Fraction(3, 4), seed)
-    clique = turan_clique(g)
-    assert all(g.has_edge(u, v) for u, v in itertools.combinations(sorted(clique), 2))
-    avg_comp_degree = Fraction(2 * (n * (n - 1) // 2 - g.edge_count), n) if n else Fraction(0)
-    assert len(clique) >= Fraction(n) / (avg_comp_degree + 1)
 
 
 def test_has_induced_p4():

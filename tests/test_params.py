@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from homlab.errors import ParameterError
 from homlab.params import (
+    _TINY,
     GrowthFunction,
+    _context,
+    _enclose,
     _fmt,
     compute_params,
     log_enclosure,
@@ -40,6 +43,20 @@ def test_log_enclosure_rejects_nonpositive():
         log_enclosure(Fraction(0))
 
 
+@pytest.mark.parametrize(
+    "expr, ends",
+    [
+        (lambda ctx, b: b ** (1 << 21), (Fraction(0), _TINY)),  # 2^-(2^21), widened outward
+        (lambda ctx, b: -(b ** (1 << 21)), (-_TINY, Fraction(0))),
+        (lambda ctx, b: (1 / b) ** (1 << 21), None),  # 2^(2^21): too large to convert
+        (lambda ctx, b: 1 / (b - ctx.mpf([0, 1])), None),  # infinite ends
+        (lambda ctx, b: b**3, (Fraction(1, 8), Fraction(1, 8))),
+    ],
+)
+def test_enclosure_ends_beyond_the_exponent_limit(expr, ends):
+    assert _enclose(_context(128), expr, Fraction(1, 2)) == ends
+
+
 # ---------------------------------------------------------------------------
 # growth functions
 
@@ -54,18 +71,6 @@ def test_growth_upper_cap_enforced():
     with pytest.raises(ParameterError):
         f(10)  # ln 10 < 3
     assert f(10**9) == 3
-
-
-def test_growth_log_form_respects_range():
-    f = GrowthFunction(kind="log-form", value=Fraction(1, 2))
-    v = f(10**6)
-    assert 2 <= v
-    assert float(v) == pytest.approx(0.5 * math.log(10**6), rel=1e-6)
-
-
-def test_growth_table_monotonicity_check():
-    with pytest.raises(ParameterError):
-        GrowthFunction(kind="table", table=((10, Fraction(3)), (100, Fraction(2))))
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +95,10 @@ def test_preset_values_pinned():
 
 
 def test_uniform_variant_uses_constant():
-    params = compute_params("uniform", Fraction(1, 128), F2, constants=(Fraction(100), Fraction(50)))
-    assert params.k == 100 * 70943
-    assert 1 / params.delta == 50 * params.k
+    # the fixed constant 200 in both k and 1/delta
+    params = compute_params("uniform", Fraction(1, 128), F2)
+    assert params.k == 200 * 70943
+    assert 1 / params.delta == 200 * params.k
 
 
 def test_tournament_variant_scales_by_eps_squared():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from homlab.containers import count_independent_sets_exact
 from homlab.errors import CapabilityError, ConsistencyError, InputError
 from homlab.generators import random_tournament
-from homlab.graphs import _bits
+from homlab.graphs import UniformHypergraph, _bits
 from homlab.tournaments import (
     _SUBSET_DP_N,
     Tournament,
@@ -18,13 +18,29 @@ from homlab.tournaments import (
     cyclic_triangle_count,
     dist_to_transitive_bruteforce,
     dist_to_transitive_exact,
-    is_eps_transitive,
     read_tournament,
-    transitive_tournament,
     triangle_distance_scan,
-    triangle_hypergraph,
     write_tournament,
 )
+
+
+def transitive_tournament(n: int) -> Tournament:
+    # vertex v beats every u > v
+    full = (1 << n) - 1
+    return Tournament(n, tuple(full & ~((1 << (v + 1)) - 1) for v in range(n)))
+
+
+# The cyclic-triple hypergraph, the oracle for count_transitive_subtournaments.
+def triangle_hypergraph(t: Tournament) -> UniformHypergraph:
+    """3-uniform hypergraph whose edges are exactly the cyclic triples."""
+    edges = []
+    for a, b, c in itertools.combinations(range(t.n), 3):
+        if t.beats(a, b) == t.beats(b, c) == t.beats(c, a):
+            edges.append((a, b, c))
+    h = UniformHypergraph.from_edges(3, t.n, edges)
+    if h.edge_count != cyclic_triangle_count(t):
+        raise ConsistencyError("triangle hypergraph edge count mismatch")
+    return h
 
 
 def three_cycle():
@@ -51,8 +67,6 @@ def test_three_cycle_basics():
     t = three_cycle()
     assert cyclic_triangle_count(t) == 1
     assert dist_to_transitive_exact(t).reversals == 1
-    assert not is_eps_transitive(t, Fraction(1, 4))
-    assert is_eps_transitive(t, Fraction(1, 3))
 
 
 @given(st.integers(1, 8), st.integers(0, 10**6))
