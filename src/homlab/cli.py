@@ -13,23 +13,16 @@ import sys
 import click
 
 from . import graphs, homogeneous, tournaments
-from .errors import (
-    CapabilityError,
-    ConstructionError,
-    HomlabError,
-    InputError,
-    ParameterError,
-    VerificationError,
-)
+from .errors import CapabilityError, HomlabError, InputError, VerificationError
 from .graphs import _rational
 
 
 def _exit_code(exc: HomlabError) -> int:
-    if isinstance(exc, (InputError, ParameterError)):
+    if isinstance(exc, InputError):  # ParameterError included
         return 2
     if isinstance(exc, CapabilityError):
         return 3
-    return 1  # VerificationError, ConsistencyError, ConstructionError
+    return 1  # VerificationError, ConsistencyError
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI: VerificationError -> 1,
-InputError/ParameterError -> 2, CapabilityError -> 3.
+Exit-code mapping used by the CLI: VerificationError -> 1, InputError -> 2,
+CapabilityError -> 3; a subclass maps as its base.
 """
 
 
@@ -27,7 +27,3 @@ class VerificationError(HomlabError):
 
 class ConsistencyError(VerificationError):
     """Two independent computations of the same quantity disagree."""
-
-
-class ConstructionError(HomlabError):
-    """A randomized construction exhausted its retry budget."""

@@ -13,11 +13,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import CapabilityError, InputError, ParameterError, VerificationError
-from .graphs import (Graph, _bits, _count_k_sets, _induced_p4s, _mask, complement,
-                     edge_density, induced_subgraph)
+from .graphs import (Graph, _bits, _count_k_sets, _induced_p4s, complement, edge_density,
+                     induced_subgraph)
 
 __all__ = [
     "HomogeneousWitness",
@@ -279,17 +279,20 @@ def _condition(g: Graph, smask: int, eps: Fraction, mode: str, side: str) -> boo
     return min(degs) >= (1 - eps) * (s - 1)
 
 
-def _peel_order(g: Graph) -> list[int]:
-    """Vertex deletion order: always the max-degree vertex of what remains
-    (ties by ascending index)."""
-    w = set(range(g.n))
-    order = []
-    while w:
-        wmask = _mask(w)
-        v = min(w, key=lambda x: (-(g.masks[x] & wmask).bit_count(), x))
-        order.append(v)
-        w.discard(v)
-    return order
+def _peel(g: Graph, side: str) -> Iterator[int]:
+    """The nonempty vertex masks a greedy peel leaves, from all of V down:
+    each step deletes the vertex with the most neighbours in what remains
+    (sparse side) or the fewest, i.e. the most in the complement (dense side),
+    ties to the lower index (``min`` keeps the first of equal keys)."""
+    sign = -1 if side == "sparse" else 1
+    key = [sign * row.bit_count() for row in g.masks]  # signed degree in what remains
+    wmask = (1 << g.n) - 1
+    while wmask:
+        yield wmask
+        v = min(_bits(wmask), key=key.__getitem__)
+        wmask &= ~(1 << v)
+        for u in _bits(g.masks[v] & wmask):
+            key[u] -= sign
 
 
 _HOM_EPS_N = 1000
@@ -298,36 +301,32 @@ _HOM_EPS_N = 1000
 def find_eps_homogeneous(
     g: Graph, epsilon: Fraction, mode: str = "density"
 ) -> EpsHomogeneousWitness:
-    """Largest found vertex set that is eps-sparse or eps-dense, for n <= 1000.
+    """Largest found vertex set that is eps-sparse or eps-dense, for n <= 1000
+    and 0 <= eps <= 1.
 
-    Greedy peel: peels the max-degree vertex in the graph (sparse side) and in
-    the complement (dense side) and keeps the largest suffix set satisfying
-    the condition.  The peel takes O(n^2) big-integer steps.
+    Greedy peel on each side, sparse first: the first (largest) mask the peel
+    leaves that satisfies the side's condition is that side's candidate, and
+    the dense side must beat the sparse one strictly.  A peel stops at its
+    candidate or once it is no larger than the best so far.  Each step takes
+    O(n) big-integer popcounts.
     """
     if g.n > _HOM_EPS_N:
         raise CapabilityError(f"eps-homogeneous search capped at n={_HOM_EPS_N}, got {g.n}")
     eps = Fraction(epsilon)
+    if not 0 <= eps <= 1:
+        raise ParameterError(f"eps must lie in [0, 1], got {eps}")
     if mode not in ("density", "degree"):
         raise InputError(f"unknown mode {mode!r}")
-    best: tuple[int, int, str] | None = None  # (size, mask, side)
-
-    def consider(smask: int, side: str) -> None:
-        nonlocal best
-        size = smask.bit_count()
-        if (best is None or size > best[0]) and _condition(g, smask, eps, mode, side):
-            best = (size, smask, side)
-
-    for side, host in (("sparse", g), ("dense", complement(g))):
-        order = _peel_order(host)
-        smask = _mask(range(g.n))
-        for v in order + [None]:  # check every suffix including the full set
-            consider(smask, side)
-            if v is None:
+    best, best_side = 0, "sparse"  # the empty set qualifies on either side
+    for side in ("sparse", "dense"):
+        for smask in _peel(g, side):
+            if smask.bit_count() <= best.bit_count():
                 break
-            smask &= ~(1 << v)
-    # the empty suffix always qualifies, so best is set
+            if _condition(g, smask, eps, mode, side):
+                best, best_side = smask, side
+                break
     witness = EpsHomogeneousWitness(
-        vertices=frozenset(_bits(best[1])), side=best[2], mode=mode, epsilon=eps
+        vertices=frozenset(_bits(best)), side=best_side, mode=mode, epsilon=eps
     )
     if g.n:
         witness.validate(g)

@@ -18,7 +18,8 @@ from typing import Callable, TypeVar
 
 import mpmath
 
-from .errors import ParameterError
+from .errors import CapabilityError, ParameterError
+from .graphs import _MAX_READ_N
 
 __all__ = [
     "GrowthFunction",
@@ -268,7 +269,15 @@ def verify_inequality_chain(params: TheoremParams, h: int) -> ChainReport:
     (iii) and (iv) are pure rational comparisons.  (i) and (ii) are decided
     from rigorous enclosures (of the power and of the log), doubling precision
     until the enclosure no longer straddles the comparison value.
+
+    h is a pattern's vertex count: at least 1, and at most the largest graph
+    the reader accepts, since (iv) builds powers with h - 1 times the bits of
+    delta/k and of t.
     """
+    if h < 1:
+        raise ParameterError(f"pattern order h must be at least 1, got {h}")
+    if h > _MAX_READ_N:
+        raise CapabilityError(f"pattern order h capped at {_MAX_READ_N}, got {h}")
     eps, k, delta, t, ell = params.epsilon, params.k, params.delta, params.t, params.ell
     checks = []
 

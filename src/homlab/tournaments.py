@@ -1,13 +1,13 @@
 """Tournaments: cyclic-triangle counting, exact distance to transitivity
-(with a brute-force oracle), transitive-subtournament counting and the
-sampled triangle-distance scan.
+(with a brute-force oracle), transitive-subtournament counting and the text
+format.  The sampled triangle/distance scan is the ``triangle-scan``
+experiment kind, built on these kernels in :mod:`homlab.experiments`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CapabilityError, ConsistencyError, InputError
 from .graphs import _count_k_sets, _mask
@@ -19,7 +19,6 @@ __all__ = [
     "dist_to_transitive_exact",
     "dist_to_transitive_bruteforce",
     "count_transitive_subtournaments",
-    "triangle_distance_scan",
     "read_tournament",
     "write_tournament",
 ]
@@ -198,62 +197,6 @@ def count_transitive_subtournaments(t: Tournament, k: int) -> int:
     if k < 0:
         raise InputError("k must be nonnegative")
     return _count_k_sets(t.out, k)
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    m: int
-    instance: int
-    triangles: int
-    dist: int
-    triangle_rate: Fraction  # triangles / m^3
-    dist_rate: Fraction  # dist / C(m,2)
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    points: tuple[ScanPoint, ...]
-    worst_ratio: Fraction | None  # max (dist/C(m,2))^2 * m^3 / triangles observed
-
-
-_MAX_SCAN_STATES = 1 << 24  # DP states per scan, the size of the per-instance draw cap
-
-
-def triangle_distance_scan(m: int, sample_size: int, seed: int) -> ScanReport:
-    """Sampled frontier of (triangle density, transitivity distance) pairs.
-
-    Report-only: records, over seeded random tournaments on m vertices, the
-    largest observed (dist/C(m,2))^2 * m^3 / triangles.  No constant is
-    asserted.
-    """
-    from .generators import random_tournament  # generators imports this module
-
-    if m > 12:
-        raise CapabilityError("exact distances in the scan are capped at m=12")
-    if sample_size << max(m, 0) > _MAX_SCAN_STATES:  # a negative m fails in the generator
-        raise CapabilityError(
-            f"{sample_size} samples of 2^{m} DP states exceed the cap of {_MAX_SCAN_STATES}"
-        )
-    points = []
-    worst: Fraction | None = None
-    for i in range(sample_size):
-        t = random_tournament(m, seed=seed, stream=i)
-        tri = cyclic_triangle_count(t)
-        dist = dist_to_transitive_exact(t).reversals
-        point = ScanPoint(
-            m=m,
-            instance=i,
-            triangles=tri,
-            dist=dist,
-            triangle_rate=Fraction(tri, m**3),
-            dist_rate=Fraction(dist, math.comb(m, 2)) if m >= 2 else Fraction(0),
-        )
-        points.append(point)
-        if tri > 0:
-            ratio = point.dist_rate**2 * m**3 / tri
-            if worst is None or ratio > worst:
-                worst = ratio
-    return ScanReport(points=tuple(points), worst_ratio=worst)
 
 
 # ---------------------------------------------------------------------------

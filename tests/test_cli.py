@@ -514,3 +514,61 @@ def test_triangle_scan_above_the_state_cap_is_a_capability_row_at_once(tmp_path)
     rows = result.stdout.splitlines()[1:]
     assert len(rows) == 1 and rows[0].endswith(",error:capability")
     assert seconds < 2
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_triangle_scan_without_triangles_leaves_the_ratios_empty(tmp_path, m):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "triangle-scan", "grid": {"m": m, "samples": 3}}))
+    result = invoke("experiment", "run", str(cfg))
+    assert result.exit_code == 0, (result.output, result.exception)
+    header, *rows = result.output.splitlines()
+    assert header == "experiment,instance_id,m,seed,triangles,dist,ratio,worst_ratio,verdict"
+    assert rows == [f"triangle-scan,m{m}-s0-i{i},{m},0,0,0,,,ok" for i in range(3)] + [
+        f"triangle-scan,m{m}-s0-summary,{m},0,,,,,ok"]
+
+
+@pytest.mark.parametrize("h, code", [("0", 2), ("-3", 2), ("16385", 3), ("1000000", 3)])
+def test_params_pattern_order_outside_1_to_2_14_exits_at_once(h, code):
+    result, seconds = _run_cli("params", "--eps", "1/128", "--h", h)
+    assert result.returncode == code, result.stderr
+    assert result.stderr.startswith("error: pattern order h")
+    assert seconds < 2
+
+
+@pytest.mark.parametrize("h, code", [("1", 1), ("2", 0), ("16384", 0)])
+def test_params_pattern_order_inside_the_range_runs_the_chain(h, code):
+    result = invoke("params", "--eps", "1/128", "--h", h)
+    assert result.exit_code == code, (result.output, result.exception)
+    assert len(json.loads(result.stdout)["chain"]) == 4
+
+
+@pytest.mark.parametrize("eps", ["-1/2", "-1", "3/2"])
+def test_hom_eps_outside_0_to_1_exits_2_at_once(tmp_path, eps):
+    path = tmp_path / "g.txt"
+    path.write_text("3 1\n0 1\n")
+    result, seconds = _run_cli("hom", str(path), "--eps", eps)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: eps must lie in [0, 1]")
+    assert seconds < 2
+
+
+@pytest.mark.parametrize("document", [
+    {"kind": "eps-homog-curve", "grid": {"n": 10, "eps": ["-1/2"]}},
+    {"kind": "graph-container-exhaustive", "grid": {"n": -1}},
+], ids=["eps-homog-curve-negative-eps", "graph-container-exhaustive-negative-n"])
+def test_experiment_out_of_range_grid_values_exit_2_at_once(tmp_path, document):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(document))
+    result, seconds = _run_cli("experiment", "run", str(cfg))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert seconds < 2
+
+
+def test_experiment_exhaustive_at_n0_is_an_empty_report(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "graph-container-exhaustive", "grid": {"n": 0}}))
+    result = invoke("experiment", "run", str(cfg))
+    assert result.exit_code == 0, (result.output, result.exception)
+    assert result.output == "experiment,instance_id,verdict\n"

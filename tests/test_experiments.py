@@ -264,6 +264,26 @@ def test_overlay_audit_default_constant_passes_at_n150():
     assert all(r.verdict == "ok" for r in rows), rows
 
 
+def test_triangle_scan_rows_end_with_the_worst_ratio():
+    cfg = ExperimentConfig(kind="triangle-scan", grid={"m": 6, "samples": 20}, seeds=(5,))
+    *samples, summary = run_experiment(cfg)
+    assert [r.instance for r in samples] == [f"m6-s5-i{i}" for i in range(20)]
+    ratios = [dict(r.measures)["ratio"] for r in samples]
+    worst = dict(summary.measures)["worst_ratio"]
+    assert worst > 0 and worst == max(r for r in ratios if r != "")
+    for row, ratio in zip(samples, ratios):
+        d = row.as_dict()
+        if d["triangles"]:
+            assert ratio == Fraction(d["dist"], 15) ** 2 * 6**3 / d["triangles"]
+
+
+@pytest.mark.parametrize("grid", [{"m": 13, "samples": 1}, {"m": 12, "samples": 4097}],
+                         ids=["m-above-12", "dp-states-above-2^24"])
+def test_triangle_scan_above_a_cap_is_one_capability_row(grid):
+    rows = run_experiment(ExperimentConfig(kind="triangle-scan", grid=grid))
+    assert [r.verdict for r in rows] == ["error:capability"]
+
+
 # The first 16 hex digits of the SHA-256 of each CSV report of gate 10's
 # configs and of one homog-count-pipeline run, pinned across commits (gate 10
 # compares reruns of one commit only).

@@ -1,7 +1,8 @@
 """Fuzzing of the text readers and of the CLI exit-code contract: arbitrary
 text, and well-formed files with a few random edits, may only be rejected with
 InputError (exit 2) or CapabilityError (exit 3); an experiment config with one
-top-level field replaced by arbitrary JSON runs or exits 2."""
+top-level field replaced by arbitrary JSON runs or exits 2; `params` and
+`hom --eps` end in a documented exit code, never a traceback."""
 
 import json
 from fractions import Fraction
@@ -114,3 +115,27 @@ def test_construct_exits_0_2_or_3(kind, n, p, eps, parts, seed):
     args += ["--eps", eps] if eps is not None else []
     result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 2, 3), (args, result.output, result.exception)
+
+
+@given(variant=st.sampled_from(["graph", "uniform", "tournament"]),
+       eps=st.sampled_from(["1/128", "1/200", "1/50", "0", "-1/2", "x"]),
+       f=st.sampled_from(["2", "5/2", "1", "x"]), h=st.integers(-3, 8))
+@settings(max_examples=60, deadline=None)
+def test_params_exits_0_1_2_or_3(variant, eps, f, h):
+    args = ["params", "--variant", variant, "--eps", eps, "--f", f, "--h", str(h)]
+    result = CliRunner().invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, result.output, result.exception)
+    assert result.exit_code in (0, 1, 2, 3), (args, result.output)
+
+
+@given(eps=_RATIONAL_TEXT | st.builds(lambda a, b: f"-{a}/{b}", st.integers(0, 50),
+                                     st.integers(1, 50)),
+       mode=st.sampled_from(["density", "degree"]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_hom_eps_exits_0_2_or_3(tmp_path_factory, eps, mode, seed):
+    path = tmp_path_factory.mktemp("hom") / "g.txt"
+    path.write_text(write_graph(gnp(8, Fraction(1, 2), seed)))
+    result = CliRunner().invoke(main, ["hom", str(path), "--eps", eps, "--mode", mode])
+    assert result.exit_code in (0, 2, 3), (eps, result.output, result.exception)

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab.errors import CapabilityError, InputError, ParameterError, VerificationError
-from homlab.generators import complete_multipartite, gnp, random_cograph
+from homlab.generators import complete_multipartite, gnp, random_bipartite, random_cograph
 from homlab.graphs import (
     Graph,
     _bits,
+    _mask,
+    complement,
     complete_graph,
     count_induced_p4,
     cycle_graph,
@@ -64,6 +66,45 @@ def reference_exact_eps_homogeneous(
     if g.n:
         witness.validate(g)
     return witness
+
+
+def reference_greedy_eps_homogeneous(
+    g: Graph, epsilon: Fraction, mode: str = "density"
+) -> EpsHomogeneousWitness:
+    """The greedy peel ``find_eps_homogeneous`` replaced, kept verbatim: it
+    peels the max-degree vertex of g (sparse side) and of the complement graph
+    (dense side), rebuilding the vertex mask from a set at every step, and
+    checks every suffix of both orders."""
+    eps = Fraction(epsilon)
+    best: tuple[int, int, str] | None = None  # (size, mask, side)
+
+    def peel_order(host: Graph) -> list[int]:
+        w = set(range(host.n))
+        order = []
+        while w:
+            wmask = _mask(w)
+            v = min(w, key=lambda x: (-(host.masks[x] & wmask).bit_count(), x))
+            order.append(v)
+            w.discard(v)
+        return order
+
+    def consider(smask: int, side: str) -> None:
+        nonlocal best
+        size = smask.bit_count()
+        if (best is None or size > best[0]) and _condition(g, smask, eps, mode, side):
+            best = (size, smask, side)
+
+    for side, host in (("sparse", g), ("dense", complement(g))):
+        order = peel_order(host)
+        smask = _mask(range(g.n))
+        for v in order + [None]:  # check every suffix including the full set
+            consider(smask, side)
+            if v is None:
+                break
+            smask &= ~(1 << v)
+    return EpsHomogeneousWitness(
+        vertices=frozenset(_bits(best[1])), side=best[2], mode=mode, epsilon=eps
+    )
 
 
 def petersen():
@@ -214,6 +255,28 @@ def test_degree_mode_is_stricter_than_density():
     degree = reference_exact_eps_homogeneous(g, eps, mode="degree")
     density = reference_exact_eps_homogeneous(g, eps, mode="density")
     assert len(degree.vertices) <= len(density.vertices)
+
+
+_PEEL_GRAPHS = st.one_of(
+    st.builds(lambda n, p, seed: gnp(n, Fraction(p, 10), seed),
+              st.integers(0, 40), st.integers(0, 10), st.integers(0, 10**6)),
+    st.builds(random_cograph, st.integers(1, 40), st.integers(0, 10**6)),
+    st.builds(lambda n, seed: random_bipartite(n, Fraction(1, 2), seed),
+              st.integers(2, 40), st.integers(0, 10**6)),
+)
+
+
+@given(_PEEL_GRAPHS, st.sampled_from([0, Fraction(1, 16), Fraction(1, 4), Fraction(1, 2), 1]),
+       st.sampled_from(["density", "degree"]))
+@settings(max_examples=150, deadline=None)
+def test_greedy_peel_matches_the_complement_graph_peel(g, eps, mode):
+    assert find_eps_homogeneous(g, eps, mode) == reference_greedy_eps_homogeneous(g, eps, mode)
+
+
+@pytest.mark.parametrize("eps", [Fraction(-1, 2), Fraction(-1, 10**9), Fraction(1001, 1000)])
+def test_eps_search_outside_0_to_1_is_refused(eps):
+    with pytest.raises(ParameterError):
+        find_eps_homogeneous(path_graph(3), eps)
 
 
 def test_eps_search_above_the_cap_is_refused():

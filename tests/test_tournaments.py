@@ -19,7 +19,6 @@ from homlab.tournaments import (
     dist_to_transitive_bruteforce,
     dist_to_transitive_exact,
     read_tournament,
-    triangle_distance_scan,
     write_tournament,
 )
 
@@ -126,17 +125,6 @@ def test_witness_validation_catches_wrong_claim():
 def test_dp_capability_cap():
     with pytest.raises(CapabilityError):
         dist_to_transitive_exact(random_tournament(22, seed=0))
-
-
-def test_scan_report_shape():
-    report = triangle_distance_scan(6, 20, seed=5)
-    assert len(report.points) == 20
-    assert report.worst_ratio is not None and report.worst_ratio > 0
-
-
-def test_scan_cap():
-    with pytest.raises(CapabilityError):
-        triangle_distance_scan(13, 1, seed=0)
 
 
 @given(st.integers(1, 10), st.integers(0, 10**6))
