@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Calibrate the induced-P4 count of the overlay construction.
 
-For each (eps, seed) the script builds the construction, exactly counts
-induced-P4 embeddings, verifies every copy stays inside one part, and prints
-the ratio embeddings / (eps^6 n^4).  The maximum observed ratio is what pins
-the regression constant used by the acceptance suite.
+For each (eps, seed) the script reads the ``overlay-audit`` row (the exact
+induced-P4 counts of the construction and whether every copy stays inside
+one part) and prints the ratio embeddings / (eps^6 n^4).  The maximum
+observed ratio is what pins the regression constant used by the acceptance
+suite.
 """
 
 import argparse
 from fractions import Fraction
 
-from homlab.generators import overlay_construction
-from homlab.graphs import count_induced_p4
+from homlab.experiments import ExperimentConfig, run_experiment
 
 
 def main() -> None:
@@ -23,16 +23,20 @@ def main() -> None:
 
     worst = Fraction(0)
     for eps_text in args.eps:
-        eps = Fraction(eps_text)
-        for seed in args.seeds:
-            art = overlay_construction(args.n, eps, seed)
-            subsets, embeddings, copies = count_induced_p4(art.graph)
-            within = all(len({art.part_of(v) for v in c}) == 1 for c in copies)
-            ratio = Fraction(embeddings) / (eps**6 * args.n**4)
+        config = ExperimentConfig(
+            kind="overlay-audit", grid={"n": args.n, "eps": [eps_text]}, seeds=tuple(args.seeds)
+        )
+        for seed, row in zip(args.seeds, run_experiment(config)):  # one row per seed
+            d = row.as_dict()
+            if row.verdict == "error:capability":
+                raise SystemExit(f"error: {d['error']}")
+            eps, n = d["eps"], d["n"]
+            ratio = Fraction(d["p4_embeddings"]) / (eps**6 * n**4)
             worst = max(worst, ratio)
             print(
-                f"eps={eps} seed={seed} s={art.s} subsets={subsets} "
-                f"embeddings={embeddings} ratio={float(ratio):.1f} within_part={within}"
+                f"eps={eps} seed={seed} s={d['s']} "
+                f"subsets={d['p4_subsets']} embeddings={d['p4_embeddings']} "
+                f"ratio={float(ratio):.1f} within_part={d['all_within_part']}"
             )
     print(f"max ratio: {float(worst):.1f}  (regression constant must be >= this)")
 

@@ -224,15 +224,31 @@ def kw_bound(n: int, params: ContainerParams, improved: bool = False) -> int:
         return base
     # the ceiling of value = sqrt(value^2) is the smallest c with c^2 >= ceil(value^2)
     sq = Fraction(2 ** (2 * ell) * base * base) * Fraction(u, n) ** (ell - 1)
-    q = -(-sq.numerator // sq.denominator)
+    q = math.ceil(sq)
     return math.isqrt(q - 1) + 1 if q else 0
 
 
+_BOUND_DIGITS = 4300  # Python's default limit on converting an int to decimal text
+_BOUND_LIMIT = 10**_BOUND_DIGITS  # the least bound with too many digits to print
+
+
+def _binomial(a: int, j: int) -> int:
+    """C(a, j), refused when it has too many digits to print: C(a, j) >=
+    2^min(j, a-j), so a large min(j, a-j) is refused before C(a, j) is formed."""
+    if min(j, a - j) >= _BOUND_LIMIT.bit_length():
+        raise CapabilityError(f"C({a}, {j}) has more than {_BOUND_DIGITS} digits")
+    return math.comb(a, j)
+
+
 def hypergraph_bound(n: int, r: int, params: ContainerParams) -> int:
-    """r-uniform count bound C(n,(r-1)ell)*C(u,k-(r-1)ell)."""
+    """r-uniform count bound C(n,(r-1)ell)*C(u,k-(r-1)ell); CapabilityError
+    if it has too many decimal digits to print."""
     params.check_for(n, r=r)
     drop = (r - 1) * params.ell
-    return math.comb(n, drop) * math.comb(params.u, params.k - drop)
+    bound = _binomial(n, drop) * _binomial(params.u, params.k - drop)
+    if bound >= _BOUND_LIMIT:
+        raise CapabilityError(f"the count bound has more than {_BOUND_DIGITS} digits")
+    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ class ExperimentConfig:
     """One experiment: ``kind`` names its row builder, ``generator`` and
     ``grid`` hold the builder's options, ``seeds`` lists distinct non-negative
     seeds whose rows are concatenated in order (none: seed 0 alone), and
-    ``out`` is an optional report path.  The shape is checked once, here,
+    ``out`` names the report file ``homlab experiment run`` writes when no
+    ``--out`` is given (none: stdout).  The shape is checked once, here,
     including that every grid and generator key is one the builder reads and
     every grid value casts the way the builder reads it; a config that breaks
     it raises InputError."""
@@ -135,7 +136,7 @@ def render_value(value: Any) -> str:
     return str(value)
 
 
-def emit_report(rows: Iterable[ReportRow], format: str = "csv", path: str | None = None) -> str:
+def emit_report(rows: Iterable[ReportRow], format: str = "csv") -> str:
     rows = list(rows)
     if format == "csv":
         columns: list[str] = ["experiment", "instance_id"]
@@ -163,12 +164,6 @@ def emit_report(rows: Iterable[ReportRow], format: str = "csv", path: str | None
         )
     else:
         raise InputError(f"unknown report format {format!r}")
-    if path is not None:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write report to {path}: {exc}") from exc
     return text
 
 
@@ -251,7 +246,7 @@ def _precondition_ok(low: np.ndarray, n: int, eps: Fraction, u: int) -> np.ndarr
     for s in range(max(u, 1), n + 1):
         thr = eps * s - 1
         if thr > 0:
-            ok &= low[s] >= -((-thr.numerator) // thr.denominator)  # ceil
+            ok &= low[s] >= math.ceil(thr)
     return ok
 
 
@@ -489,14 +484,15 @@ def _rows_eps_homog_curve(config: ExperimentConfig, seed: int) -> Iterator[Repor
     n = int(config.grid.get("n", 60))
     p = Fraction(config.grid.get("p", "1/2"))
     eps_values = [Fraction(e) for e in config.grid.get("eps", ["1/4", "1/8", "1/16"])]
+    if kind not in ("bipartite", "cograph", "gnp"):
+        raise InputError(f"unknown generator kind {kind!r}")
+    homogeneous._check_eps_search_size(n)  # before the graph is drawn
     if kind == "bipartite":
         g = generators.random_bipartite(n, p, seed)
     elif kind == "cograph":
         g = generators.random_cograph(n, seed)
-    elif kind == "gnp":
-        g = generators.gnp(n, p, seed)
     else:
-        raise InputError(f"unknown generator kind {kind!r}")
+        g = generators.gnp(n, p, seed)
     for eps in eps_values:
         witness = homogeneous.find_eps_homogeneous(g, eps, mode="density")
         yield ReportRow(

@@ -10,8 +10,8 @@ below floor(p * 2^64), p an exact rational.  A random tournament is the
 orientation of G(n, 1/2): for u < v, u beats v iff {u, v} is an edge.  An
 instance may have at most 2^24 candidate edges, one drawn word each; a
 larger one raises CapabilityError before any candidate is enumerated.  A
-complete multipartite graph draws nothing and is held to the same cap on its
-C(n, 2) pairs.
+complete multipartite graph and a random cograph draw no edge coins and are
+held to the same cap on their C(n, 2) pairs.
 """
 
 from __future__ import annotations
@@ -154,6 +154,7 @@ def random_cograph(n: int, seed: int, stream: int | None = None) -> Graph:
     4-vertex paths."""
     if n < 1:
         raise InputError("n must be >= 1")
+    _check_draws(math.comb(n, 2))
     rng = rng_for(seed, stream)
 
     def build(size: int) -> list[int]:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import CapabilityError, InputError, ParameterError, VerificationError
 from .graphs import (Graph, _bits, _count_k_sets, _induced_p4s, complement, edge_density,
@@ -265,37 +264,50 @@ def verify_count_lower_bound(
 # eps-homogeneous search
 
 
-def _condition(g: Graph, smask: int, eps: Fraction, mode: str, side: str) -> bool:
-    s = smask.bit_count()
-    if s <= 1:
-        return True
-    if mode == "density":
-        inner = sum((g.masks[v] & smask).bit_count() for v in _bits(smask)) // 2
-        dens = Fraction(inner, math.comb(s, 2))
-        return dens <= eps if side == "sparse" else dens >= 1 - eps
-    degs = [(g.masks[v] & smask).bit_count() for v in _bits(smask)]
-    if side == "sparse":
-        return max(degs) <= eps * (s - 1)
-    return min(degs) >= (1 - eps) * (s - 1)
-
-
-def _peel(g: Graph, side: str) -> Iterator[int]:
-    """The nonempty vertex masks a greedy peel leaves, from all of V down:
-    each step deletes the vertex with the most neighbours in what remains
-    (sparse side) or the fewest, i.e. the most in the complement (dense side),
-    ties to the lower index (``min`` keeps the first of equal keys)."""
+def _peel(g: Graph, eps: Fraction, mode: str, side: str, best: int) -> int:
+    """The first (largest) vertex mask a greedy peel leaves, from all of V
+    down, that has more than ``best`` vertices and satisfies the side's
+    condition; 0 if there is none.  Each step deletes the vertex with the
+    most neighbours in what remains (sparse side) or the fewest, i.e. the most
+    in the complement (dense side), ties to the lower index (``min`` keeps the
+    first of equal keys).  That vertex's degree is the largest (sparse) or
+    smallest (dense) degree of the induced subgraph, which the degree
+    condition reads, and deleting it lowers the inner edge count, which the
+    density condition reads, by that degree."""
+    s = g.n
+    if s <= best:
+        return 0
     sign = -1 if side == "sparse" else 1
     key = [sign * row.bit_count() for row in g.masks]  # signed degree in what remains
-    wmask = (1 << g.n) - 1
-    while wmask:
-        yield wmask
+    inner = sign * sum(key) // 2  # edges inside what remains
+    wmask = (1 << s) - 1
+    while s > best:
+        if s == 1:
+            return wmask
         v = min(_bits(wmask), key=key.__getitem__)
+        degree = sign * key[v]
+        if mode == "density":
+            value, scale = Fraction(inner, s * (s - 1) // 2), 1
+        else:
+            value, scale = degree, s - 1
+        if (value <= eps * scale) if side == "sparse" else (value >= (1 - eps) * scale):
+            return wmask
         wmask &= ~(1 << v)
+        s -= 1
+        inner -= degree
         for u in _bits(g.masks[v] & wmask):
             key[u] -= sign
+    return 0
 
 
 _HOM_EPS_N = 1000
+
+
+def _check_eps_search_size(n: int) -> None:
+    """CapabilityError if :func:`find_eps_homogeneous` refuses an n-vertex
+    graph; a caller that builds the graph can check before building it."""
+    if n > _HOM_EPS_N:
+        raise CapabilityError(f"eps-homogeneous search capped at n={_HOM_EPS_N}, got {n}")
 
 
 def find_eps_homogeneous(
@@ -310,8 +322,7 @@ def find_eps_homogeneous(
     candidate or once it is no larger than the best so far.  Each step takes
     O(n) big-integer popcounts.
     """
-    if g.n > _HOM_EPS_N:
-        raise CapabilityError(f"eps-homogeneous search capped at n={_HOM_EPS_N}, got {g.n}")
+    _check_eps_search_size(g.n)
     eps = Fraction(epsilon)
     if not 0 <= eps <= 1:
         raise ParameterError(f"eps must lie in [0, 1], got {eps}")
@@ -319,12 +330,9 @@ def find_eps_homogeneous(
         raise InputError(f"unknown mode {mode!r}")
     best, best_side = 0, "sparse"  # the empty set qualifies on either side
     for side in ("sparse", "dense"):
-        for smask in _peel(g, side):
-            if smask.bit_count() <= best.bit_count():
-                break
-            if _condition(g, smask, eps, mode, side):
-                best, best_side = smask, side
-                break
+        smask = _peel(g, eps, mode, side, best.bit_count())
+        if smask:
+            best, best_side = smask, side
     witness = EpsHomogeneousWitness(
         vertices=frozenset(_bits(best)), side=best_side, mode=mode, epsilon=eps
     )

@@ -11,6 +11,7 @@ and platform-independent.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,16 +118,12 @@ def _resolve(
     raise ParameterError(f"enclosure failed to resolve at {_MAX_PREC} bits")
 
 
-def _ceil_fraction(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
 def _resolve_ceil(expr: _Enclose) -> int:
     """Ceiling of a real given an enclosure-producing evaluator, resolved once
     the enclosure no longer straddles an integer boundary."""
     def same_ceil(lo: Fraction, hi: Fraction) -> int | None:
-        c = _ceil_fraction(lo)
-        return c if c == _ceil_fraction(hi) else None
+        c = math.ceil(lo)
+        return c if c == math.ceil(hi) else None
     return _resolve(expr, same_ceil)[0]
 
 

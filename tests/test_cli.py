@@ -458,6 +458,43 @@ def test_construct_multipartite_above_the_cap_exits_3_at_once():
     assert seconds < 2
 
 
+def test_construct_cograph_above_the_cap_exits_3_at_once():
+    result, seconds = _run_cli("construct", "--kind", "cograph", "--n", "8000")
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert seconds < 2
+
+
+@pytest.mark.parametrize("options, code", [
+    ("--u 20000 --k 10000", 3),  # a bound of 6019 digits, formed and refused
+    ("--u 100000000 --k 50000000", 3),  # refused before C(10^8, 5*10^7) is formed
+    ("--u 5000 --k 2500", 0),  # a bound of 1503 digits, printed
+])
+def test_containers_verify_refuses_a_bound_too_long_to_print(tmp_path, options, code):
+    path = tmp_path / "g.txt"
+    path.write_text("3 0\n")
+    result, seconds = _run_cli("containers", "verify", str(path), "--eps", "1/2", *options.split())
+    assert result.returncode == code, result.stderr
+    assert code == 0 or result.stderr.startswith("error: ")
+    assert seconds < 2
+
+
+@pytest.mark.parametrize("document", [
+    {"kind": "graph-container-exhaustive", "grid": {"n": 3, "u": [20000], "k": [10000]}},
+    {"kind": "eps-homog-curve", "grid": {"n": 5000}},
+    {"kind": "eps-homog-curve", "generator": {"kind": "cograph"}, "grid": {"n": 5000}},
+], ids=["unprintable-bound", "eps-curve-gnp-above-1000", "eps-curve-cograph-above-1000"])
+def test_experiment_above_a_cap_is_a_capability_row_at_once(tmp_path, document):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(document))
+    result, seconds = _run_cli("experiment", "run", str(cfg))
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header == "experiment,instance_id,seed,error,verdict"
+    assert len(rows) == 1 and rows[0].endswith(",error:capability")
+    assert seconds < 2
+
+
 # The first 16 hex digits of the SHA-256 of `homlab containers verify` on
 # seeded inputs, pinned across commits: the precondition's verdict and first
 # witness, the count and the bound all show here.

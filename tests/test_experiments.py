@@ -66,14 +66,13 @@ def test_emit_report_header_only_when_empty():
     assert emit_report([]) == "experiment,instance_id,verdict\n"
 
 
-def test_emit_report_stable_columns(tmp_path):
+def test_emit_report_stable_columns():
     rows = [
         ReportRow("demo", "a", (("n", 3),), (("value", Fraction(1, 2)),), "ok"),
         ReportRow("demo", "b", (("n", 4),), (("value", Fraction(1, 3)),), "ok"),
     ]
-    text = emit_report(rows, path=str(tmp_path / "r.csv"))
+    text = emit_report(rows)
     assert text.splitlines()[0] == "experiment,instance_id,n,value,verdict"
-    assert (tmp_path / "r.csv").read_text() == text
     doc = json.loads(emit_report(rows, format="json"))
     assert doc[0]["value"] == "1/2"
 
@@ -284,9 +283,9 @@ def test_triangle_scan_above_a_cap_is_one_capability_row(grid):
     assert [r.verdict for r in rows] == ["error:capability"]
 
 
-# The first 16 hex digits of the SHA-256 of each CSV report of gate 10's
-# configs and of one homog-count-pipeline run, pinned across commits (gate 10
-# compares reruns of one commit only).
+# The first 16 hex digits of the SHA-256 of one CSV report of each experiment
+# kind (gate 10's configs among them), pinned across commits (gate 10 compares
+# reruns of one commit only).
 @pytest.mark.parametrize(
     "config, digest",
     [
@@ -300,8 +299,14 @@ def test_triangle_scan_above_a_cap_is_one_capability_row(grid):
          "f7435fbd09132c9c"),
         (ExperimentConfig(kind="homog-count-pipeline", grid={"count": 2}, seeds=(0, 1)),
          "bf8cf2eb68425547"),
+        (ExperimentConfig(kind="graph-container-exhaustive", grid={"n": 5}), "db58574dc8de0d16"),
+        (ExperimentConfig(kind="closeness-pipeline", grid={"count": 2}, seeds=(0, 1)),
+         "af05bebbf27a2cf9"),
+        (ExperimentConfig(kind="overlay-audit", grid={"n": 40, "eps": ["1/10", "1/5"]},
+                          seeds=(0, 1)), "792795ecd44f484a"),
     ],
-    ids=["hypergraph-container-sample", "triangle-scan", "eps-homog-curve", "homog-count-pipeline"],
+    ids=["hypergraph-container-sample", "triangle-scan", "eps-homog-curve", "homog-count-pipeline",
+         "graph-container-exhaustive", "closeness-pipeline", "overlay-audit"],
 )
 def test_report_bytes_are_pinned(config, digest):
     csv = emit_report(run_experiment(config))

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable
 
@@ -21,7 +22,6 @@ from homlab.graphs import (
 )
 from homlab.homogeneous import (
     EpsHomogeneousWitness,
-    _condition,
     check_tk_property,
     copy_count_threshold,
     count_homogeneous_k,
@@ -37,6 +37,20 @@ from homlab.homogeneous import (
 def all_graphs_family() -> Callable[[Graph], bool]:
     """Membership predicate of all graphs."""
     return lambda g: True
+
+
+def _condition(g: Graph, smask: int, eps: Fraction, mode: str, side: str) -> bool:
+    s = smask.bit_count()
+    if s <= 1:
+        return True
+    if mode == "density":
+        inner = sum((g.masks[v] & smask).bit_count() for v in _bits(smask)) // 2
+        dens = Fraction(inner, math.comb(s, 2))
+        return dens <= eps if side == "sparse" else dens >= 1 - eps
+    degs = [(g.masks[v] & smask).bit_count() for v in _bits(smask)]
+    if side == "sparse":
+        return max(degs) <= eps * (s - 1)
+    return min(degs) >= (1 - eps) * (s - 1)
 
 
 def reference_exact_eps_homogeneous(
