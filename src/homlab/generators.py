@@ -6,7 +6,12 @@ from the Philox counter-based bit generator keyed through
 bit-exact across platforms and reruns.  One draw rule, in ``_coins``, serves
 every random edge set: the candidate pairs (or r-subsets) take one 64-bit
 word each in lexicographic order, and a candidate is an edge iff its word is
-below floor(p * 2^64), p an exact rational.  A random tournament is the
+below floor(p * 2^64), p an exact rational.  ``_coins`` returns that rule as
+a boolean coin mask, compared in numpy.  ``gnp`` reads no candidate tuples:
+it packs the mask into strictly-upper bit rows and ``Graph._from_upper``
+mirrors them with one bit-matrix transpose.  ``random_bipartite`` and
+``random_uniform_hypergraph`` compress their candidates with the mask and
+build through ``from_edges``.  A random tournament is the
 orientation of G(n, 1/2): for u < v, u beats v iff {u, v} is an edge.  An
 instance may have at most 2^24 candidate edges, one drawn word each; a
 larger one raises CapabilityError before any candidate is enumerated.  A
@@ -20,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,29 +62,41 @@ def _check_draws(count: int) -> None:
         raise CapabilityError(f"{count} candidate edges exceed the cap of {_MAX_DRAWS} per instance")
 
 
-def _coins(rng: np.random.Generator, items: Iterable[tuple[int, ...]], count: int,
-           p: Fraction) -> Iterator[tuple[int, ...]]:
-    """The items whose word is below floor(p * 2^64): ``count`` words, one per
-    item in order; ``items`` is read lazily and must hold exactly ``count``."""
+def _coins(rng: np.random.Generator, count: int, p: Fraction) -> np.ndarray:
+    """The coin mask of ``count`` candidates: one word each, in order, and
+    True iff the word is below floor(p * 2^64)."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise InputError(f"probability {p} outside [0,1]")
     _check_draws(count)
-    thr = p.numerator * _TWO64 // p.denominator
-    draws = rng.integers(0, _TWO64, size=count, dtype=np.uint64).tolist()
-    return itertools.compress(items, [d < thr for d in draws])
+    words = rng.integers(0, _TWO64, size=count, dtype=np.uint64)
+    if p == 1:  # floor(p * 2^64) = 2^64 does not fit in a uint64
+        return np.ones(count, dtype=bool)
+    return words < np.uint64(p.numerator * _TWO64 // p.denominator)
 
 
-def _subsets(n: int, r: int) -> tuple[Iterator[tuple[int, ...]], int]:
-    """The r-subsets of ``range(n)`` in lexicographic order, and their number."""
+def _candidates(n: int, r: int) -> int:
+    """The number of r-subsets of ``range(n)``."""
     if n < 0:
         raise InputError(f"vertex count n={n} is negative")
-    return itertools.combinations(range(n), r), math.comb(n, r)
+    return math.comb(n, r)
 
 
 def gnp(n: int, p: Fraction, seed: int, stream: int | None = None) -> Graph:
-    """Erdos-Renyi graph: each pair independently an edge with probability p."""
-    return Graph.from_edges(n, _coins(rng_for(seed, stream), *_subsets(n, 2), p))
+    """Erdos-Renyi graph: each pair independently an edge with probability p.
+
+    The coins of the pairs (u, v), v > u, are consecutive in lexicographic
+    order, so row u's neighbours above u are one slice of the packed mask."""
+    packed = np.packbits(_coins(rng_for(seed, stream), _candidates(n, 2), p),
+                         bitorder="little").tobytes()
+    upper = []
+    start = 0
+    for u in range(n):
+        end = start + n - 1 - u
+        word = int.from_bytes(packed[start >> 3:(end + 7) >> 3], "little") >> (start & 7)
+        upper.append((word & (1 << (end - start)) - 1) << (u + 1))
+        start = end
+    return Graph._from_upper(n, upper)
 
 
 def random_tournament(n: int, seed: int, stream: int | None = None) -> Tournament:
@@ -188,13 +205,15 @@ def random_bipartite(n: int, p: Fraction, seed: int, stream: int | None = None) 
     perm = [int(v) for v in rng.permutation(n)]
     left = set(perm[: (n + 1) // 2])
     cross = ((u, v) for u, v in itertools.combinations(range(n), 2) if (u in left) != (v in left))
-    return Graph.from_edges(n, _coins(rng, cross, count, p))
+    return Graph.from_edges(n, itertools.compress(cross, _coins(rng, count, p).tolist()))
 
 
 def random_uniform_hypergraph(r: int, n: int, p: Fraction, seed: int, stream: int | None = None):
     """Each r-subset independently an edge with probability p (lexicographic
     tuple order)."""
-    return UniformHypergraph.from_edges(r, n, _coins(rng_for(seed, stream), *_subsets(n, r), p))
+    coins = _coins(rng_for(seed, stream), _candidates(n, r), p)
+    return UniformHypergraph.from_edges(
+        r, n, itertools.compress(itertools.combinations(range(n), r), coins.tolist()))
 
 
 def perturb_edges(g: Graph, flips: int, seed: int, stream: int | None = None) -> Graph:

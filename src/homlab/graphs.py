@@ -8,6 +8,8 @@ never enter a count.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,6 +84,46 @@ def _count_k_sets(rows: Sequence[int], k: int, edges: Sequence[int] = ()) -> int
     return pick((1 << len(rows)) - 1, k, list(edges)) if k else 1
 
 
+@functools.lru_cache(maxsize=4)
+def _swap_masks(side: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each delta swap of :func:`_transpose` for a
+    side x side matrix, side a power of two and at least 8.  The swap at
+    block width j exchanges entry (r, c), for r & j == 0 and c & j != 0, with
+    entry (r + j, c - j), j * (side - 1) bits higher; the mask holds the
+    lower entries.  The largest mask has side^2 bits, so few sides are kept."""
+    zero_row = bytes(side // 8)
+    swaps = []
+    j = side // 2
+    while j:
+        if j >= 8:
+            row = (bytes(j // 8) + b"\xff" * (j // 8)) * (side // (2 * j))
+        else:  # columns c with c & j != 0 inside each byte
+            row = bytes([{1: 0xAA, 2: 0xCC, 4: 0xF0}[j]]) * (side // 8)
+        block = row * j + zero_row * j  # j rows with r & j == 0, then j without
+        swaps.append((j * (side - 1), int.from_bytes(block * (side // (2 * j)), "little")))
+        j //= 2
+    return tuple(swaps)
+
+
+def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """The transpose of the square bit matrix whose entry (i, j) is bit j of
+    ``rows[i]``; each row must lie in [0, 2^len(rows)).
+
+    The rows are padded to a power-of-two side of at least 8 bits and laid
+    out row-major in one integer; swapping bit b of the row index with bit b
+    of the column index, for every b, is one masked delta swap each, so the
+    whole transpose takes log2(side) rounds of big-integer shifts."""
+    n = len(rows)
+    side = max(8, 1 << (n - 1).bit_length())
+    width = side // 8
+    x = int.from_bytes(b"".join(row.to_bytes(width, "little") for row in rows), "little")
+    for shift, mask in _swap_masks(side):
+        t = (x >> shift ^ x) & mask
+        x ^= t ^ t << shift
+    flat = x.to_bytes(side * width, "little")
+    return tuple(int.from_bytes(flat[i * width:(i + 1) * width], "little") for i in range(n))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``."""
@@ -111,6 +153,23 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
+
+    @classmethod
+    def _from_upper(cls, n: int, upper: Sequence[int]) -> "Graph":
+        """The graph whose row v is ``upper[v]``, v's neighbours above v, and
+        their mirror below v.  Each row is checked to lie strictly above its
+        diagonal and inside n; the mirror is one :func:`_transpose`, so the
+        rows are symmetric by construction and the per-edge walk of
+        ``__post_init__`` is skipped."""
+        if n < 0 or len(upper) != n:
+            raise InputError(f"need exactly n={n} upper rows")
+        for v, row in enumerate(upper):
+            if row >> n or row & (2 << v) - 1:
+                raise InputError(f"upper row {v} references vertices outside ({v},{n})")
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "masks", tuple(map(int.__or__, upper, _transpose(upper))))
+        return g
 
     @property
     def edge_count(self) -> int:
@@ -324,10 +383,22 @@ def _rational(value) -> Fraction:
         raise InputError(f"bad rational {value!r}: {exc}") from exc
 
 
+_PICKS = bytes.maketrans(b"01", b"\0\1")  # a binary digit string to 0/1 selectors
+
+
 def write_graph(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count}"]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
+    """The "n m" header, then one block per vertex u: a line "u v" for each
+    neighbour v > u, ascending.  The neighbours are picked from the names
+    above u by the reversed binary digits of the row above u."""
+    names = [str(v) for v in range(g.n)]
+    blocks = [f"{g.n} {g.edge_count}"]
+    for u, row in enumerate(g.masks):
+        above = row >> u + 1
+        if above:
+            prefix = names[u] + " "
+            picks = bin(above)[:1:-1].encode().translate(_PICKS)
+            blocks.append(prefix + ("\n" + prefix).join(itertools.compress(names[u + 1:], picks)))
+    return "\n".join(blocks) + "\n"
 
 
 def _read_edge_file(

@@ -114,31 +114,44 @@ def max_clique(g: Graph) -> frozenset[int]:
     Branching order is deterministic (ascending index within color classes),
     so the returned witness is reproducible.
     """
-    n, masks = g.n, g.masks
-    if n == 0:
+    if g.n == 0:
         return frozenset()
-    best_mask = 1  # single vertex is always a clique
-    best_size = 1
+    return _clique_above(g, 1) or frozenset({0})  # a single vertex is always a clique
 
-    def color_sort(p: int) -> list[tuple[int, int]]:
+
+def _clique_above(g: Graph, bound: int) -> frozenset[int] | None:
+    """The maximum clique :func:`max_clique`'s search finds first, if it has
+    more than ``bound`` vertices; None if no clique has more.
+
+    A higher bound prunes only subtrees that hold no clique larger than the
+    best so far, so the search still meets the first maximum clique on the
+    same path: the witness does not depend on the bound."""
+    masks = g.masks
+    best_mask = 0
+    best_size = bound
+
+    def color_sort(p: int, floor: int) -> list[tuple[int, int]]:
         # greedy coloring of candidate mask p; returns (vertex, color) with
-        # colors nondecreasing, vertices ascending inside each class
+        # colors nondecreasing, vertices ascending inside each class, for the
+        # colors above floor: a vertex of a lower color cannot beat the bound
         order: list[tuple[int, int]] = []
         color = 0
         rest = p
         while rest:
             color += 1
+            keep = color > floor
             avail = rest
             while avail:
                 v = (avail & -avail).bit_length() - 1
-                order.append((v, color))
+                if keep:
+                    order.append((v, color))
                 rest &= ~(1 << v)
                 avail &= ~masks[v] & ~(1 << v)
         return order
 
     def expand(rmask: int, rsize: int, p: int) -> None:
         nonlocal best_mask, best_size
-        order = color_sort(p)
+        order = color_sort(p, best_size - rsize)
         for v, color in reversed(order):
             if rsize + color <= best_size:
                 return
@@ -151,8 +164,8 @@ def max_clique(g: Graph) -> frozenset[int]:
                 expand(new_r, rsize + 1, new_p)
             p &= ~(1 << v)
 
-    expand(0, 0, (1 << n) - 1)
-    return frozenset(_bits(best_mask))
+    expand(0, 0, (1 << g.n) - 1)
+    return frozenset(_bits(best_mask)) if best_mask else None
 
 
 _HOM_EXACT_N = 200
@@ -165,8 +178,8 @@ def hom_exact(g: Graph) -> tuple[int, HomogeneousWitness]:
     if g.n == 0:
         return 0, HomogeneousWitness(frozenset(), "clique")
     cl = max_clique(g)
-    ind = max_clique(complement(g))
-    if len(cl) >= len(ind):
+    ind = _clique_above(complement(g), len(cl))  # only a larger set can win
+    if ind is None:
         witness = HomogeneousWitness(cl, "clique")
     else:
         witness = HomogeneousWitness(ind, "independent")

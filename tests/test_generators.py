@@ -1,8 +1,13 @@
 import dataclasses
 import itertools
 import math
+import os
 import statistics
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,6 +383,32 @@ def test_gnp_matches_its_reference_at_larger_n(n, seed):
         assert gnp(n, p, seed, stream=seed) == reference_gnp(n, p, seed, stream=seed)
 
 
+@pytest.mark.parametrize("n", [0, 1, 1000])
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1)])
+def test_gnp_rows_match_their_reference_at_the_extremes(n, p):
+    assert gnp(n, p, 3).masks == reference_gnp(n, p, 3).masks
+
+
+def test_gnp_at_the_draw_cap_is_quick_and_small():
+    # C(5793, 2) = 16,776,528 draws, just under the 2^24 cap; run alone so
+    # the peak resident set is this draw's
+    code = ("import resource, sys\n"
+            "from fractions import Fraction\n"
+            "from homlab.generators import gnp\n"
+            "g = gnp(5793, Fraction(1, 2), 0)\n"
+            "assert g.n == 5793 and g.edge_count > 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(generators.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    wall = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    assert wall < 10
+    assert int(done.stdout) < 500 * 1024  # ru_maxrss is in KiB on Linux
+
+
 @pytest.mark.parametrize("n", [10, 40, 150])
 @pytest.mark.parametrize("eps", [Fraction(1, 20), Fraction(1, 10), Fraction(1, 5), Fraction(2, 5)])
 def test_overlay_matches_its_reference(n, eps):
@@ -439,10 +470,10 @@ class _Words:
 def test_a_candidate_is_kept_iff_its_word_is_below_floor_p_times_2_64():
     floor = _TWO64 // 3
     words = _Words([0, floor - 1, floor, floor + 1, _TWO64 - 1])
-    assert list(generators._coins(words, "abcde", 5, Fraction(1, 3))) == ["a", "b"]
-    assert list(generators._coins(words, "abcde", 5, Fraction(0))) == []
-    assert list(generators._coins(words, "abcde", 5, Fraction(1))) == list("abcde")
-    assert list(generators._coins(words, "abcde", 5, 1 - Fraction(1, _TWO64))) == list("abcd")
+    assert generators._coins(words, 5, Fraction(1, 3)).tolist() == [True, True, False, False, False]
+    assert generators._coins(words, 5, Fraction(0)).tolist() == [False] * 5
+    assert generators._coins(words, 5, Fraction(1)).tolist() == [True] * 5
+    assert generators._coins(words, 5, 1 - Fraction(1, _TWO64)).tolist() == [True] * 4 + [False]
 
 
 def test_draw_cap_is_checked_per_instance(monkeypatch):

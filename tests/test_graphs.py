@@ -12,6 +12,7 @@ from homlab.generators import gnp, overlay_construction
 from homlab.graphs import (
     Graph,
     _bits,
+    _transpose,
     UniformHypergraph,
     complement,
     complete_graph,
@@ -264,6 +265,68 @@ def test_complement_edge_partition(g):
 @settings(max_examples=100, deadline=None)
 def test_graph_text_roundtrip(g):
     assert read_graph(write_graph(g)) == g
+
+
+def reference_write_graph(g):
+    """The writer as it was before its row blocks: one f-string per edge,
+    kept verbatim."""
+    lines = [f"{g.n} {g.edge_count}"]
+    lines += [f"{u} {v}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
+
+
+# graphs of 0 to 40 vertices, sparse enough to leave isolated vertices
+any_size_graphs = st.integers(0, 40).flatmap(
+    lambda n: st.builds(
+        Graph.from_edges,
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+                 max_size=3 * n) if n >= 2 else st.just([]),
+    )
+)
+
+
+@given(any_size_graphs)
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_its_reference(g):
+    assert write_graph(g) == reference_write_graph(g)
+
+
+@pytest.mark.parametrize("g", [empty_graph(0), empty_graph(1), empty_graph(5), complete_graph(9),
+                               Graph.from_edges(6, [(1, 4)])])
+def test_writer_matches_its_reference_on_named_graphs(g):
+    assert write_graph(g) == reference_write_graph(g)
+
+
+@given(st.integers(0, 70).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+@settings(max_examples=300, deadline=None)
+def test_transpose_matches_a_naive_transpose(rows):
+    n = len(rows)
+    naive = tuple(sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n))
+    assert _transpose(rows) == naive
+
+
+@given(any_size_graphs)
+@settings(max_examples=100, deadline=None)
+def test_graph_from_upper_rows_equals_the_validated_graph(g):
+    upper = [row >> v + 1 << v + 1 for v, row in enumerate(g.masks)]
+    assert Graph._from_upper(g.n, upper) == g
+
+
+def test_graph_from_upper_rejects_bits_on_or_below_the_diagonal_and_at_or_above_n():
+    assert Graph._from_upper(3, [0b110, 0b100, 0]) == complete_graph(3)
+    for upper in ([0b001, 0, 0],  # on the diagonal
+                  [0, 0b001, 0],  # below it
+                  [0, 0, 0b100],  # on the last diagonal entry
+                  [0b1000, 0, 0],  # at n
+                  [0, 0b10100, 0],  # above n
+                  [0b10, 0b100],  # too few rows
+                  [-2, 0, 0]):
+        with pytest.raises(InputError):
+            Graph._from_upper(3, upper)
+    with pytest.raises(InputError):
+        Graph._from_upper(-1, [])
 
 
 def test_graph_text_format_shape():

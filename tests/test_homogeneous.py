@@ -176,6 +176,80 @@ def test_max_clique_is_maximum(n, seed):
     assert len(clique) == best
 
 
+def reference_max_clique(g):
+    """The clique search as it was before the incumbent and the colour cut,
+    kept verbatim: a single vertex as the first incumbent, every coloured
+    vertex recorded."""
+    n, masks = g.n, g.masks
+    if n == 0:
+        return frozenset()
+    best_mask = 1  # single vertex is always a clique
+    best_size = 1
+
+    def color_sort(p):
+        order = []
+        color = 0
+        rest = p
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append((v, color))
+                rest &= ~(1 << v)
+                avail &= ~masks[v] & ~(1 << v)
+        return order
+
+    def expand(rmask, rsize, p):
+        nonlocal best_mask, best_size
+        order = color_sort(p)
+        for v, color in reversed(order):
+            if rsize + color <= best_size:
+                return
+            new_r = rmask | (1 << v)
+            new_p = p & masks[v]
+            if rsize + 1 > best_size:
+                best_size = rsize + 1
+                best_mask = new_r
+            if new_p:
+                expand(new_r, rsize + 1, new_p)
+            p &= ~(1 << v)
+
+    expand(0, 0, (1 << n) - 1)
+    return frozenset(_bits(best_mask))
+
+
+def reference_hom(g):
+    """(size, vertices, kind) of hom_exact from two unbounded reference searches."""
+    cl, ind = reference_max_clique(g), reference_max_clique(complement(g))
+    if len(cl) >= len(ind):
+        return len(cl), cl, "clique"
+    return len(ind), ind, "independent"
+
+
+def _hom(g):
+    size, witness = hom_exact(g)
+    return size, witness.vertices, witness.kind
+
+
+@given(st.integers(0, 30), st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)]),
+       st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_clique_search_keeps_the_reference_witness(n, p, seed):
+    g = gnp(n, p, seed)
+    assert max_clique(g) == reference_max_clique(g)
+    assert _hom(g) == reference_hom(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 40, 60])
+@pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)])
+def test_clique_search_keeps_the_reference_witness_on_seeded_gnp(n, p):
+    for seed in range(3):
+        g = gnp(n, p, seed)
+        assert max_clique(g) == reference_max_clique(g)
+        assert _hom(g) == reference_hom(g)
+
+
 # ---------------------------------------------------------------------------
 # homogeneous k-set counting
 
