@@ -392,7 +392,7 @@ def test_gnp_rows_match_their_reference_at_the_extremes(n, p):
 def test_gnp_at_the_draw_cap_is_quick_and_small():
     # C(5793, 2) = 16,776,528 draws, just under the 2^24 cap; run alone so
     # the peak resident set is this draw's
-    code = ("import resource, sys\n"
+    code = ("import resource\n"
             "from fractions import Fraction\n"
             "from homlab.generators import gnp\n"
             "g = gnp(5793, Fraction(1, 2), 0)\n"

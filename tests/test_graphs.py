@@ -4,7 +4,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homlab.errors import InputError
@@ -287,20 +287,18 @@ any_size_graphs = st.integers(0, 40).flatmap(
 
 
 @given(any_size_graphs)
+@example(empty_graph(0))
+@example(empty_graph(1))
+@example(complete_graph(9))
+@example(Graph.from_edges(6, [(1, 4)]))
 @settings(max_examples=200, deadline=None)
 def test_writer_matches_its_reference(g):
     assert write_graph(g) == reference_write_graph(g)
 
 
-@pytest.mark.parametrize("g", [empty_graph(0), empty_graph(1), empty_graph(5), complete_graph(9),
-                               Graph.from_edges(6, [(1, 4)])])
-def test_writer_matches_its_reference_on_named_graphs(g):
-    assert write_graph(g) == reference_write_graph(g)
-
-
 @given(st.integers(0, 70).flatmap(
     lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_transpose_matches_a_naive_transpose(rows):
     n = len(rows)
     naive = tuple(sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n))
