@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -44,16 +44,17 @@ class ExperimentConfig:
     ``grid`` hold the builder's options, ``seeds`` lists distinct non-negative
     seeds whose rows are concatenated in order (none: seed 0 alone), and
     ``out`` names the report file ``homlab experiment run`` writes when no
-    ``--out`` is given (none: stdout).  The shape is checked once, here,
-    including that every grid and generator key is one the builder reads and
-    every grid value casts the way the builder reads it; a config that breaks
-    it raises InputError."""
+    ``--out`` is given (none: stdout).  The shape is checked once, here: each
+    grid and generator key is one the kind declares, and each declared key,
+    given or defaulted, is cast the way the builder takes it; a config that
+    breaks it raises InputError."""
 
     kind: str
     generator: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     seeds: tuple[int, ...] = ()
     out: str | None = None
+    _options: dict[str, Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
@@ -61,13 +62,16 @@ class ExperimentConfig:
         if not (isinstance(self.generator, dict) and isinstance(self.grid, dict)):
             raise InputError("config fields 'generator' and 'grid' must be objects")
         spec = _KINDS[self.kind]
-        _reject_unknown(f"{self.kind} generator", self.generator, spec.generator)
-        _reject_unknown(f"{self.kind} grid", self.grid, spec.grid)
-        for key, value in self.grid.items():
-            try:
-                spec.grid[key](value)
-            except (InputError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise InputError(f"grid key {key!r}: cannot read {value!r}: {exc}") from exc
+        options = {}
+        for what, doc, keys in (("generator", self.generator, spec.generator),
+                                ("grid", self.grid, spec.grid)):
+            _reject_unknown(f"{self.kind} {what}", doc, keys)
+            for key, (cast, default) in keys.items():
+                value = doc.get(key, default)
+                try:  # an absent key without a default is derived by the builder
+                    options[key] = cast(value) if key in doc or default is not None else None
+                except (InputError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                    raise InputError(f"{what} key {key!r}: cannot read {value!r}: {exc}") from exc
         seeds = self.seeds
         if not (
             isinstance(seeds, (list, tuple))
@@ -75,9 +79,12 @@ class ExperimentConfig:
             and len(set(seeds)) == len(seeds)
         ):
             raise InputError(f"config 'seeds' must list distinct non-negative integers: {seeds!r}")
+        if seeds and not spec.seeded:
+            raise InputError(f"{self.kind} checks every graph and takes no seeds")
         if not (self.out is None or isinstance(self.out, str)):
             raise InputError(f"config 'out' must be a path or null, got {self.out!r}")
         object.__setattr__(self, "seeds", tuple(seeds))
+        object.__setattr__(self, "_options", options)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -87,11 +94,8 @@ class ExperimentConfig:
             raise InputError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "kind" not in doc:
             raise InputError("config must be a JSON object with a 'kind' field")
-        _reject_unknown("config", doc, [f.name for f in fields(cls)])
+        _reject_unknown("config", doc, [f.name for f in fields(cls) if f.init])
         return cls(**doc)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _reject_unknown(what: str, doc: dict, known: Iterable[str]) -> None:
@@ -152,16 +156,8 @@ def emit_report(rows: Iterable[ReportRow], format: str = "csv") -> str:
             lines.append(",".join(render_value(d[c]) if c in d else "" for c in columns))
         text = "\n".join(lines) + "\n"
     elif format == "json":
-        text = (
-            json.dumps(
-                [
-                    {k: render_value(v) for k, v in row.as_dict().items()}
-                    for row in rows
-                ],
-                indent=2,
-            )
-            + "\n"
-        )
+        rendered = [{k: render_value(v) for k, v in row.as_dict().items()} for row in rows]
+        text = json.dumps(rendered, indent=2) + "\n"
     else:
         raise InputError(f"unknown report format {format!r}")
     return text
@@ -260,10 +256,8 @@ def exhaustive_graph_container_check(
     k are skipped (invalid for the graph bound).  The vectorized primitives
     are cross-checked against the scalar oracles by `spot_check_vectorized`.
     """
-    eps_values = list(eps_values)
-    u_values = list(u_values)
-    k_values = list(k_values)
-    counts, low = _vectorized_tables(n)
+    counts, low = _vectorized_tables(n)  # before the values: a capped n lists none of them
+    eps_values, u_values, k_values = list(eps_values), list(u_values), list(k_values)
 
     def exceeding(ok_arr: np.ndarray, k: int, bound: int) -> int:
         # no graph has more than C(n, k) independent k-sets (none for k > n)
@@ -285,19 +279,9 @@ def exhaustive_graph_container_check(
                 improved = containers.kw_bound(n, params, improved=True)
                 viol = exceeding(ok_arr, k, bound)
                 viol_improved = exceeding(ok_arr, k, improved)
-                summaries.append(
-                    ComboSummary(
-                        n=n,
-                        epsilon=eps,
-                        u=u,
-                        k=k,
-                        ell=ell,
-                        bound=bound,
-                        instances_checked=checked,
-                        violations=viol,
-                        improved_bound_violations=viol_improved,
-                    )
-                )
+                summaries.append(ComboSummary(
+                    n=n, epsilon=eps, u=u, k=k, ell=ell, bound=bound, instances_checked=checked,
+                    violations=viol, improved_bound_violations=viol_improved))
     return summaries
 
 
@@ -337,16 +321,14 @@ def spot_check_vectorized(
 # experiment kinds: each builds the rows of one seed
 
 
-def _rows_graph_container_exhaustive(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
-    if config.seeds:
-        raise InputError(f"{config.kind} checks every graph and takes no seeds")
-    n = int(config.grid.get("n", 7))
-    eps_values = [Fraction(e) for e in config.grid.get("eps", ["1/4", "1/2", "1"])]
-    u_values = [int(u) for u in config.grid.get("u", list(range(1, n + 1)))]
-    k_values = [int(k) for k in config.grid.get("k", list(range(n + 1)))]
-    for s in exhaustive_graph_container_check(n, eps_values, u_values, k_values):
+def _rows_graph_container_exhaustive(experiment: str, seed: int, *, n: int, eps: list[Fraction],
+                                     u: list[int] | None,
+                                     k: list[int] | None) -> Iterator[ReportRow]:
+    u_values = range(1, n + 1) if u is None else u
+    k_values = range(n + 1) if k is None else k
+    for s in exhaustive_graph_container_check(n, eps, u_values, k_values):
         yield ReportRow(
-            experiment=config.kind,
+            experiment=experiment,
             instance=f"n{s.n}-eps{s.epsilon}-u{s.u}-k{s.k}",
             params=(
                 ("n", s.n), ("r", 2), ("eps", s.epsilon), ("u", s.u), ("ell", s.ell), ("k", s.k)
@@ -361,16 +343,14 @@ def _rows_graph_container_exhaustive(config: ExperimentConfig, seed: int) -> Ite
         )
 
 
-def _rows_hypergraph_container_sample(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
+def _rows_hypergraph_container_sample(experiment: str, seed: int, *, n: list[int],
+                                      p: list[Fraction], eps: list[Fraction],
+                                      count: int) -> Iterator[ReportRow]:
     """r=3 container-soundness instances, one stream per attempt; an instance
     failing the degree precondition does not qualify and yields no row."""
-    n_values = [int(n) for n in config.grid.get("n", [8, 9, 10, 11, 12])]
-    p_values = [Fraction(p) for p in config.grid.get("p", ["4/5"])]
-    eps_values = [Fraction(e) for e in config.grid.get("eps", ["1/8"])]
-    per_cell = int(config.grid.get("count", 10))
     r = 3
-    attempts = itertools.product(n_values, p_values, eps_values, range(per_cell))
-    for stream, (n, p, eps, _) in enumerate(attempts):
+    attempts = itertools.product(n, p, eps, range(count))
+    for stream, (n, p, eps, _) in enumerate(attempts):  # one attempt's n, p and eps
         h = generators.random_uniform_hypergraph(r, n, p, seed, stream=stream)
         u = n - 3
         if not containers.verify_degree_precondition(h, eps, u)[0]:
@@ -387,7 +367,7 @@ def _rows_hypergraph_container_sample(config: ExperimentConfig, seed: int) -> It
         contain_ok = i_set <= trace.segment_union | trace.container
         ok = exact <= bound and shrink_ok and contain_ok
         yield ReportRow(
-            experiment=config.kind,
+            experiment=experiment,
             instance=f"n{n}-p{p}-eps{eps}-s{seed}-i{stream}",
             params=(("n", n), ("r", r), ("eps", eps), ("u", u), ("ell", ell), ("k", k)),
             measures=(
@@ -402,17 +382,14 @@ def _rows_hypergraph_container_sample(config: ExperimentConfig, seed: int) -> It
         )
 
 
-def _rows_homog_count_pipeline(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
-    n = int(config.grid.get("n", 40))
-    p = Fraction(config.grid.get("p", "1/20"))
-    t = int(config.grid.get("t", 5))
-    k = int(config.grid.get("k", 3))
-    for i in range(int(config.grid.get("count", 10))):
+def _rows_homog_count_pipeline(experiment: str, seed: int, *, n: int, p: Fraction, t: int, k: int,
+                               count: int) -> Iterator[ReportRow]:
+    for i in range(count):
         g = generators.gnp(n, p, seed, stream=i)
         embeddings = graphs.count_induced_p4(g)[1]
         report = homogeneous.verify_count_lower_bound(g, path_graph(4), t, k, embeddings=embeddings)
         yield ReportRow(
-            experiment=config.kind,
+            experiment=experiment,
             instance=f"n{n}-p{p}-s{seed}-i{i}",
             params=(("n", n), ("p", p), ("t", t), ("k", k)),
             measures=(
@@ -426,20 +403,19 @@ def _rows_homog_count_pipeline(config: ExperimentConfig, seed: int) -> Iterator[
         )
 
 
-def _rows_closeness_pipeline(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
-    n = int(config.grid.get("n", 40))
-    t = int(config.grid.get("t", 5))
-    k = int(config.grid.get("k", 3))
-    flips = int(config.grid.get("flips", n * n // (2 * t) // t))
+def _rows_closeness_pipeline(experiment: str, seed: int, *, n: int, t: int, k: int,
+                             flips: int | None, count: int) -> Iterator[ReportRow]:
     closeness_budget = n * n // (2 * t)
+    if flips is None:
+        flips = closeness_budget // t
     bound = Fraction(1, 2) * Fraction(n, 2 * t) ** k
-    for i in range(int(config.grid.get("count", 10))):
+    for i in range(count):
         base = generators.random_cograph(n, seed, stream=i)
         g = generators.perturb_edges(base, flips, seed, stream=i + 10**6)
         hom_count = homogeneous.count_homogeneous_k(g, k)
         ok = flips <= closeness_budget and hom_count >= bound
         yield ReportRow(
-            experiment=config.kind,
+            experiment=experiment,
             instance=f"n{n}-s{seed}-i{i}",
             params=(("n", n), ("t", t), ("k", k), ("flips", flips)),
             measures=(
@@ -451,24 +427,22 @@ def _rows_closeness_pipeline(config: ExperimentConfig, seed: int) -> Iterator[Re
         )
 
 
-def _rows_overlay_audit(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
+def _rows_overlay_audit(experiment: str, seed: int, *, n: int, eps: list[Fraction],
+                        embedding_constant: int) -> Iterator[ReportRow]:
     """Induced P4s of the overlay construction: all inside one part, and at
     most embedding_constant * eps^6 * n^4 embeddings.  The default constant
     1000 is the calibrated regression bound (scripts/overlay_calibration.py;
     the worst observed ratio at n = 150 is 681)."""
-    n = int(config.grid.get("n", 150))
-    eps_values = [Fraction(e) for e in config.grid.get("eps", ["1/20", "1/10"])]
-    cap = int(config.grid.get("embedding_constant", 1000))
-    for eps in eps_values:
-        art = generators.overlay_construction(n, eps, seed)
+    for epsilon in eps:
+        art = generators.overlay_construction(n, epsilon, seed)
         subsets, embeddings, copies = graphs.count_induced_p4(art.graph)
         within = all(len({art.part_of(v) for v in copy}) == 1 for copy in copies)
-        limit = cap * eps**6 * n**4
+        limit = embedding_constant * epsilon**6 * n**4
         ok = within and embeddings <= limit
         yield ReportRow(
-            experiment=config.kind,
-            instance=f"n{n}-eps{eps}-s{seed}",
-            params=(("n", n), ("eps", eps), ("s", art.s)),
+            experiment=experiment,
+            instance=f"n{n}-eps{epsilon}-s{seed}",
+            params=(("n", n), ("eps", epsilon), ("s", art.s)),
             measures=(
                 ("p4_subsets", subsets),
                 ("p4_embeddings", embeddings),
@@ -479,13 +453,8 @@ def _rows_overlay_audit(config: ExperimentConfig, seed: int) -> Iterator[ReportR
         )
 
 
-def _rows_eps_homog_curve(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
-    kind = config.generator.get("kind", "bipartite")
-    n = int(config.grid.get("n", 60))
-    p = Fraction(config.grid.get("p", "1/2"))
-    eps_values = [Fraction(e) for e in config.grid.get("eps", ["1/4", "1/8", "1/16"])]
-    if kind not in ("bipartite", "cograph", "gnp"):
-        raise InputError(f"unknown generator kind {kind!r}")
+def _rows_eps_homog_curve(experiment: str, seed: int, *, kind: str, n: int, p: Fraction,
+                          eps: list[Fraction]) -> Iterator[ReportRow]:
     homogeneous._check_eps_search_size(n)  # before the graph is drawn
     if kind == "bipartite":
         g = generators.random_bipartite(n, p, seed)
@@ -493,16 +462,16 @@ def _rows_eps_homog_curve(config: ExperimentConfig, seed: int) -> Iterator[Repor
         g = generators.random_cograph(n, seed)
     else:
         g = generators.gnp(n, p, seed)
-    for eps in eps_values:
-        witness = homogeneous.find_eps_homogeneous(g, eps, mode="density")
+    for epsilon in eps:
+        witness = homogeneous.find_eps_homogeneous(g, epsilon, mode="density")
         yield ReportRow(
-            experiment=config.kind,
-            instance=f"{kind}-n{n}-eps{eps}-s{seed}",
-            params=(("generator", kind), ("n", n), ("eps", eps)),
+            experiment=experiment,
+            instance=f"{kind}-n{n}-eps{epsilon}-s{seed}",
+            params=(("generator", kind), ("n", n), ("eps", epsilon)),
             measures=(
                 ("witness_size", len(witness.vertices)),
                 ("witness_side", witness.side),
-                ("size_over_eps_n", Fraction(len(witness.vertices)) / (eps * n)),
+                ("size_over_eps_n", Fraction(len(witness.vertices)) / (epsilon * n)),
             ),
             verdict="ok",
         )
@@ -511,12 +480,10 @@ def _rows_eps_homog_curve(config: ExperimentConfig, seed: int) -> Iterator[Repor
 _SCAN_STATES = 1 << 24  # DP states per scan, the size of the per-instance draw cap
 
 
-def _rows_triangle_scan(config: ExperimentConfig, seed: int) -> Iterator[ReportRow]:
+def _rows_triangle_scan(experiment: str, seed: int, *, m: int, samples: int) -> Iterator[ReportRow]:
     """Cyclic triangles and exact distance to transitivity of seeded random
     tournaments on m vertices, and the largest observed
     (dist/C(m,2))^2 * m^3 / triangles.  Report-only: no constant is asserted."""
-    m = int(config.grid.get("m", 9))
-    samples = int(config.grid.get("samples", 100))
     if m > 12:
         raise CapabilityError("exact distances in the scan are capped at m=12")
     if samples << max(m, 0) > _SCAN_STATES:  # a negative m fails in the generator
@@ -532,14 +499,14 @@ def _rows_triangle_scan(config: ExperimentConfig, seed: int) -> Iterator[ReportR
         if tri:
             worst = ratio if worst == "" else max(worst, ratio)
         yield ReportRow(
-            experiment=config.kind,
+            experiment=experiment,
             instance=f"m{m}-s{seed}-i{i}",
             params=(("m", m), ("seed", seed)),
             measures=(("triangles", tri), ("dist", dist), ("ratio", ratio)),
             verdict="ok",
         )
     yield ReportRow(
-        experiment=config.kind,
+        experiment=experiment,
         instance=f"m{m}-s{seed}-summary",
         params=(("m", m), ("seed", seed)),
         measures=(("worst_ratio", worst),),
@@ -547,38 +514,68 @@ def _rows_triangle_scan(config: ExperimentConfig, seed: int) -> Iterator[ReportR
     )
 
 
+_Cast = Callable[[Any], Any]
+
+
 class _Kind(NamedTuple):
-    rows: Callable[[ExperimentConfig, int], Iterator[ReportRow]]  # one seed's rows
-    grid: dict[str, Callable[[Any], Any]]  # each grid key rows reads -> the cast it applies
-    generator: tuple[str, ...] = ()  # the generator keys rows reads
+    """An experiment kind: ``rows(experiment, seed, **options)`` builds one
+    seed's rows, and each grid and generator key maps to its cast and its
+    default, a JSON value cast like a given one (None: the builder derives it
+    from the other keys)."""
+
+    rows: Callable[..., Iterator[ReportRow]]
+    grid: dict[str, tuple[_Cast, Any]]
+    generator: dict[str, tuple[_Cast, Any]] = {}
+    seeded: bool = True  # False: the kind checks every graph and takes no seeds
 
 
-def _positive(value: Any) -> int:
-    """Cast of a grid value that a builder divides by: an int of at least 1."""
-    number = int(value)
-    if number < 1:
-        raise ValueError("must be a positive integer")
-    return number
+def _positive(cast: _Cast) -> _Cast:
+    """``cast`` of a grid value that a builder divides by: at least 1 for an
+    int, above 0 for a rational."""
+    def cast_positive(value: Any) -> Any:
+        number = cast(value)
+        if number <= 0:
+            raise ValueError("must be positive")
+        return number
+    return cast_positive
+
+
+def _generator_kind(value: Any) -> str:
+    if value not in ("bipartite", "cograph", "gnp"):
+        raise InputError(f"unknown generator kind {value!r}")
+    return value
 
 
 _INTS, _RATIONALS = _list_of(int), _list_of(_rational)
 
 _KINDS: dict[str, _Kind] = {
-    "graph-container-exhaustive": _Kind(_rows_graph_container_exhaustive,
-                                        {"n": int, "eps": _RATIONALS, "u": _INTS, "k": _INTS}),
+    "graph-container-exhaustive": _Kind(
+        _rows_graph_container_exhaustive,
+        {"n": (int, 7), "eps": (_RATIONALS, ["1/4", "1/2", "1"]), "u": (_INTS, None),
+         "k": (_INTS, None)},
+        seeded=False),
     "hypergraph-container-sample": _Kind(
         _rows_hypergraph_container_sample,
-        {"n": _INTS, "p": _RATIONALS, "eps": _RATIONALS, "count": int}),
+        {"n": (_INTS, [8, 9, 10, 11, 12]), "p": (_RATIONALS, ["4/5"]),
+         "eps": (_RATIONALS, ["1/8"]), "count": (int, 10)}),
     "homog-count-pipeline": _Kind(
         _rows_homog_count_pipeline,
-        {"n": int, "p": _rational, "t": _positive, "k": int, "count": int}),
-    "closeness-pipeline": _Kind(_rows_closeness_pipeline,
-                                {"n": int, "t": _positive, "k": int, "flips": int, "count": int}),
-    "overlay-audit": _Kind(_rows_overlay_audit,
-                           {"n": int, "eps": _RATIONALS, "embedding_constant": int}),
-    "eps-homog-curve": _Kind(_rows_eps_homog_curve, {"n": int, "p": _rational, "eps": _RATIONALS},
-                             generator=("kind",)),
-    "triangle-scan": _Kind(_rows_triangle_scan, {"m": int, "samples": int}),
+        {"n": (int, 40), "p": (_rational, "1/20"), "t": (_positive(int), 5), "k": (int, 3),
+         "count": (int, 10)}),
+    "closeness-pipeline": _Kind(
+        _rows_closeness_pipeline,
+        {"n": (int, 40), "t": (_positive(int), 5), "k": (int, 3), "flips": (int, None),
+         "count": (int, 10)}),
+    "overlay-audit": _Kind(
+        _rows_overlay_audit,
+        {"n": (int, 150), "eps": (_RATIONALS, ["1/20", "1/10"]),
+         "embedding_constant": (int, 1000)}),
+    "eps-homog-curve": _Kind(
+        _rows_eps_homog_curve,
+        {"n": (_positive(int), 60), "p": (_rational, "1/2"),
+         "eps": (_list_of(_positive(_rational)), ["1/4", "1/8", "1/16"])},
+        generator={"kind": (_generator_kind, "bipartite")}),
+    "triangle-scan": _Kind(_rows_triangle_scan, {"m": (int, 9), "samples": (int, 100)}),
 }
 
 
@@ -593,7 +590,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ReportRow
 
     def unit(seed: int) -> list[ReportRow]:
         try:
-            return list(builder(config, seed))
+            return list(builder(config.kind, seed, **config._options))
         except CapabilityError as exc:
             return [
                 ReportRow(

@@ -25,13 +25,9 @@ __all__ = [
     "induced_subgraph",
     "count_induced_p4",
     "path_graph",
-    "cycle_graph",
-    "complete_graph",
-    "empty_graph",
     "read_graph",
     "write_graph",
     "read_hypergraph",
-    "write_hypergraph",
 ]
 
 
@@ -328,25 +324,8 @@ def count_induced_p4(g: Graph) -> tuple[int, int, list[tuple[int, int, int, int]
     return len(copies), 2 * len(copies), copies
 
 
-# ---------------------------------------------------------------------------
-# small named graphs
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
-
-
-def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
-
-
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +410,6 @@ def read_graph(text: str) -> Graph:
         if len(e) != 2 or e[0] >= e[1]:
             raise InputError(f"edge line must be two integers u < v, got {e}")
     return Graph.from_edges(n, edges)
-
-
-def write_hypergraph(h: UniformHypergraph) -> str:
-    lines = [f"{h.r} {h.n} {h.edge_count}"]
-    lines += [" ".join(map(str, e)) for e in sorted(h.edges)]
-    return "\n".join(lines) + "\n"
 
 
 def read_hypergraph(text: str) -> UniformHypergraph:

@@ -14,8 +14,10 @@ import homlab
 from homlab.cli import main
 from homlab.errors import InputError
 from homlab.generators import gnp, random_uniform_hypergraph
-from homlab.graphs import _rational, complete_graph, read_graph, write_graph, write_hypergraph
+from homlab.graphs import _rational, read_graph, write_graph
 from homlab.tournaments import read_tournament
+
+from graph_helpers import complete_graph, write_hypergraph
 
 
 def invoke(*args):
@@ -601,6 +603,19 @@ def test_experiment_out_of_range_grid_values_exit_2_at_once(tmp_path, document):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error: ")
     assert seconds < 2
+
+
+@pytest.mark.parametrize("document, key", [
+    ({"kind": "eps-homog-curve", "generator": {"kind": "gnp"}, "grid": {"n": 0}}, "n"),
+    ({"kind": "eps-homog-curve", "grid": {"n": 10, "eps": ["0"]}}, "eps"),
+], ids=["gnp-at-n0", "eps-0"])
+def test_eps_homog_curve_without_a_positive_n_or_eps_exits_2(tmp_path, document, key):
+    # size_over_eps_n divides by eps * n
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(document))
+    result = invoke("experiment", "run", str(cfg))
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.output.startswith(f"error: grid key {key!r}")
 
 
 def test_experiment_exhaustive_at_n0_is_an_empty_report(tmp_path):

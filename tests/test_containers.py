@@ -29,11 +29,10 @@ from homlab.graphs import (
     UniformHypergraph,
     _bits,
     _mask,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
     path_graph,
 )
+
+from graph_helpers import complete_graph, cycle_graph, empty_graph
 
 
 def all_graphs(n):

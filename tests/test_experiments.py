@@ -1,13 +1,15 @@
 import dataclasses
 import hashlib
+import inspect
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from homlab import experiments
-from homlab.errors import InputError
+from homlab.errors import CapabilityError, InputError
 from homlab.experiments import (
     ExperimentConfig,
     ReportRow,
@@ -22,8 +24,9 @@ from homlab.experiments import (
 
 
 def test_config_json_roundtrip():
-    cfg = ExperimentConfig(kind="triangle-scan", grid={"m": 6, "samples": 4}, seeds=(1, 2))
-    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+    doc = {"kind": "triangle-scan", "generator": {}, "grid": {"m": 6, "samples": 4},
+           "seeds": [1, 2], "out": None}
+    assert ExperimentConfig.from_json(json.dumps(doc)) == ExperimentConfig(**doc)
 
 
 def test_config_rejects_bad_json():
@@ -52,6 +55,75 @@ def test_exhaustive_kind_takes_no_seeds():
     assert [r.instance for r in rows] == ["n4-eps1/2-u2-k2", "n4-eps1/2-u2-k3"]
     with pytest.raises(InputError):
         run_experiment(ExperimentConfig(kind="graph-container-exhaustive", grid=grid, seeds=(0,)))
+
+
+def _declared(kind):
+    """Each (config field, key, default) the kind declares."""
+    spec = experiments._KINDS[kind]
+    return [(what, key, default) for what, keys in (("generator", spec.generator),
+                                                    ("grid", spec.grid))
+            for key, (_, default) in keys.items()]
+
+
+@pytest.mark.parametrize("kind", sorted(experiments._KINDS))
+def test_each_kind_declares_exactly_the_keys_its_builder_takes(kind):
+    spec = experiments._KINDS[kind]
+    experiment, seed, *options = inspect.signature(spec.rows).parameters
+    assert (experiment, seed) == ("experiment", "seed")
+    assert not set(spec.grid) & set(spec.generator)
+    assert sorted(key for _, key, _ in _declared(kind)) == sorted(options)
+
+
+@pytest.mark.parametrize("kind", sorted(experiments._KINDS))
+def test_an_absent_key_takes_its_default_and_null_is_an_error(kind):
+    resolved = ExperimentConfig(kind=kind)._options
+    for what, key, default in _declared(kind):
+        if default is not None:
+            assert ExperimentConfig(kind=kind, **{what: {key: default}})._options == resolved
+        with pytest.raises(InputError, match=f"{what} key {key!r}"):
+            ExperimentConfig(kind=kind, **{what: {key: None}})
+
+
+# A small config of each kind; the boundary test sets one declared key at a time.
+_BOUNDARY_BASE = {
+    "graph-container-exhaustive": {"grid": {"n": 3}},
+    "hypergraph-container-sample": {"grid": {"n": [8], "count": 1}},
+    "homog-count-pipeline": {"grid": {"n": 8, "count": 1}},
+    "closeness-pipeline": {"grid": {"n": 8, "count": 1}},
+    "overlay-audit": {"grid": {"n": 8, "eps": ["1/4"]}},
+    "eps-homog-curve": {"generator": {"kind": "gnp"}, "grid": {"n": 8, "eps": ["1/4"]}},
+    "triangle-scan": {"grid": {"m": 4, "samples": 2}},
+}
+_BOUNDARY_VALUES = [-1, 0, 1, 2, 2.5, True, "3", "0", "1/2", "-1/2", None, [], [0], [-1], ["1/2"]]
+
+
+@pytest.mark.parametrize("kind", sorted(experiments._KINDS))
+def test_each_declared_key_at_a_boundary_value_gives_rows_or_a_homlab_error(kind):
+    crashes = []
+    for what, key, _ in _declared(kind):
+        for value in _BOUNDARY_VALUES:
+            doc = {**_BOUNDARY_BASE[kind]}
+            doc[what] = {**doc.get(what, {}), key: value}
+            try:
+                run_experiment(ExperimentConfig(kind=kind, **doc))
+            except (InputError, CapabilityError):
+                pass
+            except Exception as exc:  # any other exception is a crash: exit 1 with a traceback
+                crashes.append(f"{what} {key}={value!r}: {type(exc).__name__}: {exc}")
+    assert not crashes
+
+
+def test_exhaustive_above_the_cap_lists_no_default_u_or_k():
+    # the default u and k run up to n; the n <= 7 cap fires before either is listed
+    config = ExperimentConfig(kind="graph-container-exhaustive", grid={"n": 10**6})
+    tracemalloc.start()
+    try:
+        rows = run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.verdict for r in rows] == ["error:capability"]
+    assert peak < 1 << 20
 
 
 def test_render_value_formats():

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from homlab.cli import main
 from homlab.errors import CapabilityError, InputError
 from homlab.generators import gnp, random_tournament, random_uniform_hypergraph
-from homlab.graphs import read_graph, read_hypergraph, write_graph, write_hypergraph
+from homlab.graphs import read_graph, read_hypergraph, write_graph
 from homlab.tournaments import read_tournament, write_tournament
+
+from graph_helpers import write_hypergraph
 
 _EDITS = ["", "0", "1", "7", " ", "\n", "-", "x", "1/2", "99999999999"]
 

@@ -32,13 +32,13 @@ from homlab.generators import (
 from homlab.graphs import (
     Graph,
     UniformHypergraph,
-    complete_graph,
     count_induced_p4,
     edge_density,
-    empty_graph,
 )
 from homlab.homogeneous import has_induced_p4
 from homlab.tournaments import Tournament, cyclic_triangle_count
+
+from graph_helpers import complete_graph, empty_graph
 
 
 def test_gnp_extremes():

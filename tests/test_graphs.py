@@ -15,19 +15,17 @@ from homlab.graphs import (
     _transpose,
     UniformHypergraph,
     complement,
-    complete_graph,
     count_induced_p4,
-    cycle_graph,
     edge_density,
-    empty_graph,
     induced_subgraph,
     path_graph,
     read_graph,
     read_hypergraph,
     write_graph,
-    write_hypergraph,
 )
 from homlab.homogeneous import has_induced_p4
+
+from graph_helpers import complete_graph, cycle_graph, empty_graph, write_hypergraph
 
 small_graphs = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.builds(

@@ -14,10 +14,7 @@ from homlab.graphs import (
     _bits,
     _mask,
     complement,
-    complete_graph,
     count_induced_p4,
-    cycle_graph,
-    empty_graph,
     path_graph,
 )
 from homlab.homogeneous import (
@@ -32,6 +29,8 @@ from homlab.homogeneous import (
     p4_free_family,
     verify_count_lower_bound,
 )
+
+from graph_helpers import complete_graph, cycle_graph, empty_graph
 
 
 def all_graphs_family() -> Callable[[Graph], bool]:
