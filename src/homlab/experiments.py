@@ -540,42 +540,51 @@ def _positive(cast: _Cast) -> _Cast:
     return cast_positive
 
 
+def _int(value: Any) -> int:
+    """``int(value)``, refusing a boolean and a fractional number, which
+    ``int`` would take as 0 or 1 and truncate."""
+    number = int(value)
+    if isinstance(value, bool) or isinstance(value, float) and number != value:
+        raise ValueError("not an integer")
+    return number
+
+
 def _generator_kind(value: Any) -> str:
     if value not in ("bipartite", "cograph", "gnp"):
         raise InputError(f"unknown generator kind {value!r}")
     return value
 
 
-_INTS, _RATIONALS = _list_of(int), _list_of(_rational)
+_INTS, _RATIONALS = _list_of(_int), _list_of(_rational)
 
 _KINDS: dict[str, _Kind] = {
     "graph-container-exhaustive": _Kind(
         _rows_graph_container_exhaustive,
-        {"n": (int, 7), "eps": (_RATIONALS, ["1/4", "1/2", "1"]), "u": (_INTS, None),
+        {"n": (_int, 7), "eps": (_RATIONALS, ["1/4", "1/2", "1"]), "u": (_INTS, None),
          "k": (_INTS, None)},
         seeded=False),
     "hypergraph-container-sample": _Kind(
         _rows_hypergraph_container_sample,
         {"n": (_INTS, [8, 9, 10, 11, 12]), "p": (_RATIONALS, ["4/5"]),
-         "eps": (_RATIONALS, ["1/8"]), "count": (int, 10)}),
+         "eps": (_RATIONALS, ["1/8"]), "count": (_int, 10)}),
     "homog-count-pipeline": _Kind(
         _rows_homog_count_pipeline,
-        {"n": (int, 40), "p": (_rational, "1/20"), "t": (_positive(int), 5), "k": (int, 3),
-         "count": (int, 10)}),
+        {"n": (_int, 40), "p": (_rational, "1/20"), "t": (_positive(_int), 5), "k": (_int, 3),
+         "count": (_int, 10)}),
     "closeness-pipeline": _Kind(
         _rows_closeness_pipeline,
-        {"n": (int, 40), "t": (_positive(int), 5), "k": (int, 3), "flips": (int, None),
-         "count": (int, 10)}),
+        {"n": (_int, 40), "t": (_positive(_int), 5), "k": (_int, 3), "flips": (_int, None),
+         "count": (_int, 10)}),
     "overlay-audit": _Kind(
         _rows_overlay_audit,
-        {"n": (int, 150), "eps": (_RATIONALS, ["1/20", "1/10"]),
-         "embedding_constant": (int, 1000)}),
+        {"n": (_int, 150), "eps": (_RATIONALS, ["1/20", "1/10"]),
+         "embedding_constant": (_int, 1000)}),
     "eps-homog-curve": _Kind(
         _rows_eps_homog_curve,
-        {"n": (_positive(int), 60), "p": (_rational, "1/2"),
+        {"n": (_positive(_int), 60), "p": (_rational, "1/2"),
          "eps": (_list_of(_positive(_rational)), ["1/4", "1/8", "1/16"])},
         generator={"kind": (_generator_kind, "bipartite")}),
-    "triangle-scan": _Kind(_rows_triangle_scan, {"m": (int, 9), "samples": (int, 100)}),
+    "triangle-scan": _Kind(_rows_triangle_scan, {"m": (_int, 9), "samples": (_int, 100)}),
 }
 
 

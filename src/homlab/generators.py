@@ -7,11 +7,12 @@ bit-exact across platforms and reruns.  One draw rule, in ``_coins``, serves
 every random edge set: the candidate pairs (or r-subsets) take one 64-bit
 word each in lexicographic order, and a candidate is an edge iff its word is
 below floor(p * 2^64), p an exact rational.  ``_coins`` returns that rule as
-a boolean coin mask, compared in numpy.  ``gnp`` reads no candidate tuples:
-it packs the mask into strictly-upper bit rows and ``Graph._from_upper``
-mirrors them with one bit-matrix transpose.  ``random_bipartite`` and
-``random_uniform_hypergraph`` compress their candidates with the mask and
-build through ``from_edges``.  A random tournament is the
+a boolean coin mask, compared in numpy.  A random graph reads no candidate
+tuples: ``_coin_graph`` writes the mask into an n x n boolean matrix at the
+candidate pairs above the diagonal (every pair for G(n, p), the pairs across
+the split for the random bipartite graph), ORs the matrix with its
+transpose and packs each row into one integer.  ``random_uniform_hypergraph``
+compresses its r-subsets with the mask.  A random tournament is the
 orientation of G(n, 1/2): for u < v, u beats v iff {u, v} is an edge.  An
 instance may have at most 2^24 candidate edges, one drawn word each; a
 larger one raises CapabilityError before any candidate is enumerated.  A
@@ -82,21 +83,29 @@ def _candidates(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-def gnp(n: int, p: Fraction, seed: int, stream: int | None = None) -> Graph:
-    """Erdos-Renyi graph: each pair independently an edge with probability p.
+def _coin_graph(cand: np.ndarray, coins: np.ndarray) -> Graph:
+    """The graph whose edges are the pairs {u, v} allowed by the symmetric
+    boolean matrix ``cand`` whose coins win.  ``cand`` is cut in place to its
+    entries (u, v) with u < v, the candidates; boolean indexing reads them in
+    row-major order, which is lexicographic order, so each takes its coin in
+    draw order.  The coin matrix ORed with its transpose holds both halves,
+    and each of its rows, packed into bytes, is one vertex's row integer."""
+    idx = np.arange(len(cand))
+    cand &= idx[:, None] < idx
+    m = np.zeros(cand.shape, dtype=bool)
+    m[cand] = coins
+    m |= m.T
+    packed = np.packbits(m, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return Graph._symmetric(len(m), [int.from_bytes(data[i * width:(i + 1) * width], "little")
+                                     for i in range(len(m))])
 
-    The coins of the pairs (u, v), v > u, are consecutive in lexicographic
-    order, so row u's neighbours above u are one slice of the packed mask."""
-    packed = np.packbits(_coins(rng_for(seed, stream), _candidates(n, 2), p),
-                         bitorder="little").tobytes()
-    upper = []
-    start = 0
-    for u in range(n):
-        end = start + n - 1 - u
-        word = int.from_bytes(packed[start >> 3:(end + 7) >> 3], "little") >> (start & 7)
-        upper.append((word & (1 << (end - start)) - 1) << (u + 1))
-        start = end
-    return Graph._from_upper(n, upper)
+
+def gnp(n: int, p: Fraction, seed: int, stream: int | None = None) -> Graph:
+    """Erdos-Renyi graph: each pair independently an edge with probability p."""
+    # n, p and the draw cap are checked before any n x n matrix is built
+    coins = _coins(rng_for(seed, stream), _candidates(n, 2), p)
+    return _coin_graph(np.ones((n, n), dtype=bool), coins)
 
 
 def random_tournament(n: int, seed: int, stream: int | None = None) -> Tournament:
@@ -202,10 +211,10 @@ def random_bipartite(n: int, p: Fraction, seed: int, stream: int | None = None) 
     count = (n + 1) // 2 * (n // 2)
     _check_draws(count)  # before the permutation, which is sized by n
     rng = rng_for(seed, stream)
-    perm = [int(v) for v in rng.permutation(n)]
-    left = set(perm[: (n + 1) // 2])
-    cross = ((u, v) for u, v in itertools.combinations(range(n), 2) if (u in left) != (v in left))
-    return Graph.from_edges(n, itertools.compress(cross, _coins(rng, count, p).tolist()))
+    left = np.zeros(n, dtype=bool)
+    left[rng.permutation(n)[: (n + 1) // 2]] = True
+    coins = _coins(rng, count, p)
+    return _coin_graph(left[:, None] != left, coins)
 
 
 def random_uniform_hypergraph(r: int, n: int, p: Fraction, seed: int, stream: int | None = None):

@@ -8,7 +8,6 @@ never enter a count.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,44 +79,16 @@ def _count_k_sets(rows: Sequence[int], k: int, edges: Sequence[int] = ()) -> int
     return pick((1 << len(rows)) - 1, k, list(edges)) if k else 1
 
 
-@functools.lru_cache(maxsize=4)
-def _swap_masks(side: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) of each delta swap of :func:`_transpose` for a
-    side x side matrix, side a power of two and at least 8.  The swap at
-    block width j exchanges entry (r, c), for r & j == 0 and c & j != 0, with
-    entry (r + j, c - j), j * (side - 1) bits higher; the mask holds the
-    lower entries.  The largest mask has side^2 bits, so few sides are kept."""
-    zero_row = bytes(side // 8)
-    swaps = []
-    j = side // 2
-    while j:
-        if j >= 8:
-            row = (bytes(j // 8) + b"\xff" * (j // 8)) * (side // (2 * j))
-        else:  # columns c with c & j != 0 inside each byte
-            row = bytes([{1: 0xAA, 2: 0xCC, 4: 0xF0}[j]]) * (side // 8)
-        block = row * j + zero_row * j  # j rows with r & j == 0, then j without
-        swaps.append((j * (side - 1), int.from_bytes(block * (side // (2 * j)), "little")))
-        j //= 2
-    return tuple(swaps)
-
-
-def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
-    """The transpose of the square bit matrix whose entry (i, j) is bit j of
-    ``rows[i]``; each row must lie in [0, 2^len(rows)).
-
-    The rows are padded to a power-of-two side of at least 8 bits and laid
-    out row-major in one integer; swapping bit b of the row index with bit b
-    of the column index, for every b, is one masked delta swap each, so the
-    whole transpose takes log2(side) rounds of big-integer shifts."""
-    n = len(rows)
-    side = max(8, 1 << (n - 1).bit_length())
-    width = side // 8
-    x = int.from_bytes(b"".join(row.to_bytes(width, "little") for row in rows), "little")
-    for shift, mask in _swap_masks(side):
-        t = (x >> shift ^ x) & mask
-        x ^= t ^ t << shift
-    flat = x.to_bytes(side * width, "little")
-    return tuple(int.from_bytes(flat[i * width:(i + 1) * width], "little") for i in range(n))
+def _check_rows(n: int, masks: Sequence[int]) -> None:
+    """Raise InputError unless there are n rows, each in [0, 2^n) and without
+    its own loop bit."""
+    if n < 0 or len(masks) != n:
+        raise InputError(f"need exactly n={n} adjacency rows")
+    for v, row in enumerate(masks):
+        if row >> n:  # also every negative row
+            raise InputError(f"row {v} references vertices outside [0,{n})")
+        if row >> v & 1:
+            raise InputError(f"loop at vertex {v}")
 
 
 @dataclass(frozen=True)
@@ -128,14 +99,8 @@ class Graph:
     masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0 or len(self.masks) != self.n:
-            raise InputError(f"need exactly n={self.n} adjacency rows")
-        full = (1 << self.n) - 1
+        _check_rows(self.n, self.masks)
         for v, row in enumerate(self.masks):
-            if row & ~full:
-                raise InputError(f"row {v} references vertices outside [0,{self.n})")
-            if row >> v & 1:
-                raise InputError(f"loop at vertex {v}")
             for u in _bits(row):
                 if not self.masks[u] >> v & 1:
                     raise InputError(f"asymmetric pair ({u},{v})")
@@ -151,20 +116,14 @@ class Graph:
         return cls(n, tuple(rows))
 
     @classmethod
-    def _from_upper(cls, n: int, upper: Sequence[int]) -> "Graph":
-        """The graph whose row v is ``upper[v]``, v's neighbours above v, and
-        their mirror below v.  Each row is checked to lie strictly above its
-        diagonal and inside n; the mirror is one :func:`_transpose`, so the
-        rows are symmetric by construction and the per-edge walk of
-        ``__post_init__`` is skipped."""
-        if n < 0 or len(upper) != n:
-            raise InputError(f"need exactly n={n} upper rows")
-        for v, row in enumerate(upper):
-            if row >> n or row & (2 << v) - 1:
-                raise InputError(f"upper row {v} references vertices outside ({v},{n})")
+    def _symmetric(cls, n: int, masks: Sequence[int]) -> "Graph":
+        """The graph with rows ``masks``, which the caller builds symmetric.
+        The rows are checked as in ``__post_init__`` in O(n) big-integer
+        operations; only the per-edge symmetry walk is skipped."""
+        _check_rows(n, masks)
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "masks", tuple(map(int.__or__, upper, _transpose(upper))))
+        object.__setattr__(g, "masks", tuple(masks))
         return g
 
     @property

@@ -207,10 +207,17 @@ _TRIANGLE_SCAN = {"kind": "triangle-scan", "grid": {"m": 4, "samples": 2}, "seed
         {"kind": "triangle-scan", "grid": {"m": "x"}},
         {"kind": "overlay-audit", "grid": {"eps": "1/10"}},
         {"kind": "triangle-scan", "grid": {"m": 4, "samples": 1}, "seed": [3]},
+        {"kind": "triangle-scan", "grid": {"m": 2.5, "samples": True}},
+        {"kind": "triangle-scan", "grid": {"m": 2.5}},
+        {"kind": "triangle-scan", "grid": {"samples": True}},
+        {"kind": "graph-container-exhaustive", "grid": {"n": 3, "u": [1, 1.5]}},
+        {"kind": "graph-container-exhaustive", "grid": {"n": 3, "k": [False]}},
     ],
     ids=["seeds-int", "seeds-str", "seeds-negative", "seeds-bool", "seeds-repeated", "grid-list",
          "generator-str", "kind-list", "kind-unknown", "out-int", "bare-int", "list",
-         "exhaustive-with-seeds", "grid-value-not-int", "grid-eps-not-a-list", "key-misspelt"],
+         "exhaustive-with-seeds", "grid-value-not-int", "grid-eps-not-a-list", "key-misspelt",
+         "grid-int-fractional-and-bool", "grid-int-fractional", "grid-int-bool",
+         "grid-int-list-fractional", "grid-int-list-bool"],
 )
 def test_experiment_run_rejects_malformed_configs(tmp_path, document):
     cfg = tmp_path / "cfg.json"
@@ -218,6 +225,17 @@ def test_experiment_run_rejects_malformed_configs(tmp_path, document):
     result = invoke("experiment", "run", str(cfg))
     assert result.exit_code == 2, (result.output, result.exception)
     assert result.output.startswith("error: ")
+
+
+def test_experiment_run_reads_integral_floats_and_integer_text_as_ints(tmp_path):
+    outputs = []
+    for grid in ({"m": 4, "samples": 2}, {"m": 4.0, "samples": "2"}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "triangle-scan", "grid": grid}))
+        result = invoke("experiment", "run", str(cfg))
+        assert result.exit_code == 0, (result.output, result.exception)
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("kind", ["closeness-pipeline", "homog-count-pipeline"])

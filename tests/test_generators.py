@@ -376,11 +376,15 @@ def test_generators_match_their_references(n, p, seed, stream, r):
         assert random_bipartite(n, p, seed, stream) == reference_random_bipartite(n, p, seed, stream)
 
 
-@pytest.mark.parametrize("n", [40, 100])
+@pytest.mark.parametrize("n, generator, reference", [
+    pytest.param(n, generator, reference, id=f"{n}{suffix}")
+    for suffix, generator, reference in (("", gnp, reference_gnp),
+                                         ("-bipartite", random_bipartite, reference_random_bipartite))
+    for n in (40, 100)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_gnp_matches_its_reference_at_larger_n(n, seed):
+def test_gnp_matches_its_reference_at_larger_n(n, seed, generator, reference):
     for p in (Fraction(1, 20), Fraction(1, 2), Fraction(9, 10)):
-        assert gnp(n, p, seed, stream=seed) == reference_gnp(n, p, seed, stream=seed)
+        assert generator(n, p, seed, stream=seed) == reference(n, p, seed, stream=seed)
 
 
 @pytest.mark.parametrize("n", [0, 1, 1000])
@@ -397,6 +401,25 @@ def test_gnp_at_the_draw_cap_is_quick_and_small():
             "from homlab.generators import gnp\n"
             "g = gnp(5793, Fraction(1, 2), 0)\n"
             "assert g.n == 5793 and g.edge_count > 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(generators.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    wall = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    assert wall < 10
+    assert int(done.stdout) < 500 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_bipartite_at_the_draw_cap_is_quick_and_small():
+    # 4096 * 4096 = 2^24 cross pairs, the cap; run alone like the gnp case
+    code = ("import resource\n"
+            "from fractions import Fraction\n"
+            "from homlab.generators import random_bipartite\n"
+            "g = random_bipartite(8192, Fraction(1, 2), 0)\n"
+            "assert g.n == 8192 and g.edge_count > 0\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     src = str(Path(generators.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}

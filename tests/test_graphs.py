@@ -12,7 +12,6 @@ from homlab.generators import gnp, overlay_construction
 from homlab.graphs import (
     Graph,
     _bits,
-    _transpose,
     UniformHypergraph,
     complement,
     count_induced_p4,
@@ -294,35 +293,25 @@ def test_writer_matches_its_reference(g):
     assert write_graph(g) == reference_write_graph(g)
 
 
-@given(st.integers(0, 70).flatmap(
-    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
-@settings(max_examples=150, deadline=None)
-def test_transpose_matches_a_naive_transpose(rows):
-    n = len(rows)
-    naive = tuple(sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n))
-    assert _transpose(rows) == naive
-
-
 @given(any_size_graphs)
 @settings(max_examples=100, deadline=None)
-def test_graph_from_upper_rows_equals_the_validated_graph(g):
-    upper = [row >> v + 1 << v + 1 for v, row in enumerate(g.masks)]
-    assert Graph._from_upper(g.n, upper) == g
+def test_graph_from_symmetric_rows_equals_the_validated_graph(g):
+    assert Graph._symmetric(g.n, list(g.masks)) == g
 
 
-def test_graph_from_upper_rejects_bits_on_or_below_the_diagonal_and_at_or_above_n():
-    assert Graph._from_upper(3, [0b110, 0b100, 0]) == complete_graph(3)
-    for upper in ([0b001, 0, 0],  # on the diagonal
-                  [0, 0b001, 0],  # below it
-                  [0, 0, 0b100],  # on the last diagonal entry
+def test_graph_from_symmetric_rows_rejects_loops_bits_at_or_above_n_and_a_wrong_row_count():
+    assert Graph._symmetric(3, [0b110, 0b101, 0b011]) == complete_graph(3)
+    for masks in ([0b001, 0, 0],  # a loop bit
+                  [0, 0, 0b100],  # the last vertex's loop bit
                   [0b1000, 0, 0],  # at n
                   [0, 0b10100, 0],  # above n
-                  [0b10, 0b100],  # too few rows
-                  [-2, 0, 0]):
+                  [-2, 0, 0],  # negative
+                  [0b10, 0b01],  # too few rows
+                  [0, 0, 0, 0]):  # too many
         with pytest.raises(InputError):
-            Graph._from_upper(3, upper)
+            Graph._symmetric(3, masks)
     with pytest.raises(InputError):
-        Graph._from_upper(-1, [])
+        Graph._symmetric(-1, [])
 
 
 def test_graph_text_format_shape():
