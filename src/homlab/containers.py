@@ -1,16 +1,19 @@
 """Container bounds and fingerprint algorithms for independent-set counting.
 
 Implements the r-uniform scythe procedure with co-degree-maximizing
-orderings on edge masks, whose r = 2 case is the graph max-degree fingerprint
+orderings, whose r = 2 case is the graph max-degree fingerprint
 (Kleitman-Winston style), the closed-form counting bounds, and the exact
 enumeration oracle used to verify them at desk scale.
 
-Degrees are popcounts over incident-edge rows: edge i sets bit i in the row
-of each of its vertices (a graph's edges are its 2-masks).  The scythe keeps
-the mask of the edges still alive as it picks, so a co-degree is one AND and
-one popcount.  The degree-precondition check ANDs each vertex's row with the
-edges inside a vertex set (for a graph, its adjacency row with the set) and
-compares the counts with one integer threshold per set size.
+Degrees are popcounts over rows the structures already hold: a graph's
+adjacency rows, and a hypergraph's incidence rows (bit i of a vertex's row
+set iff edge i passes through it), which ``UniformHypergraph`` builds once
+per instance.  The scythe keeps a mask of what is still alive as it picks
+(vertices of a graph, edges of a hypergraph), so a co-degree is one AND and
+one popcount.  The degree-precondition check ANDs each vertex's row with
+what lies inside a vertex set (for a graph, the set itself; for a
+hypergraph, the edges inside it) and compares the counts with one integer
+threshold per set size.
 
 Conventions fixed here (fingerprints and reconstruction alike):
 
@@ -156,27 +159,14 @@ class FingerprintTrace:
 # exact enumeration oracle
 
 
-def _incidence_rows(n: int, edges: Sequence[int]) -> list[int]:
-    """One incident-edge row per vertex: bit i of ``rows[v]`` is set iff the
-    edge mask ``edges[i]`` passes through v."""
-    rows = [0] * n
-    for i, e in enumerate(edges):
-        bit = 1 << i
-        while e:  # _bits inline: a generator per edge costs more than the row update
-            low = e & -e
-            rows[low.bit_length() - 1] |= bit
-            e ^= low
-    return rows
-
-
 def _degree_rows(structure: Structure) -> tuple[Sequence[int], Callable[[int], int]]:
     """``rows`` and ``live`` with deg_S(v) = (rows[v] & live(S)).bit_count()
     for a vertex mask S.  A graph's rows are its adjacency masks and live(S)
-    is S; a hypergraph's rows are incident-edge masks (bit i for edge i) and
+    is S; a hypergraph's rows are its incidence rows (bit i for edge i) and
     live(S) masks the edges inside S, those meeting no vertex outside S."""
     if isinstance(structure, Graph):
         return structure.masks, lambda smask: smask
-    rows = _incidence_rows(structure.n, structure.edge_masks)
+    rows = structure._incidence
     all_edges, all_vertices = (1 << structure.edge_count) - 1, (1 << structure.n) - 1
 
     def live(smask: int) -> int:
@@ -302,7 +292,7 @@ def _check_independent(structure: Structure, vertices: Iterable[int]) -> int:
 
 
 def _scythe_core(structure: Structure, marked: int, params: ContainerParams) -> FingerprintTrace:
-    """The scythe on edge masks, for every r (a graph's edges are 2-masks).
+    """The scythe, for every r.
 
     Each round picks the r-1 vertices of one segment.  Before each pick the
     edges still alive are held as their rests (the edge minus the segment so
@@ -311,20 +301,27 @@ def _scythe_core(structure: Structure, marked: int, params: ContainerParams) -> 
     is taken out of W until a marked one is hit.  The last rests are then
     single vertices, which the segment spoils: they leave W as well.
 
-    Edges are numbered and each vertex x has its incident-edge row, bit i
-    set iff edge i passes through x.  ``inside`` holds the edges with every
-    vertex in W and ``alive`` the edges whose rests are alive; a vertex of W
-    is never on the segment, so its co-degree is (rows[x] & alive).bit_count()
-    and it is spoiled iff rows[x] & alive.
+    Two row lists drive it.  ``rows[x]`` is what a co-degree of x counts and
+    ``kill[x]`` what x clears when it leaves W.  ``inside`` holds what lies
+    wholly in W and ``alive`` the live rests.  A vertex of W is never on the
+    segment, so its co-degree is (rows[x] & alive).bit_count() and it is
+    spoiled iff kill[x] & alive.
+
+    A hypergraph passes its incidence rows as both (bit i set iff edge i
+    passes through x), so ``inside`` and ``alive`` are edge masks.  A graph
+    passes its adjacency rows and single-vertex bits, so they are vertex
+    masks: for r = 2 the live rests before the marked pick are the edges
+    inside W, a co-degree is the degree in G[W], and the marked pick's
+    ``alive &= rows[v]`` leaves the neighbours in W that it spoils.
     """
-    if isinstance(structure, Graph):
-        r, edges = 2, [1 << u | 1 << v for u, v in structure.edges()]
-    else:
-        r, edges = structure.r, structure.edge_masks
     n = structure.n
-    rows = _incidence_rows(n, edges)
+    if isinstance(structure, Graph):
+        r, rows, kill = 2, structure.masks, [1 << x for x in range(n)]
+        inside = (1 << n) - 1
+    else:
+        r, rows = structure.r, structure._incidence
+        kill, inside = rows, (1 << structure.edge_count) - 1
     w = (1 << n) - 1
-    inside = (1 << len(edges)) - 1
     segments: list[tuple[int, ...]] = []
     round_sizes = []
     while (
@@ -342,17 +339,17 @@ def _scythe_core(structure: Structure, marked: int, params: ContainerParams) -> 
                     top, v = codegree, x
             bit = 1 << v
             w ^= bit
-            inside &= ~rows[v]
+            inside &= ~kill[v]
             if marked & bit:
                 marked ^= bit
                 segment.append(v)
                 alive &= rows[v]
             else:
-                alive &= ~rows[v]
+                alive &= ~kill[v]
         for x in _bits(w):
-            if rows[x] & alive:
+            if kill[x] & alive:
                 w ^= 1 << x
-                inside &= ~rows[x]
+                inside &= ~kill[x]
         segments.append(tuple(segment))
     round_sizes.append(w.bit_count())
     used = _mask(v for seg in segments for v in seg)

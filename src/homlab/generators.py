@@ -7,17 +7,20 @@ bit-exact across platforms and reruns.  One draw rule, in ``_coins``, serves
 every random edge set: the candidate pairs (or r-subsets) take one 64-bit
 word each in lexicographic order, and a candidate is an edge iff its word is
 below floor(p * 2^64), p an exact rational.  ``_coins`` returns that rule as
-a boolean coin mask, compared in numpy.  A random graph reads no candidate
-tuples: ``_coin_graph`` writes the mask into an n x n boolean matrix at the
-candidate pairs above the diagonal (every pair for G(n, p), the pairs across
-the split for the random bipartite graph), ORs the matrix with its
-transpose and packs each row into one integer.  ``random_uniform_hypergraph``
-compresses its r-subsets with the mask.  A random tournament is the
-orientation of G(n, 1/2): for u < v, u beats v iff {u, v} is an edge.  An
-instance may have at most 2^24 candidate edges, one drawn word each; a
-larger one raises CapabilityError before any candidate is enumerated.  A
-complete multipartite graph and a random cograph draw no edge coins and are
-held to the same cap on their C(n, 2) pairs.
+a boolean coin mask, drawn and compared in numpy one fixed-size chunk of
+words at a time.  A random graph reads no candidate tuples: ``_coin_graph``
+writes the mask into an n x n boolean matrix at the candidate pairs above
+the diagonal (every pair for G(n, p), the pairs across the split for the
+random bipartite graph), ORs the matrix with its transpose and packs each
+row into one integer.  ``random_uniform_hypergraph`` lists its r-subsets as
+tuples of vertex bits, compresses them with the mask and sums each kept one
+into its edge mask; the hypergraph builds its incidence rows from those
+masks once, and ``random_independent_set`` reads them.  A random tournament
+is the orientation of G(n, 1/2): for u < v, u beats v iff {u, v} is an
+edge.  An instance may have at most 2^24 candidate edges, one drawn word
+each; a larger one raises CapabilityError before any candidate is
+enumerated.  A complete multipartite graph and a random cograph draw no edge
+coins and are held to the same cap on their C(n, 2) pairs.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
 
 _TWO64 = 1 << 64
 _MAX_DRAWS = 1 << 24  # candidate edges per instance; gnp(1000) draws 499,500
+_CHUNK = 1 << 16  # words drawn at once (512 KB); an 8 MB chunk stayed resident once freed
 
 
 def rng_for(seed: int, stream: int | None = None) -> np.random.Generator:
@@ -65,15 +69,22 @@ def _check_draws(count: int) -> None:
 
 def _coins(rng: np.random.Generator, count: int, p: Fraction) -> np.ndarray:
     """The coin mask of ``count`` candidates: one word each, in order, and
-    True iff the word is below floor(p * 2^64)."""
+    True iff the word is below floor(p * 2^64).  The words are drawn and
+    compared ``_CHUNK`` at a time, which gives the same words as one draw and
+    holds at most one chunk of them."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise InputError(f"probability {p} outside [0,1]")
     _check_draws(count)
-    words = rng.integers(0, _TWO64, size=count, dtype=np.uint64)
-    if p == 1:  # floor(p * 2^64) = 2^64 does not fit in a uint64
+    if p == 1:  # floor(p * 2^64) = 2^64 does not fit in a uint64, and every word is below it
         return np.ones(count, dtype=bool)
-    return words < np.uint64(p.numerator * _TWO64 // p.denominator)
+    below = np.uint64(p.numerator * _TWO64 // p.denominator)
+    coins = np.empty(count, dtype=bool)
+    for start in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - start)
+        np.less(rng.integers(0, _TWO64, size=size, dtype=np.uint64), below,
+                out=coins[start:start + size])
+    return coins
 
 
 def _candidates(n: int, r: int) -> int:
@@ -219,10 +230,14 @@ def random_bipartite(n: int, p: Fraction, seed: int, stream: int | None = None) 
 
 def random_uniform_hypergraph(r: int, n: int, p: Fraction, seed: int, stream: int | None = None):
     """Each r-subset independently an edge with probability p (lexicographic
-    tuple order)."""
+    tuple order).  The r-subsets are listed as tuples of vertex bits, so a
+    kept one is its edge mask as soon as it is summed."""
+    if r < 2:
+        raise InputError("uniformity r must be >= 2")
     coins = _coins(rng_for(seed, stream), _candidates(n, r), p)
-    return UniformHypergraph.from_edges(
-        r, n, itertools.compress(itertools.combinations(range(n), r), coins.tolist()))
+    bits = [1 << v for v in range(n)]
+    return UniformHypergraph(r, n, tuple(map(sum, itertools.compress(
+        itertools.combinations(bits, r), coins.tolist()))))
 
 
 def perturb_edges(g: Graph, flips: int, seed: int, stream: int | None = None) -> Graph:
@@ -250,9 +265,12 @@ def random_independent_set(structure, seed: int, stream: int | None = None) -> f
         chosen |= 1 << v
         if isinstance(structure, Graph):
             blocked |= structure.masks[v]
-        else:
-            for e in structure.edge_masks:
-                rest = e & ~chosen
-                if not rest & (rest - 1):  # chosen is independent, so rest is not empty
-                    blocked |= rest
+            continue
+        through = structure._incidence[v]  # only the edges through v have new rests
+        while through:  # _bits inline: the generator costs more than the rest update
+            low = through & -through
+            rest = structure.edge_masks[low.bit_length() - 1] & ~chosen
+            if not rest & (rest - 1):  # chosen is independent, so rest is not empty
+                blocked |= rest
+            through ^= low
     return frozenset(_bits(chosen))

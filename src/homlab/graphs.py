@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -150,11 +150,17 @@ class Graph:
 @dataclass(frozen=True)
 class UniformHypergraph:
     """r-uniform hypergraph on vertices ``0..n-1``, stored as the ascending
-    tuple of its distinct edge masks (bit ``v`` set iff ``v`` is on the edge)."""
+    tuple of its distinct edge masks (bit ``v`` set iff ``v`` is on the edge).
+
+    Each vertex also has its incidence row, built once with the instance:
+    bit i of ``_incidence[v]`` is set iff ``v`` is on ``edge_masks[i]``.  The
+    container layer counts degrees and co-degrees as popcounts over these
+    rows.  They follow from the edges, so equality and hashing skip them."""
 
     r: int
     n: int
     edge_masks: tuple[int, ...]
+    _incidence: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.r < 2:
@@ -162,12 +168,20 @@ class UniformHypergraph:
         if self.n < 0:
             raise InputError(f"vertex count n={self.n} is negative")
         masks = tuple(sorted(set(self.edge_masks)))
-        for e in masks:
+        # rows as bytes, so each edge costs r byte updates however many edges there are
+        rows = [bytearray((len(masks) + 7) >> 3) for _ in range(self.n)]
+        for i, e in enumerate(masks):
             if e >> self.n:
                 raise InputError(f"edge mask {e} outside [0,{self.n})")
             if e.bit_count() != self.r:
                 raise InputError(f"edge {list(_bits(e))} is not {self.r}-uniform")
+            at, bit = i >> 3, 1 << (i & 7)
+            while e:  # _bits inline: a generator per edge costs more than the row update
+                low = e & -e
+                rows[low.bit_length() - 1][at] |= bit
+                e ^= low
         object.__setattr__(self, "edge_masks", masks)
+        object.__setattr__(self, "_incidence", tuple(int.from_bytes(row, "little") for row in rows))
 
     @classmethod
     def from_edges(cls, r: int, n: int, edges: Iterable[Iterable[int]]) -> "UniformHypergraph":

@@ -287,6 +287,22 @@ def test_scythe_r2_matches_graph_fingerprint(n, seed):
     assert scythe_trace.container == kw_trace.container
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_graph_scythe_never_lists_the_edges(monkeypatch, seed):
+    g = gnp(14, Fraction(3, 10), seed)
+    iset = random_independent_set(g, seed, stream=1)
+    params = ContainerParams(Fraction(1, 2), u=1, ell=14, k=14)  # runs until the set runs out
+    expected = _reference_scythe(as_two_uniform(g), iset, params)
+
+    def listed(self):
+        raise AssertionError("Graph.edges called")
+
+    monkeypatch.setattr(Graph, "edges", listed)
+    trace = kw_fingerprint(g, iset, params)
+    assert trace == expected
+    assert reconstruct_segments(g, trace.segment_union, params) == trace.segments
+
+
 def test_reconstruction_rejects_impossible_union():
     # in K6 the first segment wipes out every other vertex, so a two-element
     # union can never be replayed in full

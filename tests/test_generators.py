@@ -34,11 +34,12 @@ from homlab.graphs import (
     UniformHypergraph,
     count_induced_p4,
     edge_density,
+    read_hypergraph,
 )
 from homlab.homogeneous import has_induced_p4
 from homlab.tournaments import Tournament, cyclic_triangle_count
 
-from graph_helpers import complete_graph, empty_graph
+from graph_helpers import complete_graph, empty_graph, write_hypergraph
 
 
 def test_gnp_extremes():
@@ -513,6 +514,35 @@ def test_draw_cap_is_checked_per_instance(monkeypatch):
                      lambda: overlay_construction(6, Fraction(1, 10), 0)):
         with pytest.raises(CapabilityError):
             too_many()
+
+
+def test_chunked_draws_give_the_words_of_one_draw(monkeypatch):
+    monkeypatch.setattr(generators, "_CHUNK", 7)  # many chunks and a short last one
+    for seed in range(3):
+        for p in (Fraction(1, 20), Fraction(1, 2), Fraction(9, 10)):
+            assert gnp(30, p, seed) == reference_gnp(30, p, seed)
+            assert random_bipartite(31, p, seed) == reference_random_bipartite(31, p, seed)
+            assert (random_uniform_hypergraph(3, 12, p, seed)
+                    == reference_random_uniform_hypergraph(3, 12, p, seed))
+
+
+@pytest.mark.parametrize("r", [-1, 0, 1])
+def test_hypergraph_uniformity_below_2_is_refused_before_any_draw(monkeypatch, r):
+    drawn = []
+    monkeypatch.setattr(generators, "_coins", lambda *args: drawn.append(args))
+    with pytest.raises(InputError):
+        random_uniform_hypergraph(r, 6, Fraction(1, 2), 0)
+    assert drawn == []
+
+
+@given(r=st.sampled_from([2, 3, 4]), n=st.integers(0, 14), p=_EDGE_PROBABILITIES,
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_generated_hypergraph_equals_its_text_read_back(r, n, p, seed):
+    h = random_uniform_hypergraph(r, n, p, seed)
+    back = read_hypergraph(write_hypergraph(h))
+    assert back == h and hash(back) == hash(h)
+    assert back._incidence == h._incidence
 
 
 def test_draw_cap_is_checked_before_anything_is_enumerated():

@@ -352,6 +352,18 @@ def test_hypergraph_text_is_sorted_by_vertex_tuple():
     assert h.edges == ((0, 2, 3), (0, 1, 4))
 
 
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 14), st.data())
+@settings(max_examples=200, deadline=None)
+def test_incidence_rows_match_their_definition(r, n, data):
+    candidates = [sum(1 << v for v in e) for e in itertools.combinations(range(n), r)]
+    masks = data.draw(st.lists(st.sampled_from(candidates), max_size=60) if candidates
+                      else st.just([]), label="masks")  # in any order, with repeats
+    h = UniformHypergraph(r, n, tuple(masks))
+    assert len(h._incidence) == n
+    for v in range(n):
+        assert h._incidence[v] == sum(1 << i for i, e in enumerate(h.edge_masks) if e >> v & 1)
+
+
 def test_hypergraph_rejects_wrong_arity():
     with pytest.raises(InputError):
         UniformHypergraph.from_edges(3, 6, [(0, 1)])
