@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CapabilityError, ConsistencyError, InputError, ParameterError
-from .graphs import Graph, UniformHypergraph, _bits, _count_k_sets, _mask
+from .graphs import Graph, UniformHypergraph, _bits, _mask
 from .params import _enclose, _resolve, _resolve_ceil
 
 __all__ = [
@@ -185,16 +185,52 @@ def is_independent(structure: Structure, vertices: Iterable[int]) -> bool:
     return all(e & ~smask for e in structure.edge_masks)
 
 
+_PRECONDITION_EXHAUSTIVE_N = 16
+
+
+def _check_exhaustive(n: int) -> None:
+    """Refuse a structure too large for the exhaustive count and degree check."""
+    if n > _PRECONDITION_EXHAUSTIVE_N:
+        raise CapabilityError(f"n={n} exceeds exhaustive cap {_PRECONDITION_EXHAUSTIVE_N}")
+
+
 def count_independent_sets_exact(structure: Structure, k: int) -> int:
-    """Exact number of k-subsets spanning no edge, picked in ascending order:
-    a graph restricts each pick to the non-neighbors above it, a hypergraph
-    to the vertices above it, with its edges kept from being wholly picked."""
+    """Exact number of k-subsets spanning no edge, counted on the subset
+    lattice: bit S of a 2^n-bit integer stands for the vertex set with mask S.
+
+    ``hit`` starts with the bit of every edge mask (a graph's edges as
+    2-masks) and is closed upward one vertex i at a time: each set lacking i
+    passes its bit to the set with i added.  It then holds exactly the sets
+    that contain an edge, and the answer is the number of k-sets outside it.
+    The k-sets are built by Pascal's rule, the j-sets of range(i + 1) being
+    those of range(i) plus the (j-1)-sets of range(i) with i added.
+    Exhaustive, for structures of at most 16 vertices."""
     if k < 0:
         raise InputError("k must be nonnegative")
-    above = [(1 << structure.n) - (2 << v) for v in range(structure.n)]
+    n = structure.n
+    _check_exhaustive(n)
+    if k > n:
+        return 0
     if isinstance(structure, Graph):
-        return _count_k_sets([a & ~row for a, row in zip(above, structure.masks)], k)
-    return _count_k_sets(above, k, structure.edge_masks)
+        edges = [1 << u | 1 << v for u, v in structure.edges()]
+    else:
+        edges = structure.edge_masks
+    seed = bytearray(max((1 << n) >> 3, 1))
+    for e in edges:
+        seed[e >> 3] |= 1 << (e & 7)
+    hit = int.from_bytes(seed, "little")
+    sized = [1] + [0] * k  # sized[j]: the j-sets of the vertices closed so far
+    for i in range(n):
+        step = 1 << i
+        # the sets lacking i: 2^i ones every 2^(i+1) bits, doubled out to 2^n bits
+        without, width = (1 << step) - 1, step << 1
+        while width < 1 << n:
+            without |= without << width
+            width <<= 1
+        hit |= (hit & without) << step
+        for j in range(min(k, i + 1), 0, -1):
+            sized[j] |= sized[j - 1] << step
+    return (sized[k] & ~hit).bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +281,6 @@ def hypergraph_bound(n: int, r: int, params: ContainerParams) -> int:
 # degree precondition
 
 
-_PRECONDITION_EXHAUSTIVE_N = 16
-
-
 def verify_degree_precondition(structure: Structure, epsilon: Fraction, u: int):
     """Check the minimum-max-degree hypothesis of the container bounds.
 
@@ -263,8 +296,7 @@ def verify_degree_precondition(structure: Structure, epsilon: Fraction, u: int):
     """
     eps = Fraction(epsilon)
     n = structure.n
-    if n > _PRECONDITION_EXHAUSTIVE_N:
-        raise CapabilityError(f"n={n} exceeds exhaustive cap {_PRECONDITION_EXHAUSTIVE_N}")
+    _check_exhaustive(n)
     is_graph = isinstance(structure, Graph)
     rows, live = _degree_rows(structure)
     for size in range(max(u if is_graph else u + 1, 1), n + 1):

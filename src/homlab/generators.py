@@ -11,11 +11,12 @@ a boolean coin mask, drawn and compared in numpy one fixed-size chunk of
 words at a time.  A random graph reads no candidate tuples: ``_coin_graph``
 writes the mask into an n x n boolean matrix at the candidate pairs above
 the diagonal (every pair for G(n, p), the pairs across the split for the
-random bipartite graph), ORs the matrix with its transpose and packs each
-row into one integer.  ``random_uniform_hypergraph`` lists its r-subsets as
-tuples of vertex bits, compresses them with the mask and sums each kept one
-into its edge mask; the hypergraph builds its incidence rows from those
-masks once, and ``random_independent_set`` reads them.  A random tournament
+random bipartite graph) and at their mirror images below it, so both
+triangles hold it, and packs each row into one integer.
+``random_uniform_hypergraph`` lists its r-subsets as tuples of vertex bits,
+compresses them with the mask and sums each kept one into its edge mask;
+the hypergraph builds its incidence rows from those masks once, and
+``random_independent_set`` reads them.  A random tournament
 is the orientation of G(n, 1/2): for u < v, u beats v iff {u, v} is an
 edge.  An instance may have at most 2^24 candidate edges, one drawn word
 each; a larger one raises CapabilityError before any candidate is
@@ -99,13 +100,14 @@ def _coin_graph(cand: np.ndarray, coins: np.ndarray) -> Graph:
     boolean matrix ``cand`` whose coins win.  ``cand`` is cut in place to its
     entries (u, v) with u < v, the candidates; boolean indexing reads them in
     row-major order, which is lexicographic order, so each takes its coin in
-    draw order.  The coin matrix ORed with its transpose holds both halves,
-    and each of its rows, packed into bytes, is one vertex's row integer."""
+    draw order.  The coins are written into both triangles, through the
+    matrix and through its transpose, and each row, packed into bytes, is
+    one vertex's row integer."""
     idx = np.arange(len(cand))
     cand &= idx[:, None] < idx
     m = np.zeros(cand.shape, dtype=bool)
     m[cand] = coins
-    m |= m.T
+    m.T[cand] = coins
     packed = np.packbits(m, axis=1, bitorder="little")
     data, width = packed.tobytes(), packed.shape[1]
     return Graph._symmetric(len(m), [int.from_bytes(data[i * width:(i + 1) * width], "little")

@@ -46,14 +46,12 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def _count_k_sets(rows: Sequence[int], k: int, edges: Sequence[int] = ()) -> int:
+def _count_k_sets(rows: Sequence[int], k: int) -> int:
     """Number of k-sets of ``range(len(rows))`` that can be picked one vertex
-    at a time, each pick in ``rows`` of every earlier pick, with no edge mask
-    wholly picked; callers choose rows that give each set one pick order.
-    Each edge is kept as its rest, the part not yet picked: a one-vertex rest
-    takes its vertex out of the candidates, a rest outside them is dropped."""
+    at a time, each pick in ``rows`` of every earlier pick; callers choose
+    rows that give each set one pick order."""
 
-    def pick(cand: int, need: int, rests: list[int]) -> int:
+    def pick(cand: int, need: int) -> int:
         if need == 1:
             return cand.bit_count()
         if cand.bit_count() < need:
@@ -62,21 +60,11 @@ def _count_k_sets(rows: Sequence[int], k: int, edges: Sequence[int] = ()) -> int
         m = cand
         while m:
             low = m & -m
-            v = low.bit_length() - 1
             m ^= low
-            nxt = cand & rows[v]
-            if rests:
-                rests_v = [rest & ~low for rest in rests]
-                for rest in rests_v:
-                    if not rest & (rest - 1):
-                        nxt &= ~rest
-                rests_v = [rest for rest in rests_v if not rest & ~nxt]
-            else:
-                rests_v = rests
-            total += pick(nxt, need - 1, rests_v)
+            total += pick(cand & rows[low.bit_length() - 1], need - 1)
         return total
 
-    return pick((1 << len(rows)) - 1, k, list(edges)) if k else 1
+    return pick((1 << len(rows)) - 1, k) if k else 1
 
 
 def _check_rows(n: int, masks: Sequence[int]) -> None:
