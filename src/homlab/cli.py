@@ -7,7 +7,9 @@ experiment run.  Exit codes: 0 success, 1 verification/assertion failure,
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import sys
 
 import click
@@ -26,14 +28,30 @@ def _exit_code(exc: HomlabError) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
+    """Print ``text``, or write it to ``out`` through a temporary file beside
+    it, moved into place once written, so a failed write leaves the old file
+    whole.  A path that exists but is no regular file, such as /dev/stdout,
+    is written in place."""
+    if not out:
+        click.echo(text, nl=not text.endswith("\n"))
+        return
+    try:
+        if os.path.exists(out) and not os.path.isfile(out):
             with open(out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc}") from exc
-    else:
-        click.echo(text, nl=not text.endswith("\n"))
+            return
+        target = os.path.realpath(out)  # a symlink is written through, not replaced
+        tmp = f"{target}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _read_file(path: str) -> str:
@@ -45,7 +63,8 @@ def _read_file(path: str) -> str:
 
 
 class _Group(click.Group):
-    """Click group whose command errors map onto the documented exit codes."""
+    """Click group whose command errors, and memory exhaustion, map onto the
+    documented exit codes."""
 
     def invoke(self, ctx):
         try:
@@ -53,6 +72,9 @@ class _Group(click.Group):
         except HomlabError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(_exit_code(exc))
+        except MemoryError as exc:  # a resource limit, like a CapabilityError
+            click.echo(f"error: out of memory {exc}".rstrip(), err=True)
+            sys.exit(3)
 
 
 @click.group(cls=_Group)
@@ -149,13 +171,12 @@ def verify(obj, structure_file, eps, u_val, k_val, ell):
     if ell is None:
         ell = containers.minimal_ell(n, epsilon, u_val)
     cp = containers.ContainerParams(epsilon, u=u_val, ell=ell, k=k_val)
-    r = 2 if isinstance(structure, graphs.Graph) else structure.r
-    bound = containers.hypergraph_bound(n, r, cp)  # checks cp before the precondition scan
+    bound = containers.hypergraph_bound(n, structure.r, cp)  # checks cp before the precondition scan
     ok_pre, witness = containers.verify_degree_precondition(structure, epsilon, u_val)
     exact = containers.count_independent_sets_exact(structure, k_val)
     result = {
         "n": n,
-        "r": r,
+        "r": structure.r,
         "eps": str(epsilon),
         "u": u_val,
         "ell": ell,

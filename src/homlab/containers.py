@@ -5,15 +5,15 @@ orderings, whose r = 2 case is the graph max-degree fingerprint
 (Kleitman-Winston style), the closed-form counting bounds, and the exact
 enumeration oracle used to verify them at desk scale.
 
-Degrees are popcounts over rows the structures already hold: a graph's
-adjacency rows, and a hypergraph's incidence rows (bit i of a vertex's row
-set iff edge i passes through it), which ``UniformHypergraph`` builds once
-per instance.  The scythe keeps a mask of what is still alive as it picks
-(vertices of a graph, edges of a hypergraph), so a co-degree is one AND and
-one popcount.  The degree-precondition check ANDs each vertex's row with
-what lies inside a vertex set (for a graph, the set itself; for a
-hypergraph, the edges inside it) and compares the counts with one integer
-threshold per set size.
+Both structures hand this layer one view, ``_container_rows()``: ``rows[v]``,
+what a degree of v counts, and ``kill[v]``, what v clears when it leaves a
+vertex set.  A graph's are its adjacency rows and single-vertex bits (vertex
+masks), a hypergraph's its incidence rows twice (bit i set iff edge i passes
+through v; edge masks).  ``_inside(kill, S)``, the complement of the kill rows
+of the vertices outside S, is what lies wholly inside S, and deg_S(v) is the
+popcount of ``rows[v] & _inside(kill, S)``.  Independence, the degree
+precondition and the scythe are written once on this view; only the
+precondition's threshold differs, as the graph and hypergraph statements do.
 
 Conventions fixed here (fingerprints and reconstruction alike):
 
@@ -32,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import CapabilityError, ConsistencyError, InputError, ParameterError
 from .graphs import Graph, UniformHypergraph, _bits, _mask
@@ -159,30 +159,28 @@ class FingerprintTrace:
 # exact enumeration oracle
 
 
-def _degree_rows(structure: Structure) -> tuple[Sequence[int], Callable[[int], int]]:
-    """``rows`` and ``live`` with deg_S(v) = (rows[v] & live(S)).bit_count()
-    for a vertex mask S.  A graph's rows are its adjacency masks and live(S)
-    is S; a hypergraph's rows are its incidence rows (bit i for edge i) and
-    live(S) masks the edges inside S, those meeting no vertex outside S."""
-    if isinstance(structure, Graph):
-        return structure.masks, lambda smask: smask
-    rows = structure._incidence
-    all_edges, all_vertices = (1 << structure.edge_count) - 1, (1 << structure.n) - 1
-
-    def live(smask: int) -> int:
-        inside = all_edges
-        for v in _bits(all_vertices & ~smask):
-            inside &= ~rows[v]
-        return inside
-
-    return rows, live
+def _inside(kill: Sequence[int], smask: int) -> int:
+    """What lies wholly inside the vertex set S: everything not killed by a
+    vertex outside S (the bits above the rows included)."""
+    out = 0
+    rest = (1 << len(kill)) - 1 & ~smask
+    while rest:  # _bits inline: a generator per subset costs more than the ORs
+        low = rest & -rest
+        out |= kill[low.bit_length() - 1]
+        rest ^= low
+    return ~out
 
 
 def is_independent(structure: Structure, vertices: Iterable[int]) -> bool:
-    smask = _mask(vertices)
-    if isinstance(structure, Graph):
-        return all(structure.masks[v] & smask == 0 for v in _bits(smask))
-    return all(e & ~smask for e in structure.edge_masks)
+    """Whether no edge lies inside ``vertices``: no v in it has a degree in
+    the set.  A vertex outside the range raises InputError."""
+    vs = set(vertices)
+    if not all(0 <= v < structure.n for v in vs):
+        raise InputError("vertex set outside vertex range")
+    smask = _mask(vs)
+    rows, kill = structure._container_rows()
+    inside = _inside(kill, smask)
+    return not any(rows[v] & inside for v in _bits(smask))
 
 
 _PRECONDITION_EXHAUSTIVE_N = 16
@@ -211,12 +209,8 @@ def count_independent_sets_exact(structure: Structure, k: int) -> int:
     _check_exhaustive(n)
     if k > n:
         return 0
-    if isinstance(structure, Graph):
-        edges = [1 << u | 1 << v for u, v in structure.edges()]
-    else:
-        edges = structure.edge_masks
     seed = bytearray(max((1 << n) >> 3, 1))
-    for e in edges:
+    for e in structure.edge_masks:
         seed[e >> 3] |= 1 << (e & 7)
     hit = int.from_bytes(seed, "little")
     sized = [1] + [0] * k  # sized[j]: the j-sets of the vertices closed so far
@@ -281,6 +275,12 @@ def hypergraph_bound(n: int, r: int, params: ContainerParams) -> int:
 # degree precondition
 
 
+def _graph_needs(eps: Fraction, u: int, n: int) -> list[tuple[int, int]]:
+    """(s, ceil(eps*s - 1)) for each s >= max(u, 1): the least max degree the
+    graph statement asks of an s-set."""
+    return [(s, math.ceil(eps * s - 1)) for s in range(max(u, 1), n + 1)]
+
+
 def verify_degree_precondition(structure: Structure, epsilon: Fraction, u: int):
     """Check the minimum-max-degree hypothesis of the container bounds.
 
@@ -297,14 +297,17 @@ def verify_degree_precondition(structure: Structure, epsilon: Fraction, u: int):
     eps = Fraction(epsilon)
     n = structure.n
     _check_exhaustive(n)
-    is_graph = isinstance(structure, Graph)
-    rows, live = _degree_rows(structure)
-    for size in range(max(u if is_graph else u + 1, 1), n + 1):
-        need = math.ceil(eps * size - 1 if is_graph else eps * (size - 1) ** (structure.r - 1))
+    rows, kill = structure._container_rows()
+    if isinstance(structure, Graph):  # the one choice where the two statements differ
+        needs = _graph_needs(eps, u, n)
+    else:
+        needs = [(s, math.ceil(eps * (s - 1) ** (structure.r - 1)))
+                 for s in range(max(u + 1, 1), n + 1)]
+    for size, need in needs:
         if need <= 0:
             continue
         for combo in itertools.combinations(range(n), size):
-            inside = live(_mask(combo))
+            inside = _inside(kill, _mask(combo))
             if not any((rows[v] & inside).bit_count() >= need for v in combo):
                 return False, frozenset(combo)
     return True, None
@@ -316,8 +319,6 @@ def verify_degree_precondition(structure: Structure, epsilon: Fraction, u: int):
 
 def _check_independent(structure: Structure, vertices: Iterable[int]) -> int:
     vs = frozenset(vertices)
-    if not all(0 <= v < structure.n for v in vs):
-        raise InputError("fingerprint set outside vertex range")
     if not is_independent(structure, vs):
         raise InputError("fingerprint set is not independent")
     return _mask(vs)
@@ -333,26 +334,20 @@ def _scythe_core(structure: Structure, marked: int, params: ContainerParams) -> 
     is taken out of W until a marked one is hit.  The last rests are then
     single vertices, which the segment spoils: they leave W as well.
 
-    Two row lists drive it.  ``rows[x]`` is what a co-degree of x counts and
-    ``kill[x]`` what x clears when it leaves W.  ``inside`` holds what lies
-    wholly in W and ``alive`` the live rests.  A vertex of W is never on the
-    segment, so its co-degree is (rows[x] & alive).bit_count() and it is
+    It reads the container view: ``rows[x]`` is what a co-degree of x counts
+    and ``kill[x]`` what x clears when it leaves W.  ``inside`` holds what
+    lies wholly in W and ``alive`` the live rests.  A vertex of W is never on
+    the segment, so its co-degree is (rows[x] & alive).bit_count() and it is
     spoiled iff kill[x] & alive.
 
-    A hypergraph passes its incidence rows as both (bit i set iff edge i
-    passes through x), so ``inside`` and ``alive`` are edge masks.  A graph
-    passes its adjacency rows and single-vertex bits, so they are vertex
-    masks: for r = 2 the live rests before the marked pick are the edges
-    inside W, a co-degree is the degree in G[W], and the marked pick's
+    On a hypergraph's view the masks are edge masks.  On a graph's they are
+    vertex masks: for r = 2 the live rests before the marked pick are the
+    edges inside W, a co-degree is the degree in G[W], and the marked pick's
     ``alive &= rows[v]`` leaves the neighbours in W that it spoils.
     """
-    n = structure.n
-    if isinstance(structure, Graph):
-        r, rows, kill = 2, structure.masks, [1 << x for x in range(n)]
-        inside = (1 << n) - 1
-    else:
-        r, rows = structure.r, structure._incidence
-        kill, inside = rows, (1 << structure.edge_count) - 1
+    n, r = structure.n, structure.r
+    rows, kill = structure._container_rows()
+    inside = ~0
     w = (1 << n) - 1
     segments: list[tuple[int, ...]] = []
     round_sizes = []

@@ -237,12 +237,10 @@ def _fill_tables(n: int, codes: np.ndarray, counts: np.ndarray, low: np.ndarray)
 def _precondition_ok(low: np.ndarray, n: int, eps: Fraction, u: int) -> np.ndarray:
     """Per-graph degree precondition from the per-size minima of
     :func:`_vectorized_tables`: every S with |S| >= u has max degree at least
-    eps*|S| - 1, i.e. low[s] >= ceil(eps*s - 1) for every s >= max(u, 1)."""
+    eps*|S| - 1, i.e. low[s] >= need for each (s, need) of ``_graph_needs``."""
     ok = np.ones(low.shape[1], dtype=bool)
-    for s in range(max(u, 1), n + 1):
-        thr = eps * s - 1
-        if thr > 0:
-            ok &= low[s] >= math.ceil(thr)
+    for s, need in containers._graph_needs(eps, u, n):
+        ok &= low[s] >= need  # always true where need <= 0
     return ok
 
 

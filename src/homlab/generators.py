@@ -257,22 +257,18 @@ def perturb_edges(g: Graph, flips: int, seed: int, stream: int | None = None) ->
 
 def random_independent_set(structure, seed: int, stream: int | None = None) -> frozenset[int]:
     """Greedy independent set over a random vertex order (graphs and uniform
-    hypergraphs); useful as fingerprint input.  A vertex is taken unless it
-    is blocked: the only vertex of some edge that is not chosen (for a graph,
-    a neighbour of a chosen vertex)."""
-    chosen = blocked = 0
-    for v in rng_for(seed, stream).permutation(structure.n).tolist():
-        if blocked >> v & 1:
-            continue
-        chosen |= 1 << v
-        if isinstance(structure, Graph):
-            blocked |= structure.masks[v]
-            continue
-        through = structure._incidence[v]  # only the edges through v have new rests
-        while through:  # _bits inline: the generator costs more than the rest update
-            low = through & -through
-            rest = structure.edge_masks[low.bit_length() - 1] & ~chosen
-            if not rest & (rest - 1):  # chosen is independent, so rest is not empty
-                blocked |= rest
-            through ^= low
+    hypergraphs); useful as fingerprint input.  On the container view (see
+    ``UniformHypergraph``), v is taken unless an edge through it (in rows[v])
+    is killed by no vertex drawn after v and none passed over."""
+    rows, kill = structure._container_rows()
+    order = rng_for(seed, stream).permutation(structure.n).tolist()
+    later = [0] * (len(order) + 1)  # later[i]: what order[i:] kill
+    for i in range(len(order) - 1, -1, -1):
+        later[i] = later[i + 1] | kill[order[i]]
+    chosen = passed = 0
+    for i, v in enumerate(order):
+        if rows[v] & ~(later[i + 1] | passed):
+            passed |= kill[v]
+        else:
+            chosen |= 1 << v
     return frozenset(_bits(chosen))

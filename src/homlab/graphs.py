@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .errors import CapabilityError, InputError
 
@@ -83,6 +83,7 @@ def _check_rows(n: int, masks: Sequence[int]) -> None:
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``."""
 
+    r: ClassVar[int] = 2
     n: int
     masks: tuple[int, ...]
 
@@ -128,6 +129,13 @@ class Graph:
                 row ^= low
         return out
 
+    @property
+    def edge_masks(self) -> list[int]:
+        return [1 << u | 1 << v for u, v in self.edges()]
+
+    def _container_rows(self) -> tuple[Sequence[int], Sequence[int]]:
+        return self.masks, [1 << v for v in range(self.n)]  # see UniformHypergraph
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.masks[u] >> v & 1)
 
@@ -141,9 +149,11 @@ class UniformHypergraph:
     tuple of its distinct edge masks (bit ``v`` set iff ``v`` is on the edge).
 
     Each vertex also has its incidence row, built once with the instance:
-    bit i of ``_incidence[v]`` is set iff ``v`` is on ``edge_masks[i]``.  The
-    container layer counts degrees and co-degrees as popcounts over these
-    rows.  They follow from the edges, so equality and hashing skip them."""
+    bit i of ``_incidence[v]`` is set iff ``v`` is on ``edge_masks[i]``.  They
+    follow from the edges, so equality and hashing skip them.  They are both
+    the ``rows`` and the ``kill`` of ``_container_rows()``, the one view the
+    container layer reads of a graph or a hypergraph: ``rows[v]`` is what a
+    degree of v counts, ``kill[v]`` what v clears when it leaves a vertex set."""
 
     r: int
     n: int
@@ -188,6 +198,9 @@ class UniformHypergraph:
     @property
     def edge_count(self) -> int:
         return len(self.edge_masks)
+
+    def _container_rows(self) -> tuple[Sequence[int], Sequence[int]]:
+        return self._incidence, self._incidence
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Small named graphs and the hypergraph writer, which only the tests use."""
+"""Small named graphs, the hypergraph writer and independence by definition,
+which only the tests use."""
 
 from homlab.graphs import Graph, UniformHypergraph
 
@@ -20,3 +21,17 @@ def write_hypergraph(h: UniformHypergraph) -> str:
     lines = [f"{h.r} {h.n} {h.edge_count}"]
     lines += [" ".join(map(str, e)) for e in sorted(h.edges)]
     return "\n".join(lines) + "\n"
+
+
+def edge_sets(structure) -> list[frozenset[int]]:
+    """The edges of a graph or a uniform hypergraph as vertex sets, read from
+    their edge lists alone."""
+    edges = structure.edges() if isinstance(structure, Graph) else structure.edges
+    return [frozenset(e) for e in edges]
+
+
+def spans_no_edge(edges, vertices) -> bool:
+    """Independence by its definition: no edge of ``edges`` (see
+    :func:`edge_sets`) has all its vertices in ``vertices``."""
+    chosen = frozenset(vertices)
+    return not any(e <= chosen for e in edges)

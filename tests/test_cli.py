@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import resource
+import signal
 import subprocess
 import sys
 import time
@@ -400,14 +402,60 @@ def test_hom_eps_output_is_pinned(tmp_path, mode, digest):
     assert hashlib.sha256(result.stdout_bytes).hexdigest()[:16] == digest
 
 
-def _run_cli(*args):
+def _run_cli(*args, preexec_fn=None):
     """``homlab`` in a fresh process, so a hang fails on the timeout instead of
-    stalling the suite; returns the result and its wall time."""
-    env = {**os.environ, "PYTHONPATH": str(Path(homlab.__file__).resolve().parents[1])}
+    stalling the suite; returns the result and its wall time.  ``preexec_fn``
+    runs in the child before it starts, to set its resource limits."""
+    env = {**os.environ, "PYTHONPATH": str(Path(homlab.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}  # one BLAS thread: its buffers count against RLIMIT_AS
     start = time.monotonic()
-    result = subprocess.run([sys.executable, "-m", "homlab.cli", *args],
-                            capture_output=True, text=True, timeout=10, env=env)
+    result = subprocess.run([sys.executable, "-m", "homlab.cli", *args], capture_output=True,
+                            text=True, timeout=10, env=env, preexec_fn=preexec_fn)
     return result, time.monotonic() - start
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+
+def test_memory_exhaustion_exits_3_with_one_error_line():
+    # the draw-cap G(n, 1/2) needs more than 300 MB of address space
+    result, _ = _run_cli("construct", "--kind", "gnp", "--n", "5793",
+                         preexec_fn=_limit_address_space)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
+
+
+def _limit_file_size():
+    resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+
+
+def test_failed_out_write_leaves_the_old_file_whole(tmp_path):
+    old = tmp_path / "old.txt"
+    old.write_bytes(b"old bytes\n")
+    result, _ = _run_cli("--out", str(old), "construct", "--kind", "gnp", "--n", "200",
+                         preexec_fn=_limit_file_size)
+    assert result.returncode == 2, result.stderr
+    assert old.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["old.txt"]  # no temporary file left behind
+
+
+def test_out_writes_a_path_that_is_no_regular_file_in_place():
+    # /dev/stdout is the pipe to this test, which a file moved into place would miss
+    result, _ = _run_cli("--seed", "1", "--out", "/dev/stdout", "construct", "--kind", "gnp",
+                         "--n", "4")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == write_graph(gnp(4, Fraction(1, 2), 1))
+
+
+def test_out_writes_through_a_symlink(tmp_path):
+    (tmp_path / "g.txt").write_text("old\n")
+    (tmp_path / "link.txt").symlink_to("g.txt")
+    assert invoke("--seed", "1", "--out", str(tmp_path / "link.txt"), "construct", "--kind",
+                  "gnp", "--n", "4").exit_code == 0
+    assert (tmp_path / "link.txt").is_symlink()
+    assert (tmp_path / "g.txt").read_text() == write_graph(gnp(4, Fraction(1, 2), 1))
 
 
 @pytest.mark.parametrize("p", ["1e999999999", "1e-999999999", "1e9_999_999_99", "1" * 2000])

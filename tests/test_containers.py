@@ -22,7 +22,7 @@ from homlab.containers import (
     scythe_fingerprint,
     verify_degree_precondition,
 )
-from homlab.errors import CapabilityError, ConsistencyError, ParameterError
+from homlab.errors import CapabilityError, ConsistencyError, InputError, ParameterError
 from homlab.generators import gnp, random_independent_set, random_uniform_hypergraph
 from homlab.graphs import (
     Graph,
@@ -32,7 +32,7 @@ from homlab.graphs import (
     path_graph,
 )
 
-from graph_helpers import complete_graph, cycle_graph, empty_graph
+from graph_helpers import complete_graph, cycle_graph, edge_sets, empty_graph, spans_no_edge
 
 
 def all_graphs(n):
@@ -175,10 +175,64 @@ def test_is_count_on_c5():
 def test_is_count_matches_bruteforce(n, k, code):
     pairs = list(itertools.combinations(range(n), 2))
     g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if code >> i & 1])
+    edges = edge_sets(g)
     brute = sum(
-        1 for combo in itertools.combinations(range(n), k) if is_independent(g, combo)
+        1 for combo in itertools.combinations(range(n), k) if spans_no_edge(edges, combo)
     )
     assert count_independent_sets_exact(g, k) == brute
+
+
+# ---------------------------------------------------------------------------
+# independence
+
+
+@pytest.mark.parametrize(
+    "structure, vertices",
+    [(empty_graph(5), [5]), (empty_graph(5), [-1]),
+     (UniformHypergraph.from_edges(3, 5, [(0, 1, 2)]), [7])],
+    ids=["graph-above", "graph-negative", "hypergraph-above"],
+)
+def test_is_independent_rejects_vertices_outside_the_range(structure, vertices):
+    with pytest.raises(InputError):
+        is_independent(structure, vertices)
+
+
+@given(kind=st.sampled_from(["graph", 2, 3, 4]), n=st.integers(0, 12),
+       p=st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]),
+       seed=st.integers(0, 10**6), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_is_independent_matches_its_definition(kind, n, p, seed, data):
+    structure = gnp(n, p, seed) if kind == "graph" else random_uniform_hypergraph(kind, n, p, seed)
+    edges = edge_sets(structure)
+    for _ in range(8):
+        smask = data.draw(st.integers(0, (1 << n) - 1), label="S")
+        assert is_independent(structure, _bits(smask)) == spans_no_edge(edges, _bits(smask))
+
+
+# ---------------------------------------------------------------------------
+# the container view: a graph and its 2-uniform hypergraph
+
+
+@given(n=st.integers(0, 10), p=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]),
+       seed=st.integers(0, 10**6), stream=st.none() | st.integers(0, 3), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_graph_and_its_two_uniform_hypergraph_look_alike_to_the_container_layer(
+    n, p, seed, stream, data
+):
+    # the degree precondition is left out: the graph and hypergraph statements
+    # ask different degrees of the same set, so the two may rightly disagree
+    g = gnp(n, p, seed)
+    h = as_two_uniform(g)
+    for k in range(n + 2):
+        assert count_independent_sets_exact(g, k) == count_independent_sets_exact(h, k), k
+    if n <= 8:
+        for smask in range(1 << n):
+            assert is_independent(g, _bits(smask)) == is_independent(h, _bits(smask)), smask
+    assert random_independent_set(g, seed, stream) == random_independent_set(h, seed, stream)
+    marked = data.draw(st.integers(0, (1 << n) - 1), label="marked")
+    params = ContainerParams(Fraction(1, 2), u=data.draw(st.integers(1, max(1, n)), label="u"),
+                             ell=data.draw(st.integers(0, n), label="ell"), k=n)
+    assert _scythe_core(g, marked, params) == _scythe_core(h, marked, params)
 
 
 # ---------------------------------------------------------------------------

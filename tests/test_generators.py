@@ -39,7 +39,7 @@ from homlab.graphs import (
 from homlab.homogeneous import has_induced_p4
 from homlab.tournaments import Tournament, cyclic_triangle_count
 
-from graph_helpers import complete_graph, empty_graph, write_hypergraph
+from graph_helpers import complete_graph, edge_sets, empty_graph, spans_no_edge, write_hypergraph
 
 
 def test_gnp_extremes():
@@ -238,13 +238,12 @@ def test_uniform_hypergraph_determinism_and_arity():
 @given(st.integers(1, 12), st.integers(0, 10**6))
 @settings(max_examples=80, deadline=None)
 def test_random_independent_set_is_independent_and_maximal(n, seed):
-    from homlab.containers import is_independent
-
     g = gnp(n, Fraction(1, 2), seed)
+    edges = edge_sets(g)
     iset = random_independent_set(g, seed)
-    assert is_independent(g, iset)
+    assert spans_no_edge(edges, iset)
     for v in set(range(n)) - iset:
-        assert not is_independent(g, iset | {v})
+        assert not spans_no_edge(edges, iset | {v})
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +553,14 @@ def test_draw_cap_is_checked_before_anything_is_enumerated():
 
 def reference_random_independent_set(structure, seed, stream=None):
     """The greedy set as it was before its chosen and blocked masks: one
-    independence check of the whole set per vertex, kept verbatim."""
-    from homlab.containers import is_independent  # a top-level import would load mpmath in `construct`
-
+    independence check of the whole set per vertex, kept verbatim apart from
+    the check, now independence by its definition."""
+    edges = edge_sets(structure)
     rng = rng_for(seed, stream)
     order = [int(v) for v in rng.permutation(structure.n)]
     chosen: set[int] = set()
     for v in order:
-        if is_independent(structure, chosen | {v}):
+        if spans_no_edge(edges, chosen | {v}):
             chosen.add(v)
     return frozenset(chosen)
 
