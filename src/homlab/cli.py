@@ -133,7 +133,9 @@ def construct(obj, kind, n, eps, p, parts):
 @click.pass_obj
 def hom(obj, graph_file, eps, mode):
     """Largest homogeneous (or eps-homogeneous) set of a graph file."""
-    g = graphs.read_graph(_read_file(graph_file))
+    # the search's cap is checked on the header, before the edge lines are read
+    check_n = homogeneous._check_exact_size if eps is None else homogeneous._check_eps_search_size
+    g = graphs.read_graph(_read_file(graph_file), check_n)
     if eps is None:
         size, witness = homogeneous.hom_exact(g)
         _emit(witness.to_json() + "\n", obj["out"])

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .errors import CapabilityError, InputError
 
@@ -20,7 +21,6 @@ __all__ = [
     "Graph",
     "UniformHypergraph",
     "edge_density",
-    "complement",
     "induced_subgraph",
     "count_induced_p4",
     "path_graph",
@@ -214,11 +214,6 @@ def edge_density(g: Graph) -> Fraction:
     return Fraction(g.edge_count, math.comb(g.n, 2))
 
 
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(g.masks)))
-
-
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Induced subgraph relabeled 0..|S|-1 in ascending original order."""
     order = sorted(set(vertices))
@@ -354,23 +349,38 @@ def write_graph(g: Graph) -> str:
     return "\n".join(blocks) + "\n"
 
 
+# Every character str.splitlines breaks a line at.
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def _read_edge_file(
-    text: str, what: str, header_size: int
+    text: str, what: str, header_size: int, check_n: Callable[[int], None] | None = None
 ) -> tuple[list[int], list[tuple[int, ...]]]:
     """Header integers and edge lines of a text file.  The header's last field
-    is the edge count m: exactly m edge lines must follow, all distinct."""
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    is the edge count m: exactly m edge lines must follow, all distinct.
+
+    The header is read and its n checked, against ``_MAX_READ_N`` and then by
+    ``check_n`` (a caller's cap, which raises), before any edge line is split."""
+    text = text.lstrip()  # blank lines before the header
+    if not text:
         raise InputError(f"empty {what} file")
+    brk = _LINE_BREAK.search(text)
+    head = text[: brk.start()] if brk else text
     try:
-        header = [int(x) for x in lines[0]]
-        edges = [tuple(int(x) for x in ln) for ln in lines[1:]]
+        header = [int(x) for x in head.split()]
     except ValueError as exc:
         raise InputError(f"malformed {what} file: {exc}") from exc
     if len(header) != header_size:
         raise InputError(f"{what} header needs {header_size} integers, got {len(header)}")
     if max(header[:-1]) > _MAX_READ_N:
         raise CapabilityError(f"{what} header field {max(header[:-1])} exceeds {_MAX_READ_N}")
+    if check_n is not None:
+        check_n(header[-2])
+    try:
+        edges = [tuple(int(x) for x in ln.split()) for ln in text[len(head):].splitlines()
+                 if ln.strip()]
+    except ValueError as exc:
+        raise InputError(f"malformed {what} file: {exc}") from exc
     if len(edges) != header[-1]:
         raise InputError(f"expected {header[-1]} edge lines, found {len(edges)}")
     if len(set(edges)) != len(edges):
@@ -378,8 +388,11 @@ def _read_edge_file(
     return header, edges
 
 
-def read_graph(text: str) -> Graph:
-    (n, _), edges = _read_edge_file(text, "graph", 2)
+def read_graph(text: str, check_n: Callable[[int], None] | None = None) -> Graph:
+    """The graph of an "n m" text file.  ``check_n``, if given, is called with
+    the header's n before any edge line is read, so a command can refuse a
+    graph above its cap without reading it."""
+    (n, _), edges = _read_edge_file(text, "graph", 2, check_n)
     for e in edges:
         if len(e) != 2 or e[0] >= e[1]:
             raise InputError(f"edge line must be two integers u < v, got {e}")

@@ -1,7 +1,8 @@
 """Homogeneous and eps-homogeneous set computation.
 
-Exact largest clique-or-independent-set (branch and bound with greedy
-coloring bounds on both the graph and its complement), homogeneous k-set
+Exact largest clique-or-independent-set (one branch and bound with greedy
+coloring bounds over the adjacency and non-neighbour rows, which serves the
+graph and, with the two swapped, its complement), homogeneous k-set
 counting, the (t,k) subset property checker, the homogeneous-count lower
 bound, and greedy-peel eps-homogeneous search.
 """
@@ -12,11 +13,10 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import CapabilityError, InputError, ParameterError, VerificationError
-from .graphs import (Graph, _bits, _count_k_sets, _induced_p4s, complement, edge_density,
-                     induced_subgraph)
+from .graphs import Graph, _bits, _count_k_sets, _induced_p4s, edge_density, induced_subgraph
 
 __all__ = [
     "HomogeneousWitness",
@@ -111,74 +111,97 @@ def p4_free_family() -> Callable[[Graph], bool]:
 def max_clique(g: Graph) -> frozenset[int]:
     """Branch-and-bound maximum clique with greedy-coloring upper bounds.
 
-    Branching order is deterministic (ascending index within color classes),
-    so the returned witness is reproducible.
+    The search reads two row lists, the adjacency rows ``g.masks`` and the
+    non-neighbour rows (see :func:`_non_rows`); :func:`hom_exact` runs the
+    complement search on the same two lists, swapped.  Branching order is
+    deterministic (ascending index within color classes), so the returned
+    witness is reproducible.
     """
     if g.n == 0:
         return frozenset()
-    return _clique_above(g, 1) or frozenset({0})  # a single vertex is always a clique
+    # a single vertex is always a clique
+    return _clique_above(g.masks, _non_rows(g), 1) or frozenset({0})
 
 
-def _clique_above(g: Graph, bound: int) -> frozenset[int] | None:
+def _non_rows(g: Graph) -> list[int]:
+    """Row v holds the vertices other than v that are not adjacent to v: the
+    adjacency rows of the complement graph, in O(n) big-integer operations."""
+    full = (1 << g.n) - 1
+    return [full & ~(row | 1 << v) for v, row in enumerate(g.masks)]
+
+
+def _clique_above(adj: Sequence[int], non: Sequence[int], bound: int) -> frozenset[int] | None:
     """The maximum clique :func:`max_clique`'s search finds first, if it has
     more than ``bound`` vertices; None if no clique has more.
 
-    A higher bound prunes only subtrees that hold no clique larger than the
-    best so far, so the search still meets the first maximum clique on the
-    same path: the witness does not depend on the bound."""
-    masks = g.masks
+    ``adj`` and ``non`` are the adjacency and non-neighbour rows of one graph
+    (``non[v]`` excludes v itself); the largest independent set is the same
+    search with the two lists swapped.  A higher bound prunes only subtrees
+    that hold no clique larger than the best so far, so the search still
+    meets the first maximum clique on the same path: the witness does not
+    depend on the bound."""
     best_mask = 0
     best_size = bound
 
-    def color_sort(p: int, floor: int) -> list[tuple[int, int]]:
-        # greedy coloring of candidate mask p; returns (vertex, color) with
-        # colors nondecreasing, vertices ascending inside each class, for the
-        # colors above floor: a vertex of a lower color cannot beat the bound
-        order: list[tuple[int, int]] = []
+    def expand(rmask: int, rsize: int, p: int) -> None:
+        nonlocal best_mask, best_size
+        # greedy coloring of the candidates p: each class takes the lowest
+        # vertex left, then the lowest vertex outside the neighbourhoods of
+        # those taken.  Only a class whose color is above the floor can beat
+        # the bound, so only those are listed, as (class mask, color).
+        floor = best_size - rsize
+        classes: list[tuple[int, int]] = []
         color = 0
         rest = p
         while rest:
             color += 1
-            keep = color > floor
-            avail = rest
+            avail = taken = rest
             while avail:
-                v = (avail & -avail).bit_length() - 1
-                if keep:
-                    order.append((v, color))
-                rest &= ~(1 << v)
-                avail &= ~masks[v] & ~(1 << v)
-        return order
+                low = avail & -avail
+                rest ^= low
+                avail &= non[low.bit_length() - 1]
+            if color > floor:
+                classes.append((taken ^ rest, color))
+        # branch from the last class down, highest vertex first in each
+        for cls, color in reversed(classes):
+            while cls:
+                if rsize + color <= best_size:
+                    return
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                cls ^= bit
+                new_p = p & adj[v]
+                if rsize >= best_size:
+                    best_size = rsize + 1
+                    best_mask = rmask | bit
+                if new_p:
+                    expand(rmask | bit, rsize + 1, new_p)
+                p ^= bit
 
-    def expand(rmask: int, rsize: int, p: int) -> None:
-        nonlocal best_mask, best_size
-        order = color_sort(p, best_size - rsize)
-        for v, color in reversed(order):
-            if rsize + color <= best_size:
-                return
-            new_r = rmask | (1 << v)
-            new_p = p & masks[v]
-            if rsize + 1 > best_size:
-                best_size = rsize + 1
-                best_mask = new_r
-            if new_p:
-                expand(new_r, rsize + 1, new_p)
-            p &= ~(1 << v)
-
-    expand(0, 0, (1 << g.n) - 1)
+    expand(0, 0, (1 << len(adj)) - 1)
     return frozenset(_bits(best_mask)) if best_mask else None
 
 
 _HOM_EXACT_N = 200
 
 
+def _check_exact_size(n: int) -> None:
+    """CapabilityError if :func:`hom_exact` refuses an n-vertex graph; a
+    caller that reads the graph can check before reading it."""
+    if n > _HOM_EXACT_N:
+        raise CapabilityError(f"hom_exact capped at n={_HOM_EXACT_N}, got {n}")
+
+
 def hom_exact(g: Graph) -> tuple[int, HomogeneousWitness]:
-    """Exact size of the largest clique-or-independent-set, with witness."""
-    if g.n > _HOM_EXACT_N:
-        raise CapabilityError(f"hom_exact capped at n={_HOM_EXACT_N}, got {g.n}")
+    """Exact size of the largest clique-or-independent-set, with witness.
+
+    The independent side is :func:`max_clique`'s search with the adjacency
+    and non-neighbour rows swapped, bounded by the clique found."""
+    _check_exact_size(g.n)
     if g.n == 0:
         return 0, HomogeneousWitness(frozenset(), "clique")
     cl = max_clique(g)
-    ind = _clique_above(complement(g), len(cl))  # only a larger set can win
+    ind = _clique_above(_non_rows(g), g.masks, len(cl))  # only a larger set can win
     if ind is None:
         witness = HomogeneousWitness(cl, "clique")
     else:

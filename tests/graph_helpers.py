@@ -1,5 +1,5 @@
-"""Small named graphs, the hypergraph writer and independence by definition,
-which only the tests use."""
+"""Small named graphs, the complement graph, the hypergraph writer and
+independence by definition, which only the tests use."""
 
 from homlab.graphs import Graph, UniformHypergraph
 
@@ -15,6 +15,11 @@ def complete_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(g.masks)))
 
 
 def write_hypergraph(h: UniformHypergraph) -> str:

@@ -431,6 +431,22 @@ def _limit_file_size():
     signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
 
 
+@pytest.mark.parametrize(
+    "text, options",
+    [("5793 8000000\n0 1\n0 2\n", ["--eps", "1/4"]),  # n above the eps search's 1000
+     ("201 1\n0 1\n", [])],  # n above the exact search's 200
+)
+def test_hom_refuses_on_the_header_before_the_edge_lines(tmp_path, text, options):
+    # the first file's edge count does not match its header: a reader that got
+    # past the header would exit 2, so exit 3 shows the cap was checked first
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    result, seconds = _run_cli("hom", str(graph), *options)
+    assert result.returncode == 3, result.stderr
+    assert "capped at n=" in result.stderr
+    assert seconds < 0.5
+
+
 def test_failed_out_write_leaves_the_old_file_whole(tmp_path):
     old = tmp_path / "old.txt"
     old.write_bytes(b"old bytes\n")

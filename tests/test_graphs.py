@@ -13,7 +13,6 @@ from homlab.graphs import (
     Graph,
     _bits,
     UniformHypergraph,
-    complement,
     count_induced_p4,
     edge_density,
     induced_subgraph,
@@ -24,7 +23,7 @@ from homlab.graphs import (
 )
 from homlab.homogeneous import has_induced_p4
 
-from graph_helpers import complete_graph, cycle_graph, empty_graph, write_hypergraph
+from graph_helpers import complement, complete_graph, cycle_graph, empty_graph, write_hypergraph
 
 small_graphs = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.builds(

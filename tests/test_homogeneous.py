@@ -13,12 +13,13 @@ from homlab.graphs import (
     Graph,
     _bits,
     _mask,
-    complement,
     count_induced_p4,
     path_graph,
 )
 from homlab.homogeneous import (
     EpsHomogeneousWitness,
+    _clique_above,
+    _non_rows,
     check_tk_property,
     copy_count_threshold,
     count_homogeneous_k,
@@ -30,7 +31,7 @@ from homlab.homogeneous import (
     verify_count_lower_bound,
 )
 
-from graph_helpers import complete_graph, cycle_graph, empty_graph
+from graph_helpers import complement, complete_graph, cycle_graph, empty_graph
 
 
 def all_graphs_family() -> Callable[[Graph], bool]:
@@ -247,6 +248,100 @@ def test_clique_search_keeps_the_reference_witness_on_seeded_gnp(n, p):
         g = gnp(n, p, seed)
         assert max_clique(g) == reference_max_clique(g)
         assert _hom(g) == reference_hom(g)
+
+
+def reference_clique_above(g, bound):
+    """The library's clique search as it was before it read non-neighbour
+    rows, kept verbatim with its colour floor: the same search tree, so the
+    same witness at every bound."""
+    masks = g.masks
+    best_mask = 0
+    best_size = bound
+
+    def color_sort(p: int, floor: int) -> list[tuple[int, int]]:
+        # greedy coloring of candidate mask p; returns (vertex, color) with
+        # colors nondecreasing, vertices ascending inside each class, for the
+        # colors above floor: a vertex of a lower color cannot beat the bound
+        order: list[tuple[int, int]] = []
+        color = 0
+        rest = p
+        while rest:
+            color += 1
+            keep = color > floor
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                if keep:
+                    order.append((v, color))
+                rest &= ~(1 << v)
+                avail &= ~masks[v] & ~(1 << v)
+        return order
+
+    def expand(rmask: int, rsize: int, p: int) -> None:
+        nonlocal best_mask, best_size
+        order = color_sort(p, best_size - rsize)
+        for v, color in reversed(order):
+            if rsize + color <= best_size:
+                return
+            new_r = rmask | (1 << v)
+            new_p = p & masks[v]
+            if rsize + 1 > best_size:
+                best_size = rsize + 1
+                best_mask = new_r
+            if new_p:
+                expand(new_r, rsize + 1, new_p)
+            p &= ~(1 << v)
+
+    expand(0, 0, (1 << g.n) - 1)
+    return frozenset(_bits(best_mask)) if best_mask else None
+
+
+def _assert_same_tree_at_every_bound(g):
+    """The search over (adjacency, non-neighbour) rows returns the reference's
+    witness, or None, at every bound from 0 to one above the clique number,
+    on the graph and, with the row lists swapped, on its complement."""
+    non = _non_rows(g)
+    assert non == list(complement(g).masks)
+    for adj, other, host in ((g.masks, non, g), (non, g.masks, complement(g))):
+        first = reference_clique_above(host, 0)
+        assert _clique_above(adj, other, 0) == first
+        for bound in range(1, len(first or ()) + 2):
+            assert _clique_above(adj, other, bound) == reference_clique_above(host, bound)
+
+
+_HOM_GRAPHS = st.builds(
+    gnp, st.integers(0, 40), st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)]),
+    st.integers(0, 10**6))
+
+
+@given(_HOM_GRAPHS)
+@settings(max_examples=60, deadline=None)
+def test_clique_search_walks_the_reference_tree_at_every_bound(g):
+    _assert_same_tree_at_every_bound(g)
+
+
+def test_clique_search_walks_the_reference_tree_on_seeded_gnp():
+    # every bound on G(200, 1/2) takes about 5 s; it meets the reference at
+    # the bounds hom_exact uses, below
+    _assert_same_tree_at_every_bound(gnp(128, Fraction(1, 2), seed=0))
+
+
+def _assert_hom_matches_a_complement_graph_search(g):
+    cl = max_clique(g)
+    assert cl == (reference_clique_above(g, 1) or frozenset(range(min(g.n, 1))))
+    ind = reference_clique_above(complement(g), len(cl))
+    expected = (len(ind), ind, "independent") if ind else (len(cl), cl, "clique")
+    assert _hom(g) == expected
+
+
+@given(_HOM_GRAPHS)
+@settings(max_examples=60, deadline=None)
+def test_hom_exact_matches_a_search_on_the_complement_graph(g):
+    _assert_hom_matches_a_complement_graph_search(g)
+
+
+def test_hom_exact_matches_a_search_on_the_complement_graph_on_seeded_gnp():
+    _assert_hom_matches_a_complement_graph_search(gnp(200, Fraction(1, 2), seed=0))
 
 
 # ---------------------------------------------------------------------------
