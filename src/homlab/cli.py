@@ -1,20 +1,20 @@
-"""Command-line interface.
+"""Command-line interface, on argparse.
 
 Subcommands: construct, hom, containers verify, tournament dist, params,
 experiment run.  Exit codes: 0 success, 1 verification/assertion failure,
-2 input error, 3 capability/resource limit.
+2 input error (a usage error too), 3 capability/resource limit.  Each command
+imports the library modules it runs, so a call loads only what it uses.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import json
 import os
 import sys
 
-import click
-
-from . import graphs, homogeneous, tournaments
+from . import graphs
 from .errors import CapabilityError, HomlabError, InputError, VerificationError
 from .graphs import _rational
 
@@ -28,12 +28,12 @@ def _exit_code(exc: HomlabError) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Print ``text``, or write it to ``out`` through a temporary file beside
-    it, moved into place once written, so a failed write leaves the old file
-    whole.  A path that exists but is no regular file, such as /dev/stdout,
-    is written in place."""
+    """Print ``text`` to the current ``sys.stdout``, or write it to ``out``
+    through a temporary file beside it, moved into place once written, so a
+    failed write leaves the old file whole.  A path that exists but is no
+    regular file, such as /dev/stdout, is written in place."""
     if not out:
-        click.echo(text, nl=not text.endswith("\n"))
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
         return
     try:
         if os.path.exists(out) and not os.path.isfile(out):
@@ -62,183 +62,98 @@ def _read_file(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-class _Group(click.Group):
-    """Click group whose command errors, and memory exhaustion, map onto the
-    documented exit codes."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except HomlabError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(_exit_code(exc))
-        except MemoryError as exc:  # a resource limit, like a CapabilityError
-            click.echo(f"error: out of memory {exc}".rstrip(), err=True)
-            sys.exit(3)
-
-
-@click.group(cls=_Group)
-@click.option("--seed", type=int, default=0, show_default=True, help="Root RNG seed.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker count.")
-@click.option("--out", type=str, default=None, help="Write output to this path.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True
-)
-@click.pass_context
-def main(ctx, seed, threads, out, fmt):
-    """Exact-combinatorics lab: containers, homogeneous sets, tournaments."""
-    ctx.obj = {"seed": seed, "threads": threads, "out": out, "format": fmt}
-
-
-@main.command()
-@click.option("--kind", required=True,
-              type=click.Choice(["gnp", "overlay", "multipartite", "tournament",
-                                 "cograph", "bipartite"]))
-@click.option("--n", type=int, required=True)
-@click.option("--eps", type=str, default=None, help="Rational, e.g. 1/20.")
-@click.option("--p", type=str, default=None, help="Edge probability, rational.")
-@click.option("--parts", type=int, default=2, show_default=True,
-              help="Part count for multipartite.")
-@click.pass_obj
-def construct(obj, kind, n, eps, p, parts):
+def construct(opts: argparse.Namespace) -> None:
     """Generate a seeded instance and print it in text format."""
     from . import generators
 
-    seed = obj["seed"]
+    kind, n, seed, out = opts.kind, opts.n, opts.seed, opts.out
     if kind == "gnp":
-        g = generators.gnp(n, _rational(p or "1/2"), seed)
-        _emit(graphs.write_graph(g), obj["out"])
+        g = generators.gnp(n, _rational(opts.p or "1/2"), seed)
+        _emit(graphs.write_graph(g), out)
     elif kind == "overlay":
-        if eps is None:
+        if opts.eps is None:
             raise InputError("overlay construction needs --eps")
-        art = generators.overlay_construction(n, _rational(eps), seed)
-        _emit(graphs.write_graph(art.graph), obj["out"])
+        art = generators.overlay_construction(n, _rational(opts.eps), seed)
+        _emit(graphs.write_graph(art.graph), out)
     elif kind == "multipartite":
-        sizes = [len(block) for block in generators.equitable_parts(n, parts)]
-        _emit(graphs.write_graph(generators.complete_multipartite(sizes)), obj["out"])
+        sizes = [len(block) for block in generators.equitable_parts(n, opts.parts)]
+        _emit(graphs.write_graph(generators.complete_multipartite(sizes)), out)
     elif kind == "tournament":
-        _emit(tournaments.write_tournament(generators.random_tournament(n, seed)), obj["out"])
+        from . import tournaments
+        _emit(tournaments.write_tournament(generators.random_tournament(n, seed)), out)
     elif kind == "cograph":
-        _emit(graphs.write_graph(generators.random_cograph(n, seed)), obj["out"])
+        _emit(graphs.write_graph(generators.random_cograph(n, seed)), out)
     else:
-        _emit(graphs.write_graph(generators.random_bipartite(n, _rational(p or "1/2"), seed)), obj["out"])
+        _emit(graphs.write_graph(generators.random_bipartite(n, _rational(opts.p or "1/2"), seed)), out)
 
 
-@main.command()
-@click.argument("graph_file", type=str)
-@click.option("--eps", type=str, default=None,
-              help="Search for an eps-homogeneous set instead of exact hom.")
-@click.option("--mode", type=click.Choice(["density", "degree"]), default="density",
-              show_default=True)
-@click.pass_obj
-def hom(obj, graph_file, eps, mode):
+def hom(opts: argparse.Namespace) -> None:
     """Largest homogeneous (or eps-homogeneous) set of a graph file."""
+    from . import homogeneous
+
     # the search's cap is checked on the header, before the edge lines are read
-    check_n = homogeneous._check_exact_size if eps is None else homogeneous._check_eps_search_size
-    g = graphs.read_graph(_read_file(graph_file), check_n)
-    if eps is None:
-        size, witness = homogeneous.hom_exact(g)
-        _emit(witness.to_json() + "\n", obj["out"])
+    check_n = homogeneous._check_exact_size if opts.eps is None else homogeneous._check_eps_search_size
+    g = graphs.read_graph(_read_file(opts.graph_file), check_n)
+    if opts.eps is None:
+        _, witness = homogeneous.hom_exact(g)
     else:
-        witness = homogeneous.find_eps_homogeneous(g, _rational(eps), mode=mode)
-        _emit(witness.to_json() + "\n", obj["out"])
+        witness = homogeneous.find_eps_homogeneous(g, _rational(opts.eps), mode=opts.mode)
+    _emit(witness.to_json() + "\n", opts.out)
 
 
-@main.group(name="containers")
-def containers_group():
-    """Container bound operations."""
-
-
-@containers_group.command()
-@click.argument("structure_file", type=str)
-@click.option("--eps", type=str, required=True)
-@click.option("--u", "u_val", type=int, required=True)
-@click.option("--k", "k_val", type=int, required=True)
-@click.option("--ell", type=int, default=None, help="Defaults to the minimal valid ell.")
-@click.pass_obj
-def verify(obj, structure_file, eps, u_val, k_val, ell):
+def verify(opts: argparse.Namespace) -> None:
     """Verify the degree precondition and count bound on a graph or
     hypergraph file; exits 1 if the exact count exceeds the bound."""
     from . import containers
 
-    text = _read_file(structure_file)
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    # graph header is "n m", hypergraph header is "r n m"
-    if len(first.split()) == 3:
-        structure = graphs.read_hypergraph(text)
-    else:
-        structure = graphs.read_graph(text)
-    epsilon = _rational(eps)
+    epsilon = _rational(opts.eps)
+    text = _read_file(opts.structure_file)
+    # a graph's header is "n m", a hypergraph's "r n m"; the cap is checked on it
+    hyper = len(graphs._header_line(text).split()) == 3
+    read = graphs.read_hypergraph if hyper else graphs.read_graph
+    structure = read(text, containers._check_exhaustive)
     n = structure.n
-    if ell is None:
-        ell = containers.minimal_ell(n, epsilon, u_val)
-    cp = containers.ContainerParams(epsilon, u=u_val, ell=ell, k=k_val)
+    ell = containers.minimal_ell(n, epsilon, opts.u) if opts.ell is None else opts.ell
+    cp = containers.ContainerParams(epsilon, u=opts.u, ell=ell, k=opts.k)
     bound = containers.hypergraph_bound(n, structure.r, cp)  # checks cp before the precondition scan
-    ok_pre, witness = containers.verify_degree_precondition(structure, epsilon, u_val)
-    exact = containers.count_independent_sets_exact(structure, k_val)
+    ok_pre, witness = containers.verify_degree_precondition(structure, epsilon, opts.u)
+    exact = containers.count_independent_sets_exact(structure, opts.k)
     result = {
         "n": n,
         "r": structure.r,
         "eps": str(epsilon),
-        "u": u_val,
+        "u": opts.u,
         "ell": ell,
-        "k": k_val,
+        "k": opts.k,
         "precondition": ok_pre,
         "precondition_witness": sorted(witness) if witness else None,
         "exact_count": exact,
         "bound": bound,
         "ok": (not ok_pre) or exact <= bound,
     }
-    _emit(json.dumps(result, indent=2) + "\n", obj["out"])
+    _emit(json.dumps(result, indent=2) + "\n", opts.out)
     if not result["ok"]:
         raise VerificationError(f"exact count {exact} exceeds bound {bound}")
 
 
-@main.group()
-def tournament():
-    """Tournament operations."""
-
-
-@tournament.command()
-@click.argument("tournament_file", type=str)
-@click.pass_obj
-def dist(obj, tournament_file):
+def dist(opts: argparse.Namespace) -> None:
     """Exact minimum edge reversals to transitivity, with witness ordering."""
-    t = tournaments.read_tournament(_read_file(tournament_file))
+    from . import tournaments
+
+    # the subset DP's cap is checked on the header, before the rows are read
+    t = tournaments.read_tournament(_read_file(opts.tournament_file), tournaments._check_dp_size)
     witness = tournaments.dist_to_transitive_exact(t)
-    _emit(
-        json.dumps(
-            {
-                "n": t.n,
-                "dist": witness.reversals,
-                "ordering": list(witness.ordering),
-                "cyclic_triangles": tournaments.cyclic_triangle_count(t),
-            },
-            indent=2,
-        )
-        + "\n",
-        obj["out"],
-    )
+    doc = {"n": t.n, "dist": witness.reversals, "ordering": list(witness.ordering),
+           "cyclic_triangles": tournaments.cyclic_triangle_count(t)}
+    _emit(json.dumps(doc, indent=2) + "\n", opts.out)
 
 
-@main.command("params")
-@click.option("--variant", type=click.Choice(["graph", "uniform", "tournament"]),
-              default="graph", show_default=True)
-@click.option("--eps", type=str, required=True)
-@click.option("--f", "f_value", type=str, default="2", show_default=True,
-              help="Constant growth value f(k).")
-@click.option("--h", "h_val", type=int, default=4, show_default=True,
-              help="Pattern order for the chain check.")
-@click.option("--improved-k", is_flag=True, help="Use the sharper log^2 k-formula.")
-@click.option("--check/--no-check", default=True, show_default=True,
-              help="Also verify the inequality chain.")
-@click.pass_obj
-def params_cmd(obj, variant, eps, f_value, h_val, improved_k, check):
+def params_cmd(opts: argparse.Namespace) -> None:
     """Compute exact theorem parameters and verify the inequality chain."""
     from . import params as params_mod
 
-    f = params_mod.GrowthFunction.constant(_rational(f_value))
-    p = params_mod.compute_params(variant, _rational(eps), f, improved_k=improved_k)
+    f = params_mod.GrowthFunction.constant(_rational(opts.f))
+    p = params_mod.compute_params(opts.variant, _rational(opts.eps), f, improved_k=opts.improved_k)
     doc = {
         "variant": p.variant,
         "eps": str(p.epsilon),
@@ -248,36 +163,130 @@ def params_cmd(obj, variant, eps, f_value, h_val, improved_k, check):
         "ell": p.ell,
         "f_of_k": str(p.f_of_k),
     }
-    if check:
-        report = params_mod.verify_inequality_chain(p, h_val)
+    if opts.check:
+        report = params_mod.verify_inequality_chain(p, opts.h)
         doc["chain"] = [
             {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "passed": c.passed}
             for c in report.checks
         ]
         doc["all_passed"] = report.all_passed
-    _emit(json.dumps(doc, indent=2) + "\n", obj["out"])
-    if check and not doc["all_passed"]:
+    _emit(json.dumps(doc, indent=2) + "\n", opts.out)
+    if opts.check and not doc["all_passed"]:
         raise VerificationError("inequality chain failed")
 
 
-@main.group()
-def experiment():
-    """Experiment runner."""
-
-
-@experiment.command()
-@click.argument("config_file", type=str)
-@click.pass_obj
-def run(obj, config_file):
+def run(opts: argparse.Namespace) -> None:
     """Run an ExperimentConfig JSON file and emit its report."""
     from .experiments import ExperimentConfig, emit_report, run_experiment
 
-    config = ExperimentConfig.from_json(_read_file(config_file))
-    rows = run_experiment(config, workers=obj["threads"])
-    _emit(emit_report(rows, format=obj["format"]), obj["out"] or config.out)
+    config = ExperimentConfig.from_json(_read_file(opts.config_file))
+    rows = run_experiment(config, workers=opts.threads)
+    _emit(emit_report(rows, format=opts.fmt), opts.out or config.out)
     bad = [r for r in rows if r.verdict.startswith("VIOLATION")]
     if bad:
         raise VerificationError(f"{len(bad)} rows reported violations")
+
+
+def _parser(prog: str) -> tuple[argparse.ArgumentParser, set[str], set[str]]:
+    """The argument parser, which takes no abbreviated option name, the names
+    of the options that take a value, and the names of the (sub)commands."""
+    valued, names = set(), set()
+    style = {"allow_abbrev": False, "formatter_class": argparse.ArgumentDefaultsHelpFormatter}
+
+    def option(parser, name, **kwargs):
+        valued.add(name)
+        parser.add_argument(name, **kwargs)
+
+    def command(subparsers, name, func):
+        """A subcommand that runs ``func(opts)``, described by its docstring."""
+        names.add(name)
+        parser = subparsers.add_parser(name, help=func.__doc__, description=func.__doc__, **style)
+        parser.set_defaults(func=func)
+        return parser
+
+    def group(subparsers, name, description):
+        names.add(name)
+        parser = subparsers.add_parser(name, help=description, description=description, **style)
+        return parser.add_subparsers(required=True, metavar="COMMAND")
+
+    root = argparse.ArgumentParser(prog=prog, description="Exact-combinatorics lab: containers, "
+                                   "homogeneous sets, tournaments.", **style)
+    option(root, "--seed", type=int, default=0, help="Root RNG seed.")
+    option(root, "--threads", type=int, default=1, help="Worker count.")
+    option(root, "--out", help="Write output to this path.")
+    option(root, "--format", dest="fmt", choices=["csv", "json"], default="csv", help="Report format.")
+    commands = root.add_subparsers(required=True, metavar="COMMAND")
+
+    p = command(commands, "construct", construct)
+    option(p, "--kind", required=True,
+           choices=["gnp", "overlay", "multipartite", "tournament", "cograph", "bipartite"])
+    option(p, "--n", type=int, required=True)
+    option(p, "--eps", help="Rational, e.g. 1/20.")
+    option(p, "--p", help="Edge probability, rational.")
+    option(p, "--parts", type=int, default=2, help="Part count for multipartite.")
+
+    p = command(commands, "hom", hom)
+    p.add_argument("graph_file")
+    option(p, "--eps", help="Search for an eps-homogeneous set instead of exact hom.")
+    option(p, "--mode", choices=["density", "degree"], default="density", help="Peel rule.")
+
+    p = command(group(commands, "containers", "Container bound operations."), "verify", verify)
+    p.add_argument("structure_file")
+    option(p, "--eps", required=True)
+    option(p, "--u", type=int, required=True)
+    option(p, "--k", type=int, required=True)
+    option(p, "--ell", type=int, help="Defaults to the minimal valid ell.")
+
+    p = command(group(commands, "tournament", "Tournament operations."), "dist", dist)
+    p.add_argument("tournament_file")
+
+    p = command(commands, "params", params_cmd)
+    option(p, "--variant", choices=["graph", "uniform", "tournament"], default="graph",
+           help="Theorem variant.")
+    option(p, "--eps", required=True)
+    option(p, "--f", default="2", help="Constant growth value f(k).")
+    option(p, "--h", type=int, default=4, help="Pattern order for the chain check.")
+    p.add_argument("--improved-k", action="store_true", help="Use the sharper log^2 k-formula.")
+    p.add_argument("--check", action=argparse.BooleanOptionalAction, default=True,
+                   help="Also verify the inequality chain.")
+
+    p = command(group(commands, "experiment", "Experiment runner."), "run", run)
+    p.add_argument("config_file")
+    return root, valued, names
+
+
+def _args(args: list[str], valued: set[str], names: set[str]) -> list[str]:
+    """``args`` with each value-taking option joined to the next word as
+    ``--opt=word``, so a value may start with "-" (``--eps -1/2``).  A ``--``
+    ends its command's options: one that is last or comes before a command
+    name ends none and is dropped; any other is kept, with the words after it."""
+    joined, i = [], 0
+    while i < len(args):
+        word = args[i]
+        if word == "--" and i + 1 < len(args) and args[i + 1] not in names:
+            break
+        if word in valued and i + 1 < len(args) and args[i + 1] != "--":
+            i += 1
+            joined.append(f"{word}={args[i]}")
+        elif word != "--":
+            joined.append(word)
+        i += 1
+    return joined + args[i:]
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run one command line (default ``sys.argv[1:]``): a library error exits
+    with its class's code, memory exhaustion with 3, a usage error with 2."""
+    parser, valued, names = _parser(prog_name or "homlab")
+    opts = parser.parse_args(_args(sys.argv[1:] if args is None else list(args), valued, names))
+    try:
+        opts.func(opts)
+    except HomlabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(_exit_code(exc))
+    except MemoryError as exc:  # a resource limit, like a CapabilityError
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
+        sys.exit(3)
 
 
 if __name__ == "__main__":

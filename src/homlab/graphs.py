@@ -353,6 +353,14 @@ def write_graph(g: Graph) -> str:
 _LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
+def _header_line(text: str) -> str:
+    """The first non-blank line of ``text``, stripped; "" if there is none.
+    Only that line is scanned: the lines after it are not split."""
+    text = text.lstrip()
+    brk = _LINE_BREAK.search(text)
+    return (text[: brk.start()] if brk else text).rstrip()
+
+
 def _read_edge_file(
     text: str, what: str, header_size: int, check_n: Callable[[int], None] | None = None
 ) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -364,8 +372,7 @@ def _read_edge_file(
     text = text.lstrip()  # blank lines before the header
     if not text:
         raise InputError(f"empty {what} file")
-    brk = _LINE_BREAK.search(text)
-    head = text[: brk.start()] if brk else text
+    head = _header_line(text)  # the rest of its line is blank, and splits to nothing below
     try:
         header = [int(x) for x in head.split()]
     except ValueError as exc:
@@ -399,8 +406,12 @@ def read_graph(text: str, check_n: Callable[[int], None] | None = None) -> Graph
     return Graph.from_edges(n, edges)
 
 
-def read_hypergraph(text: str) -> UniformHypergraph:
-    (r, n, _), edges = _read_edge_file(text, "hypergraph", 3)
+def read_hypergraph(
+    text: str, check_n: Callable[[int], None] | None = None
+) -> UniformHypergraph:
+    """The r-uniform hypergraph of an "r n m" text file; ``check_n`` as for
+    :func:`read_graph`."""
+    (r, n, _), edges = _read_edge_file(text, "hypergraph", 3, check_n)
     for e in edges:
         if len(e) != r or list(e) != sorted(set(e)):
             raise InputError(f"edge line must be {r} strictly ascending integers, got {e}")

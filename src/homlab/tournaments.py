@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import CapabilityError, ConsistencyError, InputError
-from .graphs import _count_k_sets, _mask
+from .graphs import _MAX_READ_N, _count_k_sets, _header_line, _mask
 
 __all__ = [
     "Tournament",
@@ -102,6 +103,14 @@ def cyclic_triangle_count(t: Tournament) -> int:
 _SUBSET_DP_N = 20
 
 
+def _check_dp_size(n: int) -> None:
+    """CapabilityError if :func:`dist_to_transitive_exact` refuses an
+    n-vertex tournament; a caller that reads the tournament can check before
+    reading it."""
+    if n > _SUBSET_DP_N:
+        raise CapabilityError(f"subset DP capped at n={_SUBSET_DP_N}, got {n}")
+
+
 def dist_to_transitive_exact(t: Tournament) -> TransitivityWitness:
     """Minimum edge reversals to reach a transitive tournament, via the
     subset dynamic program (2^n states).
@@ -114,8 +123,7 @@ def dist_to_transitive_exact(t: Tournament) -> TransitivityWitness:
     ordering-search oracle ``dist_to_transitive_bruteforce``.
     """
     n = t.n
-    if n > _SUBSET_DP_N:
-        raise CapabilityError(f"subset DP capped at n={_SUBSET_DP_N}, got {n}")
+    _check_dp_size(n)
     if n == 0:
         return TransitivityWitness((), 0)
     size = 1 << n
@@ -211,15 +219,23 @@ def write_tournament(t: Tournament) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_tournament(text: str) -> Tournament:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+def read_tournament(text: str, check_n: Callable[[int], None] | None = None) -> Tournament:
+    """The tournament of an "n" text file.  The header's n is checked against
+    the readers' cap of 2^14 and then by ``check_n`` (a caller's cap, which
+    raises) before any row is split, so a command can refuse a tournament
+    above its cap without reading it."""
+    head = _header_line(text)
+    if not head:
         raise InputError("empty tournament file")
     try:
-        n = int(lines[0])
+        n = int(head)
     except ValueError as exc:
         raise InputError(f"bad header: {exc}") from exc
-    rows = lines[1:]
+    if n > _MAX_READ_N:
+        raise CapabilityError(f"tournament header field {n} exceeds {_MAX_READ_N}")
+    if check_n is not None:
+        check_n(n)
+    rows = [ln.strip() for ln in text.splitlines() if ln.strip()][1:]
     if len(rows) != n or any(len(r) != n or not set(r) <= {"0", "1"} for r in rows):
         raise InputError("expected an n x n 0/1 matrix")
     out = tuple(_mask(u for u, ch in enumerate(row) if ch == "1") for row in rows)

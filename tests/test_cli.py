@@ -10,20 +10,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import homlab
-from homlab.cli import main
 from homlab.errors import InputError
 from homlab.generators import gnp, random_uniform_hypergraph
 from homlab.graphs import _rational, read_graph, write_graph
 from homlab.tournaments import read_tournament
 
+import cli_helpers
 from graph_helpers import complete_graph, write_hypergraph
 
 
 def invoke(*args):
-    return CliRunner().invoke(main, list(args))
+    return cli_helpers.invoke(args)
 
 
 def test_construct_gnp_writes_graph_format(tmp_path):
@@ -322,6 +321,47 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, loaded):
     assert json.loads(result.stderr.splitlines()[-1]) == loaded
 
 
+# Runs one command in a fresh interpreter, then prints which of click and the
+# homlab modules that only some commands use it loaded.
+_LOADED_HOMLAB = """
+import json, sys
+from homlab.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    watched = ("click", "homlab.homogeneous", "homlab.tournaments")
+    print(json.dumps([m for m in watched if m in sys.modules]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, absent",
+    [
+        (["construct", "--kind", "gnp", "--n", "5"], ["click", "homlab.homogeneous"]),
+        (["hom", "{graph}"], ["click", "homlab.tournaments"]),
+        (["containers", "verify", "{graph}", "--eps", "1/2", "--u", "2", "--k", "3"],
+         ["click", "homlab.homogeneous", "homlab.tournaments"]),
+        (["tournament", "dist", "{tournament}"], ["click", "homlab.homogeneous"]),
+        (["params", "--eps", "1/128"], ["click", "homlab.homogeneous", "homlab.tournaments"]),
+        (["experiment", "run", "{config}"], ["click"]),
+    ],
+    ids=["construct", "hom", "containers-verify", "tournament-dist", "params", "experiment-run"],
+)
+def test_each_command_loads_no_click_and_only_the_homlab_modules_it_runs(tmp_path, args, absent):
+    files = {"graph": tmp_path / "g.txt", "tournament": tmp_path / "t.txt",
+             "config": tmp_path / "cfg.json"}
+    files["graph"].write_text("4 2\n0 1\n2 3\n")
+    files["tournament"].write_text("3\n010\n001\n100\n")
+    files["config"].write_text(json.dumps(_TRIANGLE_SCAN))
+    env = {**os.environ, "PYTHONPATH": str(Path(homlab.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_HOMLAB, *(a.format(**files) for a in args)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert not set(json.loads(result.stderr.splitlines()[-1])) & set(absent)
+
+
 def test_experiment_run_rejects_negative_flips(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "closeness-pipeline", "grid": {"flips": -5, "count": 1}}))
@@ -444,6 +484,25 @@ def test_hom_refuses_on_the_header_before_the_edge_lines(tmp_path, text, options
     result, seconds = _run_cli("hom", str(graph), *options)
     assert result.returncode == 3, result.stderr
     assert "capped at n=" in result.stderr
+    assert seconds < 0.5
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [(["containers", "verify", "--eps", "1/2", "--u", "4", "--k", "8"], "17 100000\n0 1\n"),
+     (["containers", "verify", "--eps", "1/2", "--u", "4", "--k", "8"], "3 17 100000\n0 1 2\n"),
+     (["tournament", "dist"], "21\n" + "01" * 10 + "0\n")],
+    ids=["containers-verify-graph", "containers-verify-hypergraph", "tournament-dist"],
+)
+def test_capped_commands_refuse_on_the_header_before_the_rows(tmp_path, command, text):
+    # no body matches its header (n = 17 with 1 of 100000 edge lines, n = 21
+    # with 1 of 21 rows): a reader that got past the header would exit 2, so
+    # exit 3 shows the command's cap was checked first
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    result, seconds = _run_cli(*command, str(path))
+    assert result.returncode == 3, result.stderr
+    assert "cap" in result.stderr
     assert seconds < 0.5
 
 

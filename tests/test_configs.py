@@ -3,9 +3,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from homlab.cli import main
+from cli_helpers import invoke
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -29,7 +28,7 @@ def test_every_config_is_pinned():
 def test_config_writes_its_pinned_report(tmp_path, monkeypatch, name):
     config = CONFIGS / f"{name}.json"
     monkeypatch.chdir(tmp_path)
-    result = CliRunner().invoke(main, ["experiment", "run", str(config)])
+    result = invoke(["experiment", "run", str(config)])
     assert result.exit_code == 0, (result.output, result.exception)
     report = tmp_path / json.loads(config.read_text())["out"]
     assert "VIOLATION" not in report.read_text()

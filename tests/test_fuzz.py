@@ -8,16 +8,15 @@ import json
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.cli import main
 from homlab.errors import CapabilityError, InputError
 from homlab.generators import gnp, random_tournament, random_uniform_hypergraph
 from homlab.graphs import read_graph, read_hypergraph, write_graph
 from homlab.tournaments import read_tournament, write_tournament
 
+from cli_helpers import invoke
 from graph_helpers import write_hypergraph
 
 _EDITS = ["", "0", "1", "7", " ", "\n", "-", "x", "1/2", "99999999999"]
@@ -72,7 +71,7 @@ def test_cli_exits_0_2_or_3_on_fuzzed_files(tmp_path_factory, command, files, da
     if command[0] == "containers":
         args += ["--eps", data.draw(st.sampled_from(["1/3", "1/2", "1"])),
                  "--u", str(data.draw(st.integers(0, 4))), "--k", str(data.draw(st.integers(0, 6)))]
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code in (0, 2, 3), (result.output, result.exception)
 
 
@@ -96,7 +95,7 @@ def test_experiment_run_exits_0_or_2_on_fuzzed_configs(tmp_path_factory, field, 
     (workdir / "cfg.json").write_text(json.dumps(document))
     # --out takes precedence over the config's out, which is then only checked
     args = ["--out", str(workdir / "report.csv"), "experiment", "run", str(workdir / "cfg.json")]
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code in (0, 2), (document, result.output, result.exception)
 
 
@@ -115,7 +114,7 @@ def test_construct_exits_0_2_or_3(kind, n, p, eps, parts, seed):
             "--parts", str(parts)]
     args += ["--p", p] if p is not None else []
     args += ["--eps", eps] if eps is not None else []
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code in (0, 2, 3), (args, result.output, result.exception)
 
 
@@ -125,7 +124,7 @@ def test_construct_exits_0_2_or_3(kind, n, p, eps, parts, seed):
 @settings(max_examples=60, deadline=None)
 def test_params_exits_0_1_2_or_3(variant, eps, f, h):
     args = ["params", "--variant", variant, "--eps", eps, "--f", f, "--h", str(h)]
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         args, result.output, result.exception)
     assert result.exit_code in (0, 1, 2, 3), (args, result.output)
@@ -139,5 +138,5 @@ def test_params_exits_0_1_2_or_3(variant, eps, f, h):
 def test_hom_eps_exits_0_2_or_3(tmp_path_factory, eps, mode, seed):
     path = tmp_path_factory.mktemp("hom") / "g.txt"
     path.write_text(write_graph(gnp(8, Fraction(1, 2), seed)))
-    result = CliRunner().invoke(main, ["hom", str(path), "--eps", eps, "--mode", mode])
+    result = invoke(["hom", str(path), "--eps", eps, "--mode", mode])
     assert result.exit_code in (0, 2, 3), (eps, result.output, result.exception)

@@ -14,11 +14,9 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.cli import main
 from homlab.containers import (
     ContainerParams,
     count_independent_sets_exact,
@@ -30,6 +28,7 @@ from homlab.errors import CapabilityError, InputError
 from homlab.generators import gnp, random_uniform_hypergraph
 from homlab.graphs import Graph, UniformHypergraph
 
+from cli_helpers import invoke
 from graph_helpers import complete_graph, write_hypergraph
 
 
@@ -126,8 +125,8 @@ def test_a_bound_below_c_n_k_holds_the_count():
 def test_containers_verify_on_the_tight_count(tmp_path):
     path = tmp_path / "h.txt"
     path.write_text(write_hypergraph(_k14_without_k8()))
-    result = CliRunner().invoke(main, ["containers", "verify", str(path),
-                                       "--eps", "7/16", "--u", "8", "--k", "8"])
+    result = invoke(["containers", "verify", str(path),
+                     "--eps", "7/16", "--u", "8", "--k", "8"])
     assert result.exit_code == 0, (result.output, result.exception)
     assert json.loads(result.stdout) == {
         "n": 14, "r": 3, "eps": "7/16", "u": 8, "ell": 1, "k": 8, "precondition": True,
