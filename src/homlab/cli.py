@@ -228,7 +228,7 @@ def _parser(prog: str) -> tuple[argparse.ArgumentParser, set[str], set[str]]:
     p = command(commands, "hom", hom)
     p.add_argument("graph_file")
     option(p, "--eps", help="Search for an eps-homogeneous set instead of exact hom.")
-    option(p, "--mode", choices=["density", "degree"], default="density", help="Peel rule.")
+    option(p, "--mode", choices=["density", "degree"], default="density", help="Rule for --eps.")
 
     p = command(group(commands, "containers", "Container bound operations."), "verify", verify)
     p.add_argument("structure_file")
@@ -255,7 +255,7 @@ def _parser(prog: str) -> tuple[argparse.ArgumentParser, set[str], set[str]]:
     return root, valued, names
 
 
-def _args(args: list[str], valued: set[str], names: set[str]) -> list[str]:
+def _join_values(args: list[str], valued: set[str], names: set[str]) -> list[str]:
     """``args`` with each value-taking option joined to the next word as
     ``--opt=word``, so a value may start with "-" (``--eps -1/2``).  A ``--``
     ends its command's options: one that is last or comes before a command
@@ -278,7 +278,7 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Run one command line (default ``sys.argv[1:]``): a library error exits
     with its class's code, memory exhaustion with 3, a usage error with 2."""
     parser, valued, names = _parser(prog_name or "homlab")
-    opts = parser.parse_args(_args(sys.argv[1:] if args is None else list(args), valued, names))
+    opts = parser.parse_args(_join_values(sys.argv[1:] if args is None else list(args), valued, names))
     try:
         opts.func(opts)
     except HomlabError as exc:

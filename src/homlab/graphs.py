@@ -372,7 +372,7 @@ def _read_edge_file(
     text = text.lstrip()  # blank lines before the header
     if not text:
         raise InputError(f"empty {what} file")
-    head = _header_line(text)  # the rest of its line is blank, and splits to nothing below
+    head = _header_line(text)  # stripped: the rest of its line splits to no edge line
     try:
         header = [int(x) for x in head.split()]
     except ValueError as exc:
@@ -406,9 +406,7 @@ def read_graph(text: str, check_n: Callable[[int], None] | None = None) -> Graph
     return Graph.from_edges(n, edges)
 
 
-def read_hypergraph(
-    text: str, check_n: Callable[[int], None] | None = None
-) -> UniformHypergraph:
+def read_hypergraph(text: str, check_n: Callable[[int], None] | None = None) -> UniformHypergraph:
     """The r-uniform hypergraph of an "r n m" text file; ``check_n`` as for
     :func:`read_graph`."""
     (r, n, _), edges = _read_edge_file(text, "hypergraph", 3, check_n)
