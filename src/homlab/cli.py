@@ -278,7 +278,13 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Run one command line (default ``sys.argv[1:]``): a library error exits
     with its class's code, memory exhaustion with 3, a usage error with 2."""
     parser, valued, names = _parser(prog_name or "homlab")
-    opts = parser.parse_args(_join_values(sys.argv[1:] if args is None else list(args), valued, names))
+    words = _join_values(sys.argv[1:] if args is None else list(args), valued, names)
+    for word in words:  # argparse would take the word after an unknown root option for the command
+        if word in names:
+            break
+        if word.startswith("-") and word.partition("=")[0] not in valued | {"-h", "--help"}:
+            parser.error(f"unrecognized arguments: {word}")
+    opts = parser.parse_args(words)
     try:
         opts.func(opts)
     except HomlabError as exc:

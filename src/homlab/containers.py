@@ -36,7 +36,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import CapabilityError, ConsistencyError, InputError, ParameterError
 from .graphs import Graph, UniformHypergraph, _bits, _mask
-from .params import _enclose, _resolve, _resolve_ceil
+from .params import _BOUND_DIGITS, _BOUND_LIMIT, _exact_ell_limit, _power_text, minimal_ell
 
 __all__ = [
     "ContainerParams",
@@ -83,57 +83,15 @@ class ContainerParams:
             raise ParameterError(f"need (r-1)*ell <= k, got {(r - 1) * self.ell} > {self.k}")
 
 
-def _exact_ell_limit(n: int) -> int:
-    """Largest ell for which (1-eps)^ell * n is multiplied out exactly.
-
-    (1-eps)^ell * n can equal an integer u only if the denominator of
-    (1-eps)^ell, at least 2^ell, divides n; past n.bit_length() the two are
-    never equal, so an enclosure of their ratio decides the comparison at
-    some finite precision."""
-    return max(64, n.bit_length())
-
-
 def _size_above(n: int, eps: Fraction, ell: int, u: int) -> str | None:
     """(1-eps)^ell * n rendered if it exceeds u >= 1, else None.  Small
     powers are multiplied out exactly; for a larger ell the comparison is
     ell < minimal_ell(n, eps, u), and the value, then in (u, n], is rendered
-    from an enclosure whose ends render alike."""
-    if ell <= _exact_ell_limit(n):
+    by :func:`homlab.params._power_text`."""
+    if ell <= _exact_ell_limit(n, eps):
         value = (1 - eps) ** ell * n
         return str(value) if value > u else None
-    if ell >= minimal_ell(n, eps, u):
-        return None
-
-    def shown(lo: Fraction, hi: Fraction) -> str | None:
-        text = f"~{float(lo):.12g}"
-        return text if text == f"~{float(hi):.12g}" else None  # both ends print the value
-
-    return _resolve(lambda ctx: _enclose(ctx, lambda ctx, b, n: b**ell * n, 1 - eps, n), shown)[0]
-
-
-def minimal_ell(n: int, epsilon: Fraction, u: int) -> int:
-    """Smallest ell with (1-eps)^ell * n <= u, in exact arithmetic.
-
-    Small ell are found by multiplying out the powers; a larger ell is the
-    ceiling of ln(n/u) / ln(1/(1-eps)), which an interval enclosure at
-    doubling precision decides."""
-    eps = Fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise ParameterError(f"epsilon={eps} outside (0,1]")
-    if n > u and (u < 0 or (u == 0 and eps < 1)):
-        raise ParameterError(f"(1-eps)^ell * n stays above u={u} for every ell")
-    if eps == 1:
-        return int(n > u)
-    value = Fraction(n)
-    for ell in range(_exact_ell_limit(n) + 1):
-        if value <= u:
-            return ell
-        value *= 1 - eps
-
-    def log_ratio(ctx, q, b):
-        return ctx.log(q) / ctx.log(b)
-
-    return _resolve_ceil(lambda ctx: _enclose(ctx, log_ratio, Fraction(n, u), 1 / (1 - eps)))
+    return None if ell >= minimal_ell(n, eps, u) else _power_text(1 - eps, ell, n)
 
 
 @dataclass(frozen=True)
@@ -246,10 +204,6 @@ def kw_bound(n: int, params: ContainerParams, improved: bool = False) -> int:
     sq = Fraction(2 ** (2 * ell) * base * base) * Fraction(u, n) ** (ell - 1)
     q = math.ceil(sq)
     return math.isqrt(q - 1) + 1 if q else 0
-
-
-_BOUND_DIGITS = 4300  # Python's default limit on converting an int to decimal text
-_BOUND_LIMIT = 10**_BOUND_DIGITS  # the least bound with too many digits to print
 
 
 def _binomial(a: int, j: int) -> int:

@@ -96,7 +96,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
+        rows = [0] * max(n, 0)  # a negative n is refused by _check_rows, at any size
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise InputError(f"bad edge ({u},{v}) for n={n}")

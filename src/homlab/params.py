@@ -2,15 +2,18 @@
 count-tradeoff theorems.
 
 All parameters are exact (integers and Fractions).  Transcendental
-subexpressions (logs, fractional and long powers) are evaluated as interval
-enclosures in private mpmath interval contexts, one per thread, so callers
-may run concurrently.  One resolver doubles the working precision until an
-enclosure decides a ceiling or a chain check, so results are deterministic
-and platform-independent.
+subexpressions (logs, fractional powers, and long powers as the exp of a log)
+are evaluated as interval enclosures in private mpmath interval contexts, one
+per thread, so callers may run concurrently.  One resolver doubles the working
+precision until an enclosure decides a ceiling or a chain check, so results
+are deterministic and platform-independent.  This module decides and prints
+every power of the chain, (1-eps)^ell included, for :mod:`homlab.containers`
+as well.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import threading
 from dataclasses import dataclass
@@ -33,6 +36,8 @@ __all__ = [
 ]
 
 _MAX_PREC = 1 << 16
+_BOUND_DIGITS = 4300  # Python's default limit on converting an int to decimal text
+_BOUND_LIMIT = 10**_BOUND_DIGITS  # the least integer with too many digits to print
 _thread = threading.local()  # holds this thread's interval context, built on first use
 
 
@@ -62,7 +67,6 @@ def _raw_mpf_to_fraction(raw, upper: bool) -> Fraction | None:
     return -value if sign else value
 
 
-_Enclose = Callable[[mpmath.MPIntervalContext], tuple[Fraction, Fraction] | None]
 _T = TypeVar("_T")
 
 
@@ -102,15 +106,16 @@ def _context(prec: int) -> mpmath.MPIntervalContext:
 
 
 def _resolve(
-    enclose: _Enclose, decide: Callable[[Fraction, Fraction], _T | None]
+    decide: Callable[[Fraction, Fraction], _T | None], expr: Callable, *values: Fraction
 ) -> tuple[_T, Fraction, Fraction]:
-    """Decision (an int, bool or str) and final ends of the first enclosure that
-    ``decide`` does not map to None, doubling the precision from 128 bits; an
-    enclosure too large to convert is undecided.  Every evaluation runs in
-    this thread's interval context."""
+    """Decision (an int, bool or str) and final ends of the first enclosure of
+    ``expr`` at ``values`` (see :func:`_enclose`) that ``decide`` does not map
+    to None, doubling the precision from 128 bits; an enclosure too large to
+    convert is undecided.  Every evaluation runs in this thread's interval
+    context."""
     prec = 128
     while prec <= _MAX_PREC:
-        ends = enclose(_context(prec))
+        ends = _enclose(_context(prec), expr, *values)
         decision = None if ends is None else decide(*ends)
         if decision is not None:
             return decision, *ends
@@ -118,13 +123,13 @@ def _resolve(
     raise ParameterError(f"enclosure failed to resolve at {_MAX_PREC} bits")
 
 
-def _resolve_ceil(expr: _Enclose) -> int:
-    """Ceiling of a real given an enclosure-producing evaluator, resolved once
-    the enclosure no longer straddles an integer boundary."""
+def _resolve_ceil(expr: Callable, *values: Fraction) -> int:
+    """Ceiling of ``expr`` at ``values``, resolved once the enclosure no longer
+    straddles an integer boundary."""
     def same_ceil(lo: Fraction, hi: Fraction) -> int | None:
         c = math.ceil(lo)
         return c if c == math.ceil(hi) else None
-    return _resolve(expr, same_ceil)[0]
+    return _resolve(same_ceil, expr, *values)[0]
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ def _pow_ceil(base: int, exponent: Fraction) -> int:
     exponent = Fraction(exponent)
     if exponent.denominator == 1:
         return base ** exponent.numerator
-    return _resolve_ceil(lambda ctx: _enclose(ctx, lambda ctx, b, e: b**e, base, exponent))
+    return _resolve_ceil(lambda ctx, b, e: b**e, base, exponent)
 
 
 def compute_params(
@@ -188,54 +193,33 @@ def compute_params(
     alternative).
     """
     eps = Fraction(epsilon)
-    if not 0 < eps < Fraction(1, 100):
-        if not allow_out_of_range:
-            raise ParameterError(
-                f"epsilon={eps} outside (0, 1/100); pass allow_out_of_range to explore"
-            )
+    if not (0 < eps < Fraction(1, 100) or allow_out_of_range):
+        raise ParameterError(f"epsilon={eps} outside (0, 1/100); pass allow_out_of_range to explore")
     if variant not in ("graph", "uniform", "tournament"):
         raise ParameterError(f"unknown variant {variant!r}")
     inv = 1 / eps
-    inv_sq = inv * inv
+    scale = inv * inv if variant == "tournament" else inv  # of ln^4(1/eps) in k, and of ell
 
-    def log_pow_expr(scale: Fraction, power: int) -> _Enclose:
-        def expr(ctx: mpmath.MPIntervalContext) -> tuple[Fraction, Fraction]:
-            lo, hi = _enclose(ctx, _log, inv)
-            lo = max(lo, Fraction(0))
-            return scale * lo**power, scale * hi**power
-        return expr
+    def log_pow(power: int) -> Callable:  # c * ln(x)^power
+        return lambda ctx, x, c: c * ctx.log(x) ** power
 
     if improved_k:
-        inner = _resolve_ceil(log_pow_expr(inv, 4))
-        f_inner = f(max(inner, 2))
-        k = 200 * _resolve_ceil(log_pow_expr(inv * f_inner**2, 2))
-    elif variant == "tournament":
-        k = 200 * _resolve_ceil(log_pow_expr(inv_sq, 4))
+        f_inner = f(max(_resolve_ceil(log_pow(4), inv, inv), 2))
+        k = 200 * _resolve_ceil(log_pow(2), inv, inv * f_inner**2)
     else:
-        k = 200 * _resolve_ceil(log_pow_expr(inv, 4))
+        k = 200 * _resolve_ceil(log_pow(4), inv, scale)
 
     f_k = f(k)
-    delta_mult = 16 if variant == "graph" else 200
-    inv_delta = Fraction(delta_mult) * _pow_ceil(k, f_k - 1)
-    delta = 1 / inv_delta
+    too_long = CapabilityError(f"1/delta or t has more than {_BOUND_DIGITS} digits")
+    if f_k * (k.bit_length() - 1) >= _BOUND_LIMIT.bit_length():  # t >= 2^that, refused unresolved
+        raise too_long
+    inv_delta = Fraction(16 if variant == "graph" else 200) * _pow_ceil(k, f_k - 1)
     t = _pow_ceil(k, f_k)
-
-    ell_scale = inv_sq if variant == "tournament" else inv
-
-    def ell_expr(ctx: mpmath.MPIntervalContext) -> tuple[Fraction, Fraction]:
-        lo, hi = _enclose(ctx, _log, inv_delta)
-        return ell_scale * lo, ell_scale * hi
-
-    ell = _resolve_ceil(ell_expr)
-    return TheoremParams(
-        epsilon=eps,
-        k=k,
-        delta=delta,
-        t=t,
-        ell=ell,
-        variant=variant,
-        f_of_k=f_k,
-    )
+    if max(inv_delta, t) >= _BOUND_LIMIT:
+        raise too_long
+    ell = _resolve_ceil(log_pow(1), inv_delta, scale)
+    return TheoremParams(epsilon=eps, k=k, delta=1 / inv_delta, t=t, ell=ell, variant=variant,
+                         f_of_k=f_k)
 
 
 @dataclass(frozen=True)
@@ -263,47 +247,28 @@ def verify_inequality_chain(params: TheoremParams, h: int) -> ChainReport:
     (iii) 1/delta > 15*t/k                   (count-gap direction)
     (iv) (delta/k)^(h-1) < 1/(2^(h+1) t^(h-1))  (copy threshold dominance)
 
-    (iii) and (iv) are pure rational comparisons.  (i) and (ii) are decided
-    from rigorous enclosures (of the power and of the log), doubling precision
-    until the enclosure no longer straddles the comparison value.
+    (iii) is a pure rational comparison, and so is (iv) for h <= 3, where it
+    can be a tie.  (i) is ell >= minimal_ell(1/delta, eps, 1).  (ii), and (iv)
+    for h >= 4 as (h-1) ln(delta t/k) + (h+1) ln 2 < 0, are decided from
+    rigorous enclosures of logs, doubling precision until the enclosure no
+    longer straddles the comparison value.  No power is formed that the report
+    would not print exactly (see :func:`_power_text`).
 
     h is a pattern's vertex count: at least 1, and at most the largest graph
-    the reader accepts, since (iv) builds powers with h - 1 times the bits of
-    delta/k and of t.
+    the reader accepts, since a pattern has at most that many vertices.
     """
     if h < 1:
         raise ParameterError(f"pattern order h must be at least 1, got {h}")
     if h > _MAX_READ_N:
         raise CapabilityError(f"pattern order h capped at {_MAX_READ_N}, got {h}")
     eps, k, delta, t, ell = params.epsilon, params.k, params.delta, params.t, params.ell
-    checks = []
-
-    base = 1 - eps
-    # the left side bounds the exact power's bit count from below; only a power
-    # of at most 128 bits prints exactly (see _fmt), so only that is computed
-    if ell * (abs(base.numerator).bit_length() + base.denominator.bit_length() - 2) + 2 <= 128:
-        lhs1 = base**ell
-        passed1 = lhs1 <= delta
-    else:
-        # _fmt's "~" rendering is monotone, so ends that print alike print the
-        # power; the power is positive, so a lower end of 0 is one that _enclose
-        # widened from below 2^-_MAX_EXP, and such a power prints as ~0
-        def decide1(lo: Fraction, hi: Fraction) -> bool | None:
-            if (_fmt(lo) if lo else "~0") != _fmt(hi):
-                return None
-            return True if hi <= delta else False if lo > delta else None
-
-        passed1, _, lhs1 = _resolve(lambda ctx: _enclose(ctx, lambda ctx, b: b**ell, base), decide1)
-    checks.append(
-        ChainCheck("shrinkage reaches container size", f"(1-eps)^ell = {_fmt(lhs1)}",
-                   f"delta = {_fmt(delta)}", passed1)
-    )
+    lhs1 = _power_text(1 - eps, ell)
+    checks = [ChainCheck("shrinkage reaches container size", f"(1-eps)^ell = {lhs1}",
+                         f"delta = {_fmt(delta)}", ell >= minimal_ell(1 / delta, eps, 1))]
 
     ratio = Fraction(k, ell)
-    passed2, lo, hi = _resolve(
-        lambda ctx: _enclose(ctx, _log, 1 / delta),
-        lambda lo, hi: True if ratio >= hi else False if ratio < lo else None,
-    )
+    passed2, lo, hi = _resolve(lambda lo, hi: True if ratio >= hi else False if ratio < lo else None,
+                               _log, 1 / delta)
     checks.append(
         ChainCheck("budget dominates log(1/delta)", f"k/ell = {_fmt(ratio)}",
                    f"ln(1/delta) in [{_fmt(lo)}, {_fmt(hi)}]", passed2)
@@ -316,19 +281,97 @@ def verify_inequality_chain(params: TheoremParams, h: int) -> ChainReport:
                    f"15t/k = {_fmt(rhs3)}", lhs3 > rhs3)
     )
 
-    lhs4 = (delta / k) ** (h - 1)
-    rhs4 = Fraction(1, 2 ** (h + 1) * t ** (h - 1))
+    gap = delta * t / k  # (iv) is gap^(h-1) * 2^(h+1) < 1
+    if h <= 3:
+        passed4 = gap ** (h - 1) * 2 ** (h + 1) < 1
+    else:
+        passed4 = _resolve(lambda lo, hi: None if lo <= 0 <= hi else hi < 0,
+                           lambda ctx, x: (h - 1) * ctx.log(x) + (h + 1) * ctx.ln2, gap)[0]
+    lhs4 = _power_text(delta / k, h - 1)
+    rhs4 = _power_text(Fraction(1, t), h - 1, Fraction(1, 2 ** (h + 1)))
     checks.append(
-        ChainCheck("copy budget below count threshold", f"(delta/k)^(h-1) = {_fmt(lhs4)}",
-                   f"1/(2^(h+1) t^(h-1)) = {_fmt(rhs4)}", lhs4 < rhs4)
+        ChainCheck("copy budget below count threshold", f"(delta/k)^(h-1) = {lhs4}",
+                   f"1/(2^(h+1) t^(h-1)) = {rhs4}", passed4)
     )
     return ChainReport(tuple(checks))
+
+
+def _exact_ell_limit(n: Fraction, eps: Fraction) -> int:
+    """Largest ell for which (1-eps)^ell * n is multiplied out exactly.
+
+    With 1-eps = p/q in lowest terms, (1-eps)^ell * n can equal an integer u
+    only if q^ell divides the numerator of n; past the largest such ell the
+    two are never equal, so an enclosure of their ratio decides the comparison
+    at some finite precision.  For n below 2^64 the limit is 64."""
+    a, q, v = abs(Fraction(n).numerator), (1 - Fraction(eps)).denominator, 0
+    while q > 1 and a and a % q == 0:
+        a, v = a // q, v + 1
+    return max(64, v)
+
+
+def minimal_ell(n: Fraction, epsilon: Fraction, u: int) -> int:
+    """Smallest ell with (1-eps)^ell * n <= u, in exact arithmetic.
+
+    Small ell are found by multiplying out the powers; a larger ell is the
+    ceiling of ln(n/u) / ln(1/(1-eps)), which an interval enclosure at
+    doubling precision decides."""
+    eps = Fraction(epsilon)
+    if not 0 < eps <= 1:
+        raise ParameterError(f"epsilon={eps} outside (0,1]")
+    if n > u and (u < 0 or (u == 0 and eps < 1)):
+        raise ParameterError(f"(1-eps)^ell * n stays above u={u} for every ell")
+    if eps == 1:
+        return int(n > u)
+    value = Fraction(n)
+    for ell in range(_exact_ell_limit(n, eps) + 1):
+        if value <= u:
+            return ell
+        value *= 1 - eps
+    return _resolve_ceil(lambda ctx, q, b: ctx.log(q) / ctx.log(b), Fraction(n, u), 1 / (1 - eps))
+
+
+def _size(q: Fraction) -> int:
+    """Bits of numerator and denominator: _fmt prints a non-integer exactly up to 128."""
+    return q.numerator.bit_length() + q.denominator.bit_length()
+
+
+def _power_text(base: Fraction, exponent: int, scale: Fraction = Fraction(1)) -> str:
+    """``_fmt(scale * base**exponent)``, for a positive base and scale whose
+    value is no integer above 128 bits, without forming a power that _fmt
+    would print as "~".  The value is formed exactly while a lower bound on
+    its _size is at most 128.  Otherwise it is ~0 once an enclosure of its
+    log, exponent*ln(base) + ln(scale), lies below ln 2^-1075, where floats
+    end; else it is what both ends of an enclosure of its exp print, since
+    _fmt's "~" text is monotone (an end of 0, widened from below
+    2^-_MAX_EXP, prints as ~0)."""
+    base, scale = Fraction(base), Fraction(scale)
+    # for base p/q and scale a/b, numerator * denominator >= (p*q)^exponent / (a*b)
+    if exponent * (_size(base) - 2) - (scale.numerator * scale.denominator).bit_length() < 128:
+        return _fmt(scale * base**exponent)
+
+    def expr(ctx, b, s):
+        log, floor = exponent * ctx.log(b) + ctx.log(s), -1075 * ctx.ln2
+        if log < floor:
+            return ctx.mpf(0)
+        # mpmath takes the exp of a log far below the floor or above 2^20 as a
+        # long power; a log that may lie there is left undecided, like an infinite end
+        return ctx.exp(log) if floor < log < _MAX_EXP else ctx.mpf([0, ctx.inf])
+
+    def same_text(lo: Fraction, hi: Fraction) -> str | None:
+        lo_text, hi_text = (_fmt(end) if end else "~0" for end in (lo, hi))
+        return lo_text if lo_text == hi_text else None
+
+    return _resolve(same_text, expr, base, scale)[0]
 
 
 def _fmt(q: Fraction) -> str:
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
-    if q.numerator.bit_length() + q.denominator.bit_length() > 128:
+    if _size(q) <= 128:
+        return f"{q.numerator}/{q.denominator}"
+    try:
         return f"~{float(q):.12g}"
-    return f"{q.numerator}/{q.denominator}"
+    except OverflowError:  # beyond the float range: 12 significant digits in decimal
+        with decimal.localcontext(prec=12):
+            return f"~{(decimal.Decimal(q.numerator) / q.denominator).normalize():.12g}"

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import homlab
@@ -583,6 +584,51 @@ def test_params_at_a_tiny_epsilon_finishes(variant, eps):
     assert doc["all_passed"]
     assert (doc["chain"][0]["lhs"] == "(1-eps)^ell = ~0") == (variant == "tournament")
     assert seconds < 5
+
+
+# Full SHA-256 of `homlab params` stdout at the rational parser's exponent limit
+# and at the largest pattern order, pinned from the tree that formed every
+# power of the chain exactly (h = 4096 and 16384 print alike: both powers are ~0).
+@pytest.mark.parametrize("args, digest", [
+    ("--eps 1e-1000", "768301b23715db807be29524b32225b8bd830d789d8ee271a545feeb643f5b1d"),
+    ("--variant uniform --eps 1e-1000",
+     "faa62e860d0f7a393a2863adb51a48ad96b1f8d984d60ba34eea296ffe3160f6"),
+    ("--variant tournament --eps 1e-1000",
+     "f63bf574cd1f032c27be00ebc0ee72e6d29cf31179b0521479b2d04467cf1038"),
+    ("--eps 1e-300 --h 4096", "2f4002e23515c80f67bcc4bb19966f1a42d558dc529ffe18b4959baf2a815c89"),
+    ("--eps 1e-300 --h 16384", "2f4002e23515c80f67bcc4bb19966f1a42d558dc529ffe18b4959baf2a815c89"),
+], ids=["graph", "uniform", "tournament", "h4096", "h16384"])
+def test_params_at_extreme_inputs_is_pinned_and_fast(args, digest):
+    result, seconds = _run_cli("params", *args.split())
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+    assert seconds < 2
+
+
+def test_params_prints_a_value_beyond_the_float_range():
+    # 15t/k = 15 k^(3/2) is about 10^471
+    result, _ = _run_cli("params", "--eps", "1e-300", "--f", "5/2")
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    with mpmath.workdps(40):
+        expected = mpmath.nstr(mpmath.mpf(15 * doc["t"]) / doc["k"], 12)
+    assert expected == "4.60954345036e+471"
+    assert doc["chain"][2]["rhs"] == f"15t/k = ~{expected}"
+
+
+def test_params_with_too_many_digits_exits_3():
+    # 1/delta = 16 k^19 and t = k^20 have about 5900 and 6200 digits
+    result, seconds = _run_cli("params", "--eps", "1e-300", "--f", "20", "--no-check")
+    assert result.returncode == 3, result.stderr
+    assert result.stderr == "error: 1/delta or t has more than 4300 digits\n"
+    assert seconds < 2
+
+
+def test_an_unknown_option_before_the_command_is_named():
+    result = invoke("--se", "1", "construct", "--kind", "gnp", "--n", "5")
+    assert result.exit_code == 2
+    assert "unrecognized arguments: --se" in result.stderr
+    assert "invalid choice" not in result.stderr
 
 
 def test_hom_eps_above_the_cap_exits_3_at_once(tmp_path):

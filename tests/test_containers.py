@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homlab.containers import (
@@ -79,7 +79,8 @@ def test_minimal_ell_equals_the_stepping_loop(n, u, q, data):
 
 
 def test_minimal_ell_past_the_exact_steps():
-    # (1-eps)^ell * n hits u exactly; n.bit_length() keeps those in the exact steps
+    # (1-eps)^ell * n hits u exactly, so q^ell divides n (q the denominator of
+    # 1-eps), and the exact steps run up to the largest such ell
     assert minimal_ell(2**100, Fraction(1, 2), 1) == 100
     assert minimal_ell(3**70, Fraction(2, 3), 1) == 70
     assert minimal_ell(3**70, Fraction(2, 3), 2) == 70
@@ -89,6 +90,31 @@ def test_minimal_ell_past_the_exact_steps():
     assert minimal_ell(3, Fraction(1, 10**9), 1) == 1098612289
     with pytest.raises(ParameterError):
         minimal_ell(0, Fraction(1, 2), -1)  # (1/2)^ell * 0 never drops below -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    j=st.integers(0, 100),
+    c=st.integers(1, 50),
+    d=st.integers(1, 50),
+    u=st.integers(1, 50),
+    q=st.integers(2, 8),
+    p=st.integers(1, 7),
+)
+@example(j=100, c=3, d=1, u=3, q=2, p=1)  # 3 * 2^100 * 2^-100 = u
+@example(j=90, c=5, d=1, u=5, q=6, p=1)  # 5 * 6^90 * 6^-90 = u, a composite q
+def test_minimal_ell_on_rationals_with_ties_past_the_exact_steps(j, c, d, u, q, p):
+    # n = q^j * c / d: (1-eps)^ell * n may equal u at an ell beyond 64
+    eps = 1 - Fraction(min(p, q - 1), q)
+    n = Fraction(q**j * c, d)
+    assert minimal_ell(n, eps, u) == stepping_ell(n, eps, u)
+
+
+def test_minimal_ell_at_the_exponent_limit_returns():
+    # 1/(1 - 10^-1000) has no power that divides 2^3370, so 64 exact steps are taken
+    with mpmath.workdps(2100):
+        expected = int(mpmath.ceil(3370 * mpmath.log(2) / -mpmath.log(1 - mpmath.mpf(10) ** -1000)))
+    assert minimal_ell(2**3370, Fraction(1, 10**1000), 1) == expected
 
 
 def test_minimal_ell_and_the_shrinkage_check_at_a_tiny_epsilon():

@@ -329,6 +329,13 @@ def test_read_graph_rejects_bad_header():
             read_graph(text)
 
 
+@pytest.mark.parametrize("text", ["-5 0\n", "-99999999999999999999990 0\n"])
+def test_read_graph_rejects_a_negative_n_of_any_size(text):
+    # a list of -10^22 rows cannot be sized: that raised OverflowError
+    with pytest.raises(InputError, match="need exactly n="):
+        read_graph(text)
+
+
 def test_hypergraph_roundtrip():
     h = UniformHypergraph.from_edges(3, 6, [(0, 1, 2), (1, 3, 5)])
     assert read_hypergraph(write_hypergraph(h)) == h

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -6,10 +7,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homlab.errors import ParameterError
+from homlab.errors import CapabilityError, ParameterError
 from homlab.params import (
     _TINY,
     GrowthFunction,
@@ -211,3 +212,93 @@ def test_one_call_builds_one_interval_context_per_thread(monkeypatch):
     with ThreadPoolExecutor(1) as pool:  # a fresh thread, with no context yet
         pool.submit(call).result(timeout=60)
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# the chain's powers against the exact powers
+
+
+def reference_powers(params, h):
+    """Checks (i) and (iv) from the exact powers: their (lhs, rhs, passed)."""
+    eps, k, delta, t, ell = params.epsilon, params.k, params.delta, params.t, params.ell
+    power = (1 - eps) ** ell
+    lhs4, rhs4 = (delta / k) ** (h - 1), Fraction(1, 2 ** (h + 1) * t ** (h - 1))
+    return [(f"(1-eps)^ell = {_fmt(power)}", f"delta = {_fmt(delta)}", power <= delta),
+            (f"(delta/k)^(h-1) = {_fmt(lhs4)}", f"1/(2^(h+1) t^(h-1)) = {_fmt(rhs4)}", lhs4 < rhs4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.integers(2, 2**12),
+    h=st.integers(1, 64),
+    variant=st.sampled_from(["graph", "uniform"]),
+    f=st.sampled_from([Fraction(2), Fraction(5, 2), Fraction(3)]),
+    # 2, 4 and 8 make delta*t/k a power of two for f = 2: ties of (iv) at h = 2, 3
+    scale=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3), Fraction(4),
+                           Fraction(8)]),
+)
+@example(q=2**12, h=64, variant="graph", f=Fraction(2), scale=Fraction(1))  # 102,000-step power
+@example(q=2**12, h=4, variant="uniform", f=Fraction(3), scale=Fraction(1, 2))
+@example(q=2, h=1, variant="graph", f=Fraction(2), scale=Fraction(2))
+def test_chain_powers_render_and_decide_like_the_exact_powers(q, h, variant, f, scale):
+    params = compute_params(variant, Fraction(1, q), GrowthFunction.constant(f),
+                            allow_out_of_range=True)
+    params = dataclasses.replace(params, delta=params.delta * scale)
+    checks = verify_inequality_chain(params, h).checks
+    assert [(c.lhs, c.rhs, c.passed) for c in (checks[0], checks[3])] == reference_powers(params, h)
+
+
+@pytest.mark.parametrize("variant, q", [("graph", 2), ("graph", 3), ("graph", 128), ("tournament", 10)])
+def test_shrinkage_check_passes_at_a_tie(variant, q):
+    # delta = (1-eps)^ell: minimal_ell(1/delta, eps, 1) = ell, reached by exact steps
+    params = compute_params(variant, Fraction(1, q), F2, allow_out_of_range=True)
+    params = dataclasses.replace(params, delta=(1 - params.epsilon) ** params.ell)
+    assert verify_inequality_chain(params, h=4).checks[0].passed
+    assert reference_powers(params, 4)[0][2]
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_copy_check_is_false_at_a_tie(h):
+    # delta*t/k = 2^-(h+1)/(h-1) makes the two sides of (iv) equal
+    params = compute_params("graph", Fraction(1, 128), F2)
+    params = dataclasses.replace(params, delta=params.delta * 2 ** (4 - (h + 1) // (h - 1)))
+    assert reference_powers(params, h)[1][2] is False
+    assert verify_inequality_chain(params, h).checks[3].passed is False
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(10**11, 10**12 - 1), e=st.integers(309, 5000), den=st.integers(2, 10**6))
+@example(m=10**11, e=309, den=3)
+@example(m=15 * 10**10, e=5000, den=7)
+@example(m=10**12 - 1, e=400, den=2)
+def test_values_beyond_the_float_range_render_with_12_digits(m, e, den):
+    # m * 10^(e-11) plus a fraction below 1, so its first 12 digits are m's
+    q = Fraction(m * 10 ** (e - 11) * den + 1, den)
+    digits = str(m).rstrip("0")
+    mantissa = digits[0] + ("." + digits[1:] if digits[1:] else "")
+    assert _fmt(q) == f"~{mantissa}e+{e}"
+
+
+def test_rendering_is_continuous_at_the_end_of_the_float_range():
+    largest_float = 2**1024 - 2**971
+    assert _fmt(Fraction(largest_float * 3 + 1, 3)) == f"~{float(largest_float):.12g}"
+    assert _fmt(Fraction(2**1024 * 3 + 1, 3)) == "~1.79769313486e+308"
+    assert _fmt(Fraction(10**400 * 3 + 1, 7)) == "~4.28571428571e+399"
+
+
+@pytest.mark.parametrize("f", [Fraction(2743, 200), Fraction(20), Fraction(201, 2)])
+def test_compute_params_refuses_too_many_digits(f):
+    # k is about 4.6e313 (1042 bits): t = ceil(k^13.715) has 4302 digits, though
+    # 13.715 * 1041 < 14285, the bits of 10^4300; the larger f are refused by
+    # that bound, before t is resolved
+    with pytest.raises(CapabilityError, match="more than 4300 digits"):
+        compute_params("graph", Fraction(1, 10**300), GrowthFunction.constant(f))
+
+
+def test_compute_params_keeps_4300_digits():
+    params = compute_params("graph", Fraction(1, 10**300), GrowthFunction.constant(Fraction(27, 2)))
+    assert len(str(params.t)) == 4235
