@@ -237,7 +237,7 @@ def reference_powers(params, h):
     scale=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3), Fraction(4),
                            Fraction(8)]),
 )
-@example(q=2**12, h=64, variant="graph", f=Fraction(2), scale=Fraction(1))  # 102,000-step power
+@example(q=2**12, h=64, variant="graph", f=Fraction(2), scale=Fraction(1))  # ell = 101,836
 @example(q=2**12, h=4, variant="uniform", f=Fraction(3), scale=Fraction(1, 2))
 @example(q=2, h=1, variant="graph", f=Fraction(2), scale=Fraction(2))
 def test_chain_powers_render_and_decide_like_the_exact_powers(q, h, variant, f, scale):
@@ -259,7 +259,7 @@ def test_shrinkage_check_passes_at_a_tie(variant, q):
 
 @pytest.mark.parametrize("h", [2, 3])
 def test_copy_check_is_false_at_a_tie(h):
-    # delta*t/k = 2^-(h+1)/(h-1) makes the two sides of (iv) equal
+    # delta*t/k = 2^(-(h+1)/(h-1)), 1/8 at h = 2 and 1/4 at h = 3, makes the two sides of (iv) equal
     params = compute_params("graph", Fraction(1, 128), F2)
     params = dataclasses.replace(params, delta=params.delta * 2 ** (4 - (h + 1) // (h - 1)))
     assert reference_powers(params, h)[1][2] is False
@@ -299,6 +299,6 @@ def test_compute_params_refuses_too_many_digits(f):
         compute_params("graph", Fraction(1, 10**300), GrowthFunction.constant(f))
 
 
-def test_compute_params_keeps_4300_digits():
+def test_compute_params_keeps_a_t_of_4235_digits():
     params = compute_params("graph", Fraction(1, 10**300), GrowthFunction.constant(Fraction(27, 2)))
     assert len(str(params.t)) == 4235
