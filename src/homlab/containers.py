@@ -36,7 +36,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import CapabilityError, ConsistencyError, InputError, ParameterError
 from .graphs import Graph, UniformHypergraph, _bits, _mask
-from .params import _BOUND_DIGITS, _BOUND_LIMIT, _exact_ell_limit, _power_text, minimal_ell
+from .params import _BOUND_DIGITS, _BOUND_LIMIT, _power_text, minimal_ell
 
 __all__ = [
     "ContainerParams",
@@ -75,23 +75,14 @@ class ContainerParams:
         object.__setattr__(self, "epsilon", eps)
 
     def check_for(self, n: int, r: int = 2) -> None:
-        """Exact-rational validation of the bound-side invariants."""
-        value = _size_above(n, self.epsilon, self.ell, self.u)
-        if value is not None:
+        """Exact-rational validation of the bound-side invariants.  The shrinkage
+        premise (1-eps)^ell * n <= u is ell >= minimal_ell; a value above u is
+        printed by :func:`homlab.params._power_text`, a fraction past 128 bits as "~"."""
+        if self.ell < minimal_ell(n, self.epsilon, self.u):
+            value = _power_text(1 - self.epsilon, self.ell, n)
             raise ParameterError(f"(1-eps)^ell * n = {value} exceeds u={self.u}")
         if (r - 1) * self.ell > self.k:
             raise ParameterError(f"need (r-1)*ell <= k, got {(r - 1) * self.ell} > {self.k}")
-
-
-def _size_above(n: int, eps: Fraction, ell: int, u: int) -> str | None:
-    """(1-eps)^ell * n rendered if it exceeds u >= 1, else None.  Small
-    powers are multiplied out exactly; for a larger ell the comparison is
-    ell < minimal_ell(n, eps, u), and the value, then in (u, n], is rendered
-    by :func:`homlab.params._power_text`."""
-    if ell <= _exact_ell_limit(n, eps):
-        value = (1 - eps) ** ell * n
-        return str(value) if value > u else None
-    return None if ell >= minimal_ell(n, eps, u) else _power_text(1 - eps, ell, n)
 
 
 @dataclass(frozen=True)

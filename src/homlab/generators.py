@@ -137,7 +137,7 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     rows: list[int] = []
     for size in part_sizes:
         rows += [full & ~(((1 << size) - 1) << len(rows))] * size
-    return Graph(len(rows), tuple(rows))
+    return Graph._symmetric(len(rows), rows)
 
 
 def equitable_parts(n: int, s: int) -> list[list[int]]:
@@ -184,7 +184,7 @@ def overlay_construction(n: int, epsilon: Fraction, seed: int) -> OverlayArtifac
     parts = tuple(tuple(p) for p in equitable_parts(n, s))
     base = gnp(n, 2 * eps, seed, stream=0)
     cross = complete_multipartite([len(part) for part in parts])
-    graph = Graph(n, tuple(b | c for b, c in zip(base.masks, cross.masks)))
+    graph = Graph._symmetric(n, [b | c for b, c in zip(base.masks, cross.masks)])
     return OverlayArtifact(graph=graph, base=base, parts=parts, base_density=2 * eps, s=s)
 
 
@@ -214,7 +214,7 @@ def random_cograph(n: int, seed: int, stream: int | None = None) -> Graph:
                 rows[v] |= left_mask
         return rows
 
-    return Graph(n, tuple(build(n)))
+    return Graph._symmetric(n, build(n))
 
 
 def random_bipartite(n: int, p: Fraction, seed: int, stream: int | None = None) -> Graph:
@@ -252,7 +252,7 @@ def perturb_edges(g: Graph, flips: int, seed: int, stream: int | None = None) ->
         u, v = pairs[i]  # distinct pairs, so the order of the flips does not matter
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-    return Graph(g.n, tuple(rows))
+    return Graph._symmetric(g.n, rows)
 
 
 def random_independent_set(structure, seed: int, stream: int | None = None) -> frozenset[int]:

@@ -81,7 +81,9 @@ def _check_rows(n: int, masks: Sequence[int]) -> None:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices ``0..n-1``."""
+    """Simple undirected graph on vertices ``0..n-1``.  ``Graph(n, masks)``
+    checks rows from outside and walks each edge for its mirror bit; the
+    library's builders make symmetric rows and call ``_symmetric``."""
 
     r: ClassVar[int] = 2
     n: int
@@ -102,13 +104,13 @@ class Graph:
                 raise InputError(f"bad edge ({u},{v}) for n={n}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        return cls._symmetric(n, rows)
 
     @classmethod
     def _symmetric(cls, n: int, masks: Sequence[int]) -> "Graph":
-        """The graph with rows ``masks``, which the caller builds symmetric.
-        The rows are checked as in ``__post_init__`` in O(n) big-integer
-        operations; only the per-edge symmetry walk is skipped."""
+        """The graph with rows ``masks``, which a library builder made
+        symmetric.  The rows are checked as in ``__post_init__`` in O(n)
+        big-integer operations; only the per-edge symmetry walk is skipped."""
         _check_rows(n, masks)
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
@@ -225,7 +227,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
         for u in _bits(g.masks[v]):
             if u in pos:
                 rows[pos[v]] |= 1 << pos[u]
-    return Graph(len(order), tuple(rows))
+    return Graph._symmetric(len(order), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -361,31 +363,38 @@ def _header_line(text: str) -> str:
     return (text[: brk.start()] if brk else text).rstrip()
 
 
-def _read_edge_file(
-    text: str, what: str, header_size: int, check_n: Callable[[int], None] | None = None
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Header integers and edge lines of a text file.  The header's last field
-    is the edge count m: exactly m edge lines must follow, all distinct.
-
-    The header is read and its n checked, against ``_MAX_READ_N`` and then by
-    ``check_n`` (a caller's cap, which raises), before any edge line is split."""
+def _read_header(text: str, what: str, fields: str,
+                 check_n: Callable[[int], None] | None) -> tuple[list[int], str]:
+    """The integers of a text file's header line, named by ``fields`` (as in
+    "r n m"), and the text after that line.  Every field but the edge count m
+    is a size capped at ``_MAX_READ_N``, and n is then passed to ``check_n``
+    (a caller's cap, which raises), all before any later line is split."""
     text = text.lstrip()  # blank lines before the header
     if not text:
         raise InputError(f"empty {what} file")
-    head = _header_line(text)  # stripped: the rest of its line splits to no edge line
+    head = _header_line(text)
+    names = fields.split()
     try:
         header = [int(x) for x in head.split()]
     except ValueError as exc:
         raise InputError(f"malformed {what} file: {exc}") from exc
-    if len(header) != header_size:
-        raise InputError(f"{what} header needs {header_size} integers, got {len(header)}")
-    if max(header[:-1]) > _MAX_READ_N:
-        raise CapabilityError(f"{what} header field {max(header[:-1])} exceeds {_MAX_READ_N}")
+    if len(header) != len(names):
+        raise InputError(f"{what} header needs {len(names)} integers, got {len(header)}")
+    sizes = header[:-1] if names[-1] == "m" else header
+    if max(sizes) > _MAX_READ_N:
+        raise CapabilityError(f"{what} header field {max(sizes)} exceeds {_MAX_READ_N}")
     if check_n is not None:
-        check_n(header[-2])
+        check_n(header[names.index("n")])
+    return header, text[len(head):]  # head is stripped: its line's rest is blank
+
+
+def _read_edge_file(text: str, what: str, fields: str,
+                    check_n: Callable[[int], None] | None) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Header integers and edge lines of a text file whose header ends in the
+    edge count m: exactly m edge lines must follow, all distinct."""
+    header, rest = _read_header(text, what, fields, check_n)
     try:
-        edges = [tuple(int(x) for x in ln.split()) for ln in text[len(head):].splitlines()
-                 if ln.strip()]
+        edges = [tuple(int(x) for x in ln.split()) for ln in rest.splitlines() if ln.strip()]
     except ValueError as exc:
         raise InputError(f"malformed {what} file: {exc}") from exc
     if len(edges) != header[-1]:
@@ -399,7 +408,7 @@ def read_graph(text: str, check_n: Callable[[int], None] | None = None) -> Graph
     """The graph of an "n m" text file.  ``check_n``, if given, is called with
     the header's n before any edge line is read, so a command can refuse a
     graph above its cap without reading it."""
-    (n, _), edges = _read_edge_file(text, "graph", 2, check_n)
+    (n, _), edges = _read_edge_file(text, "graph", "n m", check_n)
     for e in edges:
         if len(e) != 2 or e[0] >= e[1]:
             raise InputError(f"edge line must be two integers u < v, got {e}")
@@ -409,7 +418,7 @@ def read_graph(text: str, check_n: Callable[[int], None] | None = None) -> Graph
 def read_hypergraph(text: str, check_n: Callable[[int], None] | None = None) -> UniformHypergraph:
     """The r-uniform hypergraph of an "r n m" text file; ``check_n`` as for
     :func:`read_graph`."""
-    (r, n, _), edges = _read_edge_file(text, "hypergraph", 3, check_n)
+    (r, n, _), edges = _read_edge_file(text, "hypergraph", "r n m", check_n)
     for e in edges:
         if len(e) != r or list(e) != sorted(set(e)):
             raise InputError(f"edge line must be {r} strictly ascending integers, got {e}")

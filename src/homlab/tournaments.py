@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import CapabilityError, ConsistencyError, InputError
-from .graphs import _MAX_READ_N, _count_k_sets, _header_line, _mask
+from .graphs import _count_k_sets, _read_header
 
 __all__ = [
     "Tournament",
@@ -46,13 +46,6 @@ class Tournament:
 
     def beats(self, u: int, v: int) -> bool:
         return bool(self.out[u] >> v & 1)
-
-    def outdegree(self, v: int) -> int:
-        return self.out[v].bit_count()
-
-    def reversed(self) -> "Tournament":
-        full = (1 << self.n) - 1
-        return Tournament(self.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(self.out)))
 
 
 @dataclass(frozen=True)
@@ -208,15 +201,13 @@ def count_transitive_subtournaments(t: Tournament, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# text format: first line "n", then n rows of a 0/1 matrix
-# (row v, column u == 1 iff v beats u)
+# text format: first line "n", then n rows of a 0/1 matrix (row v, column u
+# == 1 iff v beats u).  Row v's digits are the binary digits of out[v] in
+# reverse order, lowest bit first, as write_graph reads a row.
 
 
 def write_tournament(t: Tournament) -> str:
-    lines = [str(t.n)]
-    for v in range(t.n):
-        lines.append("".join("1" if t.out[v] >> u & 1 else "0" for u in range(t.n)))
-    return "\n".join(lines) + "\n"
+    return "\n".join([str(t.n)] + [bin(row | 1 << t.n)[:2:-1] for row in t.out]) + "\n"
 
 
 def read_tournament(text: str, check_n: Callable[[int], None] | None = None) -> Tournament:
@@ -224,19 +215,8 @@ def read_tournament(text: str, check_n: Callable[[int], None] | None = None) -> 
     the readers' cap of 2^14 and then by ``check_n`` (a caller's cap, which
     raises) before any row is split, so a command can refuse a tournament
     above its cap without reading it."""
-    head = _header_line(text)
-    if not head:
-        raise InputError("empty tournament file")
-    try:
-        n = int(head)
-    except ValueError as exc:
-        raise InputError(f"bad header: {exc}") from exc
-    if n > _MAX_READ_N:
-        raise CapabilityError(f"tournament header field {n} exceeds {_MAX_READ_N}")
-    if check_n is not None:
-        check_n(n)
-    rows = [ln.strip() for ln in text.splitlines() if ln.strip()][1:]
+    (n,), rest = _read_header(text, "tournament", "n", check_n)
+    rows = [ln.strip() for ln in rest.splitlines() if ln.strip()]
     if len(rows) != n or any(len(r) != n or not set(r) <= {"0", "1"} for r in rows):
         raise InputError("expected an n x n 0/1 matrix")
-    out = tuple(_mask(u for u, ch in enumerate(row) if ch == "1") for row in rows)
-    return Tournament(n, out)
+    return Tournament(n, tuple(int(row[::-1], 2) for row in rows))

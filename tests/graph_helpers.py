@@ -1,7 +1,9 @@
-"""Small named graphs, the complement graph, the hypergraph writer and
-independence by definition, which only the tests use."""
+"""Small named graphs, the complement graph, the hypergraph writer,
+independence by definition, and a tournament's out-degree and reversal, which
+only the tests use."""
 
 from homlab.graphs import Graph, UniformHypergraph
+from homlab.tournaments import Tournament
 
 
 def empty_graph(n: int) -> Graph:
@@ -40,3 +42,12 @@ def spans_no_edge(edges, vertices) -> bool:
     :func:`edge_sets`) has all its vertices in ``vertices``."""
     chosen = frozenset(vertices)
     return not any(e <= chosen for e in edges)
+
+
+def outdegree(t: Tournament, v: int) -> int:
+    return t.out[v].bit_count()
+
+
+def reversed_tournament(t: Tournament) -> Tournament:
+    full = (1 << t.n) - 1
+    return Tournament(t.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(t.out)))

@@ -157,6 +157,12 @@ def test_shrinkage_check_flips_at_minimal_ell_past_the_exact_steps(n, u, eps):
         ContainerParams(eps, u=u, ell=ell - 1, k=ell).check_for(n)
 
 
+def test_shrinkage_check_prints_a_long_fraction_as_a_float_within_the_exact_steps():
+    # (999/1000)^20 * 10^4 takes 387 bits, although ell = 20 is within the exact steps
+    with pytest.raises(ParameterError, match=r"= ~9801\.8886483 exceeds u=1$"):
+        ContainerParams(Fraction(1, 1000), u=1, ell=20, k=20).check_for(10**4)
+
+
 def test_params_reject_shrinkage_violation():
     with pytest.raises(ParameterError):
         ContainerParams(Fraction(1, 2), u=1, ell=1, k=2).check_for(10)

@@ -34,6 +34,7 @@ from homlab.graphs import (
     UniformHypergraph,
     count_induced_p4,
     edge_density,
+    induced_subgraph,
     read_hypergraph,
 )
 from homlab.homogeneous import has_induced_p4
@@ -575,3 +576,48 @@ def test_random_independent_set_matches_its_reference(kind, n, p, seed, stream):
         structure = random_uniform_hypergraph(kind, n, p, seed)
     expected = reference_random_independent_set(structure, seed, stream)
     assert random_independent_set(structure, seed, stream) == expected
+
+
+# Every library builder hands its rows to Graph._symmetric, which skips the
+# per-edge symmetry walk; the walking constructor Graph(n, masks) must accept
+# what each of them builds.
+_sizes, _seeds, _rates = st.integers(0, 9), st.integers(0, 10**6), st.integers(0, 8)
+
+
+@st.composite
+def _from_edges(draw):
+    n = draw(st.integers(2, 9))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return Graph.from_edges(n, draw(st.lists(pair, max_size=20)))
+
+
+@st.composite
+def _perturbed(draw):
+    g = gnp(draw(_sizes), Fraction(draw(_rates), 8), draw(_seeds))
+    return perturb_edges(g, draw(st.integers(0, math.comb(g.n, 2))), draw(_seeds))
+
+
+BUILT = {
+    "from_edges": _from_edges(),
+    "induced_subgraph": st.builds(
+        lambda n, seed, keep: induced_subgraph(gnp(n, Fraction(1, 2), seed),
+                                               [v for v in range(n) if keep >> v & 1]),
+        _sizes, _seeds, st.integers(0, 2**9 - 1)),
+    "complete_multipartite": st.lists(st.integers(1, 4), max_size=4).map(complete_multipartite),
+    "overlay_construction": st.builds(
+        lambda n, q, seed: overlay_construction(n, Fraction(1, q), seed).graph,
+        st.integers(2, 9), st.integers(3, 12), _seeds),
+    "random_cograph": st.builds(random_cograph, st.integers(1, 9), _seeds),
+    "perturb_edges": _perturbed(),
+    "gnp": st.builds(lambda n, a, seed: gnp(n, Fraction(a, 8), seed), _sizes, _rates, _seeds),
+    "random_bipartite": st.builds(lambda n, a, seed: random_bipartite(n, Fraction(a, 8), seed),
+                                  st.integers(1, 9), _rates, _seeds),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILT))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_library_builders_make_rows_the_walking_constructor_accepts(builder, data):
+    g = data.draw(BUILT[builder])
+    assert g == Graph(g.n, g.masks)

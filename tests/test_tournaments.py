@@ -22,6 +22,8 @@ from homlab.tournaments import (
     write_tournament,
 )
 
+from graph_helpers import outdegree, reversed_tournament
+
 
 def transitive_tournament(n: int) -> Tournament:
     # vertex v beats every u > v
@@ -84,7 +86,7 @@ def test_triangle_count_identity(n, seed):
     # the counter cross-asserts enumeration against the out-degree identity
     tri = cyclic_triangle_count(t)
     assert 0 <= tri <= math.comb(n, 3)
-    assert cyclic_triangle_count(t.reversed()) == tri
+    assert cyclic_triangle_count(reversed_tournament(t)) == tri
 
 
 @given(st.integers(3, 10), st.integers(2, 5), st.integers(0, 10**6))
@@ -134,6 +136,26 @@ def test_text_roundtrip(n, seed):
     assert read_tournament(write_tournament(t)) == t
 
 
+@pytest.mark.parametrize("text", ["0\n", "1\n0\n"])
+def test_text_roundtrip_at_zero_and_one_vertex(text):
+    assert write_tournament(read_tournament(text)) == text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 4\n", "tournament header needs 1 integers, got 2"),
+    ("x\n", "malformed tournament file: "),
+    (" \n\t\n", "empty tournament file"),
+])
+def test_read_rejects_bad_header(text, message):
+    with pytest.raises(InputError, match=message):
+        read_tournament(text)
+
+
+def test_read_caps_the_header_before_the_rows():
+    with pytest.raises(CapabilityError, match="tournament header field 16385 exceeds 16384"):
+        read_tournament("16385\nnot a row\n")
+
+
 def test_read_rejects_bad_matrix():
     with pytest.raises(InputError):
         read_tournament("2\n01\n")
@@ -154,7 +176,7 @@ def reference_cyclic_triangle_count(t: Tournament) -> int:
     Computed two independent ways (triple enumeration and the out-degree
     identity C(n,3) - sum_v C(outdeg(v),2)) and cross-asserted.
     """
-    by_identity = math.comb(t.n, 3) - sum(math.comb(t.outdegree(v), 2) for v in range(t.n))
+    by_identity = math.comb(t.n, 3) - sum(math.comb(outdegree(t, v), 2) for v in range(t.n))
     by_enum = 0
     for a, b, c in itertools.combinations(range(t.n), 3):
         x = t.beats(a, b)
@@ -273,7 +295,7 @@ def test_ordering_search_matches_its_reference(t):
 @pytest.mark.parametrize("kind", ["transitive", "reversed", "rotational"])
 def test_kernels_match_their_references_where_ties_abound(kind, n):
     t = {"transitive": transitive_tournament, "rotational": rotational_tournament,
-         "reversed": lambda n: transitive_tournament(n).reversed()}[kind](n)
+         "reversed": lambda n: reversed_tournament(transitive_tournament(n))}[kind](n)
     witness = dist_to_transitive_exact(t)
     assert witness == reference_dist_to_transitive_exact(t)
     assert cyclic_triangle_count(t) == reference_cyclic_triangle_count(t)
