@@ -83,8 +83,7 @@ def _coins(rng: np.random.Generator, count: int, p: Fraction) -> np.ndarray:
     coins = np.empty(count, dtype=bool)
     for start in range(0, count, _CHUNK):
         size = min(_CHUNK, count - start)
-        np.less(rng.integers(0, _TWO64, size=size, dtype=np.uint64), below,
-                out=coins[start:start + size])
+        np.less(rng.bit_generator.random_raw(size), below, out=coins[start:start + size])
     return coins
 
 

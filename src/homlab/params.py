@@ -296,25 +296,27 @@ def verify_inequality_chain(params: TheoremParams, h: int) -> ChainReport:
     return ChainReport(tuple(checks))
 
 
-def _exact_ell_limit(n: Fraction, eps: Fraction) -> int:
-    """Largest ell for which (1-eps)^ell * n is multiplied out exactly.
+_EXACT_STEPS = 64  # ell tried by multiplying out the powers before any enclosure
 
-    With 1-eps = p/q in lowest terms, (1-eps)^ell * n can equal an integer u
-    only if q^ell divides the numerator of n; past the largest such ell the
-    two are never equal, so an enclosure of their ratio decides the comparison
-    at some finite precision.  For n below 2^64 the limit is 64."""
-    a, q, v = abs(Fraction(n).numerator), (1 - Fraction(eps)).denominator, 0
-    while q > 1 and a and a % q == 0:
-        a, v = a // q, v + 1
-    return max(64, v)
+
+def _can_tie(a: int, q: int, m: int) -> bool:
+    """Whether q^m divides a.  With 1-eps = p/q and n = a/b in lowest terms,
+    (1-eps)^m * n = p^m a / (b q^m) can equal an integer only then, since p
+    and q are coprime.  q^m is formed only when it may be at most a, so it
+    has at most twice a's bits."""
+    return m * (q.bit_length() - 1) < a.bit_length() and a % q**m == 0
 
 
 def minimal_ell(n: Fraction, epsilon: Fraction, u: int) -> int:
     """Smallest ell with (1-eps)^ell * n <= u, in exact arithmetic.
 
-    Small ell are found by multiplying out the powers; a larger ell is the
-    ceiling of ln(n/u) / ln(1/(1-eps)), which an interval enclosure at
-    doubling precision decides."""
+    With 1-eps = p/q and n = a/b in lowest terms the test is p^ell a <=
+    u b q^ell, which is decided in integers for ell up to 64.  A larger ell is
+    the ceiling of ln(n/u) / ln(1/(1-eps)), which an interval enclosure at
+    doubling precision decides.  An enclosure straddles an integer m for
+    ever only if the ratio equals m, which needs q^m to divide a; so where it
+    straddles one integer m and q^m divides a, the one exact power
+    p^m a <= u b q^m decides, and no other power is formed."""
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise ParameterError(f"epsilon={eps} outside (0,1]")
@@ -322,12 +324,24 @@ def minimal_ell(n: Fraction, epsilon: Fraction, u: int) -> int:
         raise ParameterError(f"(1-eps)^ell * n stays above u={u} for every ell")
     if eps == 1:
         return int(n > u)
-    value = Fraction(n)
-    for ell in range(_exact_ell_limit(n, eps) + 1):
-        if value <= u:
+    p, q = eps.denominator - eps.numerator, eps.denominator  # 1-eps = p/q, in lowest terms
+    a, b = Fraction(n).as_integer_ratio()
+    lhs, rhs = a, u * b
+    for ell in range(_EXACT_STEPS + 1):
+        if lhs <= rhs:
             return ell
-        value *= 1 - eps
-    return _resolve_ceil(lambda ctx, q, b: ctx.log(q) / ctx.log(b), Fraction(n, u), 1 / (1 - eps))
+        lhs, rhs = lhs * p, rhs * q
+
+    def ceil_or_power(lo: Fraction, hi: Fraction) -> int | None:
+        m = math.ceil(lo)  # m-1 < lo <= ratio <= hi
+        if m == math.ceil(hi):
+            return m
+        if hi <= m + 1 and _can_tie(a, q, m):  # the ratio lies in (m-1, m+1]
+            return m if p**m * a <= u * b * q**m else m + 1
+        return None
+
+    return _resolve(ceil_or_power, lambda ctx, x, y: ctx.log(x) / ctx.log(y),
+                    Fraction(a, b * u), Fraction(q, p))[0]
 
 
 def _size(q: Fraction) -> int:

@@ -57,10 +57,13 @@ def test_minimal_ell_examples():
         minimal_ell(3, Fraction(1, 3), 0)  # (2/3)^ell * 3 never reaches 0
 
 
-def stepping_ell(n, eps, u):
-    """minimal_ell's definition, one exact step of ell at a time."""
+def stepping_ell(n, eps, u, limit=None):
+    """minimal_ell's definition, one exact step of ell at a time in Fractions;
+    None if more than ``limit`` steps would be needed."""
     ell, value = 0, Fraction(n)
     while value > u:
+        if ell == limit:
+            return None
         value *= 1 - eps
         ell += 1
     return ell
@@ -76,6 +79,63 @@ def stepping_ell(n, eps, u):
 def test_minimal_ell_equals_the_stepping_loop(n, u, q, data):
     eps = Fraction(data.draw(st.integers(1, q - 1)), q)
     assert minimal_ell(n, eps, u) == stepping_ell(n, eps, u)
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-10, 10**12), st.integers(1, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_RATIONALS, u=st.integers(1, 10**3), q=st.integers(2, 64), data=st.data())
+@example(n=Fraction(7, 3), u=2, q=5, data=None)  # eps = 1: one step reaches 0
+def test_minimal_ell_on_rational_n_equals_the_stepping_loop(n, u, q, data):
+    eps = Fraction(data.draw(st.integers(1, q)) if data else q, q)  # eps = 1 included
+    assert minimal_ell(n, eps, u) == stepping_ell(n, eps, u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=_RATIONALS, u=st.sampled_from([-2, -1, 0]), q=st.integers(2, 64), data=st.data())
+@example(n=Fraction(5, 2), u=0, q=3, data=None)  # eps = 1 reaches u = 0 in one step
+@example(n=Fraction(-1, 2), u=-1, q=3, data=None)  # and never reaches u = -1
+def test_minimal_ell_with_u_at_most_0_steps_or_refuses(n, u, q, data):
+    # for u <= 0 a value above u stays above it after two steps, then for ever:
+    # (1-eps)^ell * n only nears 0, and reaches it only at eps = 1
+    eps = Fraction(data.draw(st.integers(1, q)) if data else q, q)
+    expected = stepping_ell(n, eps, u, limit=2)
+    if expected is None:
+        with pytest.raises(ParameterError, match=rf"^\(1-eps\)\^ell \* n stays above u={u} for every ell$"):
+            minimal_ell(n, eps, u)
+    else:
+        assert minimal_ell(n, eps, u) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    j=st.integers(0, 200),
+    u=st.integers(1, 50),
+    q=st.integers(2, 12),
+    scale=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2)]),
+    data=st.data(),
+)
+@example(j=64, u=1, q=2, scale=Fraction(1), data=None)
+@example(j=65, u=1, q=2, scale=Fraction(1), data=None)
+@example(j=65, u=3, q=10, scale=Fraction(1, 2), data=None)  # the chain's 1/delta = 2/(1-eps)^j
+def test_minimal_ell_at_and_beside_exact_ties(j, u, q, scale, data):
+    # n = u * scale / (1-eps)^j; at scale 1, (1-eps)^j * n = u exactly
+    one_minus = Fraction(data.draw(st.integers(1, q - 1)) if data else 1, q)
+    n = u * scale / one_minus**j
+    ell = minimal_ell(n, 1 - one_minus, u)
+    assert ell == stepping_ell(n, 1 - one_minus, u)
+    if scale == 1:
+        assert ell == j
+
+
+def test_minimal_ell_with_a_high_power_of_q_in_n_is_quick():
+    # 1024^23293 / 3 holds q^23293: no step of ell past 64 is multiplied out
+    n, eps = Fraction(1024**23293, 3), Fraction(1, 1024)
+    with mpmath.workdps(60):
+        expected = int(mpmath.ceil((23293 * mpmath.log(1024) - mpmath.log(3))
+                                   / -mpmath.log(1 - mpmath.mpf(1) / 1024)))
+    assert minimal_ell(n, eps, 1) == expected == 165_247_823
 
 
 def test_minimal_ell_past_the_exact_steps():

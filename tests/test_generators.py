@@ -481,13 +481,14 @@ def test_perturb_rejects_negative_flips():
 
 
 class _Words:
-    """Stands in for a generator that draws the given 64-bit words."""
+    """Stands in for a generator whose bit generator draws the given 64-bit words."""
 
     def __init__(self, words):
         self.words = words
+        self.bit_generator = self
 
-    def integers(self, low, high, size, dtype):
-        assert (low, high, size, dtype) == (0, _TWO64, len(self.words), np.uint64)
+    def random_raw(self, size):
+        assert size == len(self.words)
         return np.array(self.words, dtype=np.uint64)
 
 
@@ -498,6 +499,24 @@ def test_a_candidate_is_kept_iff_its_word_is_below_floor_p_times_2_64():
     assert generators._coins(words, 5, Fraction(0)).tolist() == [False] * 5
     assert generators._coins(words, 5, Fraction(1)).tolist() == [True] * 5
     assert generators._coins(words, 5, 1 - Fraction(1, _TWO64)).tolist() == [True] * 4 + [False]
+
+
+@pytest.mark.parametrize("count", [0, 1, generators._CHUNK - 1, generators._CHUNK,
+                                   generators._CHUNK + 1])
+def test_coin_words_are_the_words_of_a_full_range_bounded_draw(count):
+    # the raw Philox words _coins compares are the words integers(0, 2^64)
+    # returns, and they leave the stream where that draw leaves it
+    for seed, stream in [(0, None), (1, 0), (2**40 + 3, 5)]:
+        for p in (Fraction(0), Fraction(1, 3), Fraction(1)):
+            rng, ref = rng_for(seed, stream), rng_for(seed, stream)
+            coins = generators._coins(rng, count, p)
+            below = p.numerator * _TWO64 // p.denominator
+            if p == 1:  # no word is drawn: every word is below 2^64
+                expected = [True] * count
+            else:
+                expected = [w < below for w in ref.integers(0, _TWO64, count, dtype=np.uint64).tolist()]
+            assert coins.tolist() == expected
+            assert rng.permutation(13).tolist() == ref.permutation(13).tolist()
 
 
 def test_draw_cap_is_checked_per_instance(monkeypatch):

@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,29 @@ def test_overlay_calibration_script_runs():
     assert all(row.endswith("within_part=True") for row in rows)
     assert last.startswith("max ratio")
 
+
+
+def test_ab_pairs_dry_run_lists_alternating_runs_then_the_comparison():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_pairs.py"), "--base", "main~1", "--pairs", "2",
+         "--seed", "7", "--workload", "exact-kernels", "cli-session", "--seconds", "5",
+         "--dry-run"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    py = shlex.quote(sys.executable)
+
+    def run(side, workload, seed):
+        return (f"{py} {side}/perfbench/run.py --workload {workload} --seed {seed} "
+                "--seconds 5.0 --trace 0")
+
+    assert result.stdout.splitlines() == [
+        "git archive main~1 > BASE",
+        "git archive HEAD > NEW",
+        run("BASE", "exact-kernels", 7), run("NEW", "exact-kernels", 7),
+        run("BASE", "cli-session", 7), run("NEW", "cli-session", 7),
+        run("NEW", "exact-kernels", 8), run("BASE", "exact-kernels", 8),
+        run("NEW", "cli-session", 8), run("BASE", "cli-session", 8),
+        f"{py} NEW/perfbench/compare.py BASE/perfbench/out/results.jsonl "
+        "NEW/perfbench/out/results.jsonl --trace 0",
+    ]
