@@ -2,15 +2,15 @@
 """Run alternating base/change pairs of the benchmark and compare them.
 
     python3 scripts/ab_pairs.py --base REF [--new REF] [--pairs 10] [--seed 1]
-        [--workload NAME ...] [--seconds 30] [--trace 0] [--out DIR] [--dry-run]
+        [--workload NAME ...] [--trace 0] [--dry-run]
 
 Each side is a ``git archive`` of its ref (--new defaults to HEAD), unpacked
 in a temporary directory, so the working tree, its perfbench/ included, is
 never written.  Pair i runs ``perfbench/run.py --seed SEED+i`` on both sides
-for each workload in turn, the base first in even pairs and the change first
-in odd ones.  Each side's run.py appends its results to that side's copy;
-the change's ``perfbench/compare.py`` then prints the table of the two, and
---out keeps the two results files as base.jsonl and new.jsonl.
+for each workload in turn (all of BENCHMARK.json's by default, for its
+run_seconds), the base first in even pairs and the change first in odd
+ones.  Each side's run.py appends its results to that side's copy; the
+change's ``perfbench/compare.py`` then prints the table of the two.
 --dry-run prints the commands, with BASE and NEW for the two copies, and runs
 nothing.
 """
@@ -21,7 +21,6 @@ import argparse
 import io
 import json
 import shlex
-import shutil
 import subprocess
 import sys
 import tarfile
@@ -29,7 +28,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("container-soundness", "exact-kernels", "cli-session")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 RESULTS = Path("perfbench", "out", "results.jsonl")
 
 
@@ -41,7 +41,8 @@ def plan(args, base: Path, new: Path) -> list[list[str]]:
             for side in (base, new) if i % 2 == 0 else (new, base):
                 cmds.append([sys.executable, str(side / "perfbench" / "run.py"),
                              "--workload", workload, "--seed", str(args.seed + i),
-                             "--seconds", str(args.seconds), "--trace", str(args.trace)])
+                             "--seconds", str(BENCHMARK["run_seconds"]),
+                             "--trace", str(args.trace)])
     cmds.append([sys.executable, str(new / "perfbench" / "compare.py"), str(base / RESULTS),
                  str(new / RESULTS), "--trace", str(args.trace)])
     return cmds
@@ -60,10 +61,8 @@ def main(argv=None) -> int:
     parser.add_argument("--new", default="HEAD", help="git ref of the change side")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="pair i runs seed SEED+i")
-    parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     parser.add_argument("--trace", type=int, default=0, choices=(0, 1))
-    parser.add_argument("--out", type=Path, help="directory to keep both results files in")
     parser.add_argument("--dry-run", action="store_true")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seed < 0:
@@ -91,10 +90,6 @@ def main(argv=None) -> int:
             print(f"{side:<4} {shlex.join(cmd[2:])}  correct={doc['correct']} "
                   f"failed={doc['failed']}" + (f" wall_s={wall:.3f}" if wall is not None else ""),
                   flush=True)
-        if args.out:
-            args.out.mkdir(parents=True, exist_ok=True)
-            shutil.copy(base / RESULTS, args.out / "base.jsonl")
-            shutil.copy(new / RESULTS, args.out / "new.jsonl")
         return subprocess.run(compare).returncode
 
 

@@ -8,9 +8,12 @@ every random edge set: the candidate pairs (or r-subsets) take one 64-bit
 word each in lexicographic order, and a candidate is an edge iff its word is
 below floor(p * 2^64), p an exact rational.  ``_coins`` returns that rule as
 a boolean coin mask, drawn and compared in numpy one fixed-size chunk of
-words at a time.  A random graph reads no candidate tuples: ``_coin_graph``
-writes the mask into an n x n boolean matrix at the candidate pairs above
-the diagonal (every pair for G(n, p), the pairs across the split for the
+words at a time.  The words are the raw Philox words of
+``rng.bit_generator.random_raw``, the words that
+``rng.integers(0, 2**64, dtype=np.uint64)`` returns, without its range
+checks.  A random graph reads no candidate tuples: ``_coin_graph`` writes
+the mask into an n x n boolean matrix at the candidate pairs above the
+diagonal (every pair for G(n, p), the pairs across the split for the
 random bipartite graph) and at their mirror images below it, so both
 triangles hold it, and packs each row into one integer.
 ``random_uniform_hypergraph`` lists its r-subsets as tuples of vertex bits,
@@ -70,9 +73,11 @@ def _check_draws(count: int) -> None:
 
 def _coins(rng: np.random.Generator, count: int, p: Fraction) -> np.ndarray:
     """The coin mask of ``count`` candidates: one word each, in order, and
-    True iff the word is below floor(p * 2^64).  The words are drawn and
-    compared ``_CHUNK`` at a time, which gives the same words as one draw and
-    holds at most one chunk of them."""
+    True iff the word is below floor(p * 2^64).  The words are the bit
+    generator's raw 64-bit words: over the full uint64 range numpy's bounded
+    draw returns them unchanged.  They are drawn and compared ``_CHUNK`` at a
+    time, which gives the same words as one draw and holds at most one chunk
+    of them."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise InputError(f"probability {p} outside [0,1]")

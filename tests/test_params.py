@@ -250,7 +250,7 @@ def test_chain_powers_render_and_decide_like_the_exact_powers(q, h, variant, f, 
 
 @pytest.mark.parametrize("variant, q", [("graph", 2), ("graph", 3), ("graph", 128), ("tournament", 10)])
 def test_shrinkage_check_passes_at_a_tie(variant, q):
-    # delta = (1-eps)^ell: minimal_ell(1/delta, eps, 1) = ell, reached by exact steps
+    # delta = (1-eps)^ell: minimal_ell(1/delta, eps, 1) = ell, a tie decided exactly
     params = compute_params(variant, Fraction(1, q), F2, allow_out_of_range=True)
     params = dataclasses.replace(params, delta=(1 - params.epsilon) ** params.ell)
     assert verify_inequality_chain(params, h=4).checks[0].passed

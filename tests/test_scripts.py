@@ -23,12 +23,10 @@ def test_overlay_calibration_script_runs():
     assert last.startswith("max ratio")
 
 
-
 def test_ab_pairs_dry_run_lists_alternating_runs_then_the_comparison():
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ab_pairs.py"), "--base", "main~1", "--pairs", "2",
-         "--seed", "7", "--workload", "exact-kernels", "cli-session", "--seconds", "5",
-         "--dry-run"],
+         "--seed", "7", "--workload", "exact-kernels", "cli-session", "--dry-run"],
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
@@ -36,7 +34,7 @@ def test_ab_pairs_dry_run_lists_alternating_runs_then_the_comparison():
 
     def run(side, workload, seed):
         return (f"{py} {side}/perfbench/run.py --workload {workload} --seed {seed} "
-                "--seconds 5.0 --trace 0")
+                "--seconds 30 --trace 0")  # BENCHMARK.json's run_seconds
 
     assert result.stdout.splitlines() == [
         "git archive main~1 > BASE",
