@@ -230,19 +230,31 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph._symmetric(len(order), rows)
 
 
+def _non_rows(g: Graph) -> list[int]:
+    """Row v holds the vertices other than v that are not adjacent to v: the
+    adjacency rows of the complement graph, in O(n) big-integer operations."""
+    full = (1 << g.n) - 1
+    return [full & ~(row | 1 << v) for v, row in enumerate(g.masks)]
+
+
 # ---------------------------------------------------------------------------
 # induced P4 counting
 
 
-def _induced_p4s(g: Graph) -> Iterator[tuple[int, int, int, int]]:
-    """Each induced path a-b-c-d of ``g`` once, as the embedding whose middle
-    pair ascends (b < c), ordered by b, then c, then a, then d.
+def _p4_rows(g: Graph) -> Sequence[int]:
+    """The rows the P4 scan reads: the complement's iff 2|E| > C(n, 2), else,
+    a tie included, ``g``'s own; P4 is self-complementary (Seinsche 1974)."""
+    return _non_rows(g) if 2 * g.edge_count > math.comb(g.n, 2) else g.masks
+
+
+def _induced_p4s(masks: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """Each induced path a-b-c-d of the rows ``masks`` once, as the embedding
+    whose middle pair ascends (b < c), ordered by b, then c, then a, then d.
 
     A middle edge {b, c} takes a from A = N(b) minus N[c] and d from
     D = N(c) minus N[b]; a-b-c-d is induced iff d is outside N[a].  After each
     middle edge the copies listed from the a side are checked against the same
     pairs counted again from the d side, sum over d in D of |A minus N[d]|."""
-    masks = g.masks
     outside = [~(row | 1 << v) for v, row in enumerate(masks)]  # complement of N[v]
     for b, row_b in enumerate(masks):
         out_b = outside[b]
@@ -282,16 +294,25 @@ def _induced_p4s(g: Graph) -> Iterator[tuple[int, int, int, int]]:
 def count_induced_p4(g: Graph) -> tuple[int, int, list[tuple[int, int, int, int]]]:
     """Fast exact induced-path-on-4-vertices count: (subsets, embeddings, copies).
 
-    The scan visits each middle edge {b, c} once, with b < c, so it doubles as
-    an exhaustive scan: ``copies`` lists one labeled embedding a-b-c-d per
-    induced copy, the orientation whose middle pair ascends (not always the
-    lexicographically first: the path 3-0-1-2 is listed as (3, 0, 1, 2)),
-    ordered by b, then c, then a, then d.  Reversal maps the two embeddings of
-    a copy onto each other, so embeddings = 2 * subsets.  Each middle edge's
-    copies are cross-checked against the same pairs counted from the d side;
-    a mismatch raises AssertionError.
+    ``copies`` lists one labeled embedding a-b-c-d per induced copy, the
+    orientation whose middle pair ascends (not always the lexicographically
+    first: the path 3-0-1-2 is listed as (3, 0, 1, 2)), ordered by b, then c,
+    then a, then d.  Reversal maps the two embeddings of a copy onto each
+    other, so embeddings = 2 * subsets.  The result, order included, is the
+    same whichever side :func:`_induced_p4s` scans: ``g`` if 2|E| <= C(n, 2),
+    else its complement (:func:`_p4_rows`).  Each middle edge of the scanned
+    side is cross-checked from its d side; a mismatch raises AssertionError.
     """
-    copies = list(_induced_p4s(g))
+    rows = _p4_rows(g)
+    if rows is g.masks:
+        copies = list(_induced_p4s(rows))
+    else:  # the complement's x-y-z-w is g's z-x-w-y: orient it, then sort one b at a time
+        n = g.n
+        by_b: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+        for x, y, z, w in _induced_p4s(rows):
+            by_b[x if x < w else w].append((z, x, w, y) if x < w else (y, w, x, z))
+        copies = list(itertools.chain.from_iterable(  # each group is dropped once it is sorted
+            sorted(by_b.pop(0), key=lambda t: (t[2] * n + t[0]) * n + t[3]) for _ in range(n)))
     return len(copies), 2 * len(copies), copies
 
 

@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import CapabilityError, InputError, ParameterError, VerificationError
-from .graphs import Graph, _bits, _count_k_sets, _induced_p4s, edge_density, induced_subgraph
+from .graphs import (Graph, _bits, _count_k_sets, _induced_p4s, _non_rows, _p4_rows, edge_density,
+                     induced_subgraph)
 
 __all__ = [
     "HomogeneousWitness",
@@ -95,8 +96,8 @@ class EpsHomogeneousWitness:
 
 def has_induced_p4(g: Graph) -> bool:
     """Whether ``g`` has an induced path on 4 vertices; the scan of
-    :func:`count_induced_p4`, stopped at the first copy."""
-    return next(_induced_p4s(g), None) is not None
+    :func:`count_induced_p4`, on the same side, stopped at the first copy."""
+    return next(_induced_p4s(_p4_rows(g)), None) is not None
 
 
 def p4_free_family() -> Callable[[Graph], bool]:
@@ -121,13 +122,6 @@ def max_clique(g: Graph) -> frozenset[int]:
         return frozenset()
     # a single vertex is always a clique
     return _clique_above(g.masks, _non_rows(g), 1) or frozenset({0})
-
-
-def _non_rows(g: Graph) -> list[int]:
-    """Row v holds the vertices other than v that are not adjacent to v: the
-    adjacency rows of the complement graph, in O(n) big-integer operations."""
-    full = (1 << g.n) - 1
-    return [full & ~(row | 1 << v) for v, row in enumerate(g.masks)]
 
 
 def _clique_above(adj: Sequence[int], non: Sequence[int], bound: int) -> frozenset[int] | None:

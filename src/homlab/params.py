@@ -312,7 +312,7 @@ def minimal_ell(n: Fraction, epsilon: Fraction, u: int) -> int:
 
     With 1-eps = p/q and n = a/b in lowest terms the test is p^ell a <=
     u b q^ell, which is decided in integers for ell up to 64.  A larger ell is
-    the ceiling of ln(n/u) / ln(1/(1-eps)), which an interval enclosure at
+    the ceiling of (ln a - ln(u b)) / ln(q/p), which an interval enclosure at
     doubling precision decides.  An enclosure straddles an integer m for
     ever only if the ratio equals m, which needs q^m to divide a; so where it
     straddles one integer m and q^m divides a, the one exact power
@@ -340,8 +340,8 @@ def minimal_ell(n: Fraction, epsilon: Fraction, u: int) -> int:
             return m if p**m * a <= u * b * q**m else m + 1
         return None
 
-    return _resolve(ceil_or_power, lambda ctx, x, y: ctx.log(x) / ctx.log(y),
-                    Fraction(a, b * u), Fraction(q, p))[0]
+    return _resolve(ceil_or_power, lambda ctx, x, y, z: (ctx.log(x) - ctx.log(y)) / ctx.log(z),
+                    a, b * u, Fraction(q, p))[0]  # n/u unreduced: no gcd of a and b u
 
 
 def _size(q: Fraction) -> int:

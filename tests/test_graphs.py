@@ -12,6 +12,8 @@ from homlab.generators import gnp, overlay_construction
 from homlab.graphs import (
     Graph,
     _bits,
+    _non_rows,
+    _p4_rows,
     UniformHypergraph,
     count_induced_p4,
     edge_density,
@@ -243,6 +245,92 @@ def test_p4_scan_cross_checks_each_middle_edge_from_the_d_side():
     object.__setattr__(g, "masks", (0b1010, 0b0101, 0b1010, 0b0100))
     with pytest.raises(AssertionError, match="d side"):
         count_induced_p4(g)
+
+
+# The scan runs on the complement when 2|E| > C(n, 2): the tests below pin that
+# side against the same oracles, the tie rule, and the d-side check there.
+
+dense_graphs_up_to_14 = st.integers(min_value=0, max_value=14).flatmap(
+    lambda n: st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+        lambda draws: Graph.from_edges(  # each pair is an edge with probability 3/4
+            n, [e for e, k in zip(itertools.combinations(range(n), 2), draws) if k]
+        )
+    )
+)
+
+
+def scans_complement(g):
+    return _p4_rows(g) is not g.masks
+
+
+@given(dense_graphs_up_to_14)
+@settings(max_examples=200, deadline=None)
+def test_p4_scan_on_dense_graphs_matches_reference_and_generic_counter(g):
+    assert_p4_scan_matches_reference(g)
+    subsets, embeddings, _ = count_induced_p4(g)
+    assert (subsets, embeddings) == count_induced_copies(g, path_graph(4))
+    assert has_induced_p4(g) == (subsets > 0)
+
+
+def test_p4_scan_matches_reference_on_dense_random_graphs():
+    for seed in range(20):
+        g = gnp(40, Fraction(9, 10), seed)
+        assert scans_complement(g)
+        assert_p4_scan_matches_reference(g)
+        if seed < 3:
+            assert count_induced_p4(g)[:2] == count_induced_copies(g, path_graph(4))
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 12, 13])
+def test_p4_scan_reads_g_at_half_the_pairs_and_the_complement_above(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for seed in range(5):
+        order = pairs[seed:] + pairs[:seed]  # a different half per seed
+        tie = Graph.from_edges(n, order[: len(pairs) // 2])
+        above = Graph.from_edges(n, order[: len(pairs) // 2 + 1])
+        assert 2 * tie.edge_count == math.comb(n, 2) and _p4_rows(tie) is tie.masks
+        assert _p4_rows(above) == _non_rows(above)
+        assert_p4_scan_matches_reference(tie)
+        assert_p4_scan_matches_reference(above)
+
+
+def test_p4_scan_cross_checks_the_complement_from_its_d_side():
+    # rows that skip Graph validation, with 11 of the 15 pairs set: vertices 4
+    # and 5 see every vertex, and on 0-3 the complement's rows are those of the
+    # d side test above, where 0 sees 3 but 3 does not see 0
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", 6)
+    object.__setattr__(g, "masks", (0b110100, 0b111000, 0b110001, 0b110011, 0b101111, 0b011111))
+    assert scans_complement(g)
+    assert list(_p4_rows(g)) == [0b1010, 0b0101, 0b1010, 0b0100, 0, 0]
+    with pytest.raises(AssertionError, match="d side"):
+        count_induced_p4(g)
+
+
+def as_g_copy(x, y, z, w):
+    """The complement's path x-y-z-w as the graph's path z-x-w-y, in the
+    orientation count_induced_p4 lists (middle pair ascending)."""
+    return (z, x, w, y) if x < w else (y, w, x, z)
+
+
+def assert_complement_copies_map_onto_the_graphs(g):
+    subsets, embeddings, copies = count_induced_p4(g)
+    h_subsets, h_embeddings, h_copies = count_induced_p4(complement(g))
+    assert (h_subsets, h_embeddings) == (subsets, embeddings)
+    mapped = sorted((as_g_copy(*copy) for copy in h_copies), key=lambda t: (t[1], t[2], t[0], t[3]))
+    assert mapped == copies
+
+
+@given(graphs_up_to_14)
+@settings(max_examples=200, deadline=None)
+def test_complement_copies_map_one_to_one_onto_the_graphs(g):
+    assert_complement_copies_map_onto_the_graphs(g)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(9, 10)])
+def test_complement_copies_map_one_to_one_onto_the_graphs_at_n_60(p):
+    for seed in range(3):
+        assert_complement_copies_map_onto_the_graphs(gnp(60, p, seed))
 
 
 @given(small_graphs)
