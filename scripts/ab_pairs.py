@@ -32,7 +32,6 @@ import os
 import platform
 import re
 import shlex
-import statistics
 import subprocess
 import sys
 import tarfile
@@ -44,7 +43,11 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 RESULTS = Path("perfbench", "out", "results.jsonl")
-BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from compare import directions, quartiles  # noqa: E402  the table's own statistics
+
+BETTER = directions()
 
 
 def plan(args, base: Path, new: Path) -> list[list[str]]:
@@ -62,14 +65,6 @@ def plan(args, base: Path, new: Path) -> list[list[str]]:
     return cmds
 
 
-def quartiles(values: list[float]) -> list[float]:
-    """q1, median and q3, as ``perfbench/compare.py`` computes them."""
-    if len(values) < 2:
-        return [values[0]] * 3
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return [q1, statistics.median(values), q3]
-
-
 def summarize(runs: dict[str, list[dict]]) -> dict:
     """Per workload and metric: each side's quartiles, the ratio of medians
     new/base (None on a zero base) and the pair wins [base, new], pairs matched
@@ -80,8 +75,8 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
         new = {r["seed"]: r["metrics"] for r in runs["new"] if r["workload"] == wl}
         seeds = sorted(base.keys() & new.keys())
         for metric in base[seeds[0]]:
-            qa = quartiles([base[s][metric] for s in seeds])
-            qb = quartiles([new[s][metric] for s in seeds])
+            qa = list(quartiles([base[s][metric] for s in seeds]))
+            qb = list(quartiles([new[s][metric] for s in seeds]))
             sign = -1 if BETTER.get(metric, "lower") == "lower" else 1
             gaps = [sign * (new[s][metric] - base[s][metric]) for s in seeds]
             summary.setdefault(wl, {})[metric] = {
@@ -90,14 +85,14 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     return summary
 
 
-def claim_verdict(summary: dict, claim: str) -> dict:
-    """A claim holds when the change wins at least 9 in 10 of the pairs and
-    its median is better by more than the base's quartile spread."""
+def claim_verdict(summary: dict, claim: str, pairs: int) -> dict:
+    """A claim holds when the change wins at least 9 in 10 of all pairs (ties
+    count for neither side) and its median is better by more than the
+    distance between the base's quartiles."""
     wl, metric = claim.split(":")
     row = summary[wl][metric]
     sign = -1 if BETTER.get(metric, "lower") == "lower" else 1
     gap, spread = sign * (row["new"][1] - row["base"][1]), row["base"][2] - row["base"][0]
-    pairs = sum(row["wins"])  # ties count for neither side
     return {"workload": wl, "metric": metric, "new_wins": row["wins"][1], "median_gap": gap,
             "base_spread": spread, "holds": 10 * row["wins"][1] >= 9 * pairs and gap > spread}
 
@@ -139,7 +134,7 @@ def record(args, shas: dict[str, str], order: list[dict], base: Path, new: Path)
             "host": host(), "trace": args.trace, "run_seconds": BENCHMARK["run_seconds"],
             "seeds": [args.seed + i for i in range(args.pairs)], "order": order,
             "runs": runs, "summary": summary,
-            "claims": [claim_verdict(summary, c) for c in args.claim]}
+            "claims": [claim_verdict(summary, c, args.pairs) for c in args.claim]}
 
 
 def rev(ref: str) -> str:

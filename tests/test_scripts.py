@@ -46,3 +46,16 @@ def test_ab_pairs_dry_run_lists_alternating_runs_then_the_comparison():
         f"{py} NEW/perfbench/compare.py BASE/perfbench/out/results.jsonl "
         "NEW/perfbench/out/results.jsonl --trace 0",
     ]
+
+
+def test_ab_pairs_record_needs_a_bench_file_name_and_a_claim_needs_a_record():
+    script = [sys.executable, str(ROOT / "scripts" / "ab_pairs.py"), "--base", "main~1", "--dry-run"]
+    for extra in (["--record", "results.json"], ["--claim", "exact-kernels:wall_s"],
+                  ["--record", "BENCH_x.json", "--claim", "exact-kernels:no_such_metric"]):
+        result = subprocess.run(script + extra, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, extra
+    result = subprocess.run(script + ["--pairs", "1", "--workload", "cli-session", "--record",
+                                      "BENCH_x.json", "--claim", "cli-session:wall_s"],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "write BENCH_x.json"
