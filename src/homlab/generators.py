@@ -112,10 +112,10 @@ def _coin_graph(cand: np.ndarray, coins: np.ndarray) -> Graph:
     m = np.zeros(cand.shape, dtype=bool)
     m[cand] = coins
     m.T[cand] = coins
-    packed = np.packbits(m, axis=1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[1]
-    return Graph._symmetric(len(m), [int.from_bytes(data[i * width:(i + 1) * width], "little")
-                                     for i in range(len(m))])
+    n, width = len(m), len(m) + 7 >> 3
+    data = np.packbits(m, axis=1, bitorder="little").tobytes()
+    del m  # before Graph's check, whose packed copies of the rows would add to it
+    return Graph(n, [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(n)])
 
 
 def gnp(n: int, p: Fraction, seed: int, stream: int | None = None) -> Graph:
@@ -141,7 +141,7 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     rows: list[int] = []
     for size in part_sizes:
         rows += [full & ~(((1 << size) - 1) << len(rows))] * size
-    return Graph._symmetric(len(rows), rows)
+    return Graph(len(rows), rows)
 
 
 def equitable_parts(n: int, s: int) -> list[list[int]]:
@@ -188,7 +188,7 @@ def overlay_construction(n: int, epsilon: Fraction, seed: int) -> OverlayArtifac
     parts = tuple(tuple(p) for p in equitable_parts(n, s))
     base = gnp(n, 2 * eps, seed, stream=0)
     cross = complete_multipartite([len(part) for part in parts])
-    graph = Graph._symmetric(n, [b | c for b, c in zip(base.masks, cross.masks)])
+    graph = Graph(n, [b | c for b, c in zip(base.masks, cross.masks)])
     return OverlayArtifact(graph=graph, base=base, parts=parts, base_density=2 * eps, s=s)
 
 
@@ -218,7 +218,7 @@ def random_cograph(n: int, seed: int, stream: int | None = None) -> Graph:
                 rows[v] |= left_mask
         return rows
 
-    return Graph._symmetric(n, build(n))
+    return Graph(n, build(n))
 
 
 def random_bipartite(n: int, p: Fraction, seed: int, stream: int | None = None) -> Graph:
@@ -256,7 +256,7 @@ def perturb_edges(g: Graph, flips: int, seed: int, stream: int | None = None) ->
         u, v = pairs[i]  # distinct pairs, so the order of the flips does not matter
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-    return Graph._symmetric(g.n, rows)
+    return Graph(g.n, rows)
 
 
 def random_independent_set(structure, seed: int, stream: int | None = None) -> frozenset[int]:

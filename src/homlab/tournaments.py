@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import CapabilityError, ConsistencyError, InputError
-from .graphs import _count_k_sets, _read_header
+from .graphs import _count_k_sets, _pack, _read_header, _transposed
 
 __all__ = [
     "Tournament",
@@ -33,16 +33,18 @@ class Tournament:
     out: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "out", tuple(self.out))
         if len(self.out) != self.n:
             raise InputError(f"need n={self.n} out-neighbor rows")
         full = (1 << self.n) - 1
         for v, row in enumerate(self.out):
             if row & ~full or row >> v & 1:
                 raise InputError(f"row {v} out of range or reflexive")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.out[u] >> v & 1) == (self.out[v] >> u & 1):
-                    raise InputError(f"pair ({u},{v}) must be oriented exactly one way")
+        x, t, width = _transposed(self.out)
+        if (x ^ t).bit_count() != self.n * (self.n - 1):  # x ^ t holds only pairs u != v below n
+            defect = x ^ t ^ int.from_bytes(_pack([full ^ 1 << v for v in range(self.n)], width), "little")
+            u, v = divmod((defect & -defect).bit_length() - 1, width)  # symmetric: the first u < v
+            raise InputError(f"pair ({u},{v}) must be oriented exactly one way")
 
     def beats(self, u: int, v: int) -> bool:
         return bool(self.out[u] >> v & 1)

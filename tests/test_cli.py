@@ -54,6 +54,15 @@ def test_construct_tournament_and_dist(tmp_path):
     assert doc["dist"] >= 0 and len(doc["ordering"]) == 8
 
 
+def test_tournament_dist_names_the_first_unoriented_pair_and_exits_2(tmp_path):
+    # 0 -> 1 and 2 -> 1, but neither 0 -> 2 nor 2 -> 0
+    path = tmp_path / "t.txt"
+    path.write_text("3\n010\n000\n010\n")
+    result = invoke("tournament", "dist", str(path))
+    assert result.exit_code == 2
+    assert (result.stdout, result.stderr) == ("", "error: pair (0,2) must be oriented exactly one way\n")
+
+
 @pytest.mark.parametrize("parts", ["-1", "0", "6"])
 def test_construct_multipartite_rejects_part_counts_outside_1_to_n(parts):
     result = invoke("construct", "--kind", "multipartite", "--n", "5", "--parts", parts)

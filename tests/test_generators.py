@@ -597,9 +597,8 @@ def test_random_independent_set_matches_its_reference(kind, n, p, seed, stream):
     assert random_independent_set(structure, seed, stream) == expected
 
 
-# Every library builder hands its rows to Graph._symmetric, which skips the
-# per-edge symmetry walk; the walking constructor Graph(n, masks) must accept
-# what each of them builds.
+# Every library builder hands its rows to Graph(n, masks), the one validating
+# constructor; building each one's rows again through it must give the same graph.
 _sizes, _seeds, _rates = st.integers(0, 9), st.integers(0, 10**6), st.integers(0, 8)
 
 

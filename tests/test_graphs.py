@@ -383,11 +383,11 @@ def test_writer_matches_its_reference(g):
 @given(any_size_graphs)
 @settings(max_examples=100, deadline=None)
 def test_graph_from_symmetric_rows_equals_the_validated_graph(g):
-    assert Graph._symmetric(g.n, list(g.masks)) == g
+    assert Graph(g.n, list(g.masks)) == g
 
 
 def test_graph_from_symmetric_rows_rejects_loops_bits_at_or_above_n_and_a_wrong_row_count():
-    assert Graph._symmetric(3, [0b110, 0b101, 0b011]) == complete_graph(3)
+    assert Graph(3, [0b110, 0b101, 0b011]) == complete_graph(3)
     for masks in ([0b001, 0, 0],  # a loop bit
                   [0, 0, 0b100],  # the last vertex's loop bit
                   [0b1000, 0, 0],  # at n
@@ -396,9 +396,9 @@ def test_graph_from_symmetric_rows_rejects_loops_bits_at_or_above_n_and_a_wrong_
                   [0b10, 0b01],  # too few rows
                   [0, 0, 0, 0]):  # too many
         with pytest.raises(InputError):
-            Graph._symmetric(3, masks)
+            Graph(3, masks)
     with pytest.raises(InputError):
-        Graph._symmetric(-1, [])
+        Graph(-1, [])
 
 
 def test_graph_text_format_shape():
