@@ -7,13 +7,14 @@ valid row set must be accepted or refused as the walk does, with its text.
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab.errors import InputError
-from homlab.graphs import Graph, _bits
+from homlab.graphs import Graph, _bits, _transposed
 from homlab.tournaments import Tournament
 
 
@@ -106,7 +107,8 @@ def test_rows_given_as_a_list_build_the_equal_hashable_instance(build):
     assert type(listed.masks if build is Graph else listed.out) is tuple
 
 
-# Sizes on both sides of each packing width (8, 16, 64, 128) and the empty graph.
+# The empty graph, and sizes at and next to multiples of 8, where the packed
+# matrix's width N steps up (8, 16, 24, 64, 72).
 SIZES = [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65]
 
 
@@ -147,3 +149,17 @@ def test_every_one_bit_flip_is_accepted_or_refused_as_the_walk_does(build, refer
     row_set = range(n) if n <= 17 else {0, data.draw(st.integers(0, n - 1)), n - 1}
     for flipped in one_bit_flips(n, rows, row_set):
         assert message(build, n, flipped) == message(reference, n, flipped)
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 100, 255, 256, 257, 300])
+def test_transpose_matches_the_naive_transpose_with_and_without_a_kept_plan(n):
+    # plans are kept up to N = 256 and built per call above; the rows are any
+    # bits, neither symmetric nor oriented
+    rng = random.Random(n)
+    rows = [rng.getrandbits(n) for _ in range(n)]
+    x, t, width = _transposed(rows)
+    assert width == max(8, -(-n // 8) * 8)
+    full = (1 << width) - 1
+    assert [x >> v * width & full for v in range(width)] == rows + [0] * (width - n)
+    columns = [sum((row >> v & 1) << u for u, row in enumerate(rows)) for v in range(n)]
+    assert [t >> v * width & full for v in range(width)] == columns + [0] * (width - n)
