@@ -1,8 +1,8 @@
 """The one validating constructor of ``Graph`` and ``Tournament``.
 
-The exact error texts are pinned, and the two pair walks the constructors
-once ran are kept here as reference validators: every one-bit flip of a
-valid row set must be accepted or refused as the walk does, with its text.
+The exact error texts are pinned, and a per-edge and a per-pair walk are
+the reference validators: every one-bit flip of a valid row set must be
+accepted or refused as the walk does, with its text.
 """
 
 import itertools
