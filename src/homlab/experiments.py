@@ -527,15 +527,15 @@ class _Kind(NamedTuple):
     seeded: bool = True  # False: the kind checks every graph and takes no seeds
 
 
-def _positive(cast: _Cast) -> _Cast:
-    """``cast`` of a grid value that a builder divides by: at least 1 for an
-    int, above 0 for a rational."""
-    def cast_positive(value: Any) -> Any:
+def _signed(cast: _Cast, zero: bool) -> _Cast:
+    """``cast`` of a grid value that is a count (``zero``: at least 0) or
+    that a builder divides by (above 0: at least 1 for an int)."""
+    def cast_signed(value: Any) -> Any:
         number = cast(value)
-        if number <= 0:
-            raise ValueError("must be positive")
+        if number < 0 or number == 0 and not zero:
+            raise ValueError("must be non-negative" if zero else "must be positive")
         return number
-    return cast_positive
+    return cast_signed
 
 
 def _int(value: Any) -> int:
@@ -554,6 +554,7 @@ def _generator_kind(value: Any) -> str:
 
 
 _INTS, _RATIONALS = _list_of(_int), _list_of(_rational)
+_POSITIVE, _COUNT = _signed(_int, zero=False), _signed(_int, zero=True)
 
 _KINDS: dict[str, _Kind] = {
     "graph-container-exhaustive": _Kind(
@@ -564,25 +565,25 @@ _KINDS: dict[str, _Kind] = {
     "hypergraph-container-sample": _Kind(
         _rows_hypergraph_container_sample,
         {"n": (_INTS, [8, 9, 10, 11, 12]), "p": (_RATIONALS, ["4/5"]),
-         "eps": (_RATIONALS, ["1/8"]), "count": (_int, 10)}),
+         "eps": (_RATIONALS, ["1/8"]), "count": (_COUNT, 10)}),
     "homog-count-pipeline": _Kind(
         _rows_homog_count_pipeline,
-        {"n": (_int, 40), "p": (_rational, "1/20"), "t": (_positive(_int), 5), "k": (_int, 3),
-         "count": (_int, 10)}),
+        {"n": (_int, 40), "p": (_rational, "1/20"), "t": (_POSITIVE, 5), "k": (_int, 3),
+         "count": (_COUNT, 10)}),
     "closeness-pipeline": _Kind(
         _rows_closeness_pipeline,
-        {"n": (_int, 40), "t": (_positive(_int), 5), "k": (_int, 3), "flips": (_int, None),
-         "count": (_int, 10)}),
+        {"n": (_int, 40), "t": (_POSITIVE, 5), "k": (_int, 3), "flips": (_int, None),
+         "count": (_COUNT, 10)}),
     "overlay-audit": _Kind(
         _rows_overlay_audit,
         {"n": (_int, 150), "eps": (_RATIONALS, ["1/20", "1/10"]),
          "embedding_constant": (_int, 1000)}),
     "eps-homog-curve": _Kind(
         _rows_eps_homog_curve,
-        {"n": (_positive(_int), 60), "p": (_rational, "1/2"),
-         "eps": (_list_of(_positive(_rational)), ["1/4", "1/8", "1/16"])},
+        {"n": (_POSITIVE, 60), "p": (_rational, "1/2"),
+         "eps": (_list_of(_signed(_rational, zero=False)), ["1/4", "1/8", "1/16"])},
         generator={"kind": (_generator_kind, "bipartite")}),
-    "triangle-scan": _Kind(_rows_triangle_scan, {"m": (_int, 9), "samples": (_int, 100)}),
+    "triangle-scan": _Kind(_rows_triangle_scan, {"m": (_int, 9), "samples": (_COUNT, 100)}),
 }
 
 

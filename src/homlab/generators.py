@@ -11,7 +11,7 @@ a boolean coin mask, drawn and compared in numpy one fixed-size chunk of
 words at a time.  The words are the raw Philox words of
 ``rng.bit_generator.random_raw``, the words that
 ``rng.integers(0, 2**64, dtype=np.uint64)`` returns, without its range
-checks.  A random graph reads no candidate tuples: ``_coin_graph`` writes
+checks.  A random graph reads no candidate tuples: ``_coin_rows`` writes
 the mask into an n x n boolean matrix at the candidate pairs above the
 diagonal (every pair for G(n, p), the pairs across the split for the
 random bipartite graph) and at their mirror images below it, so both
@@ -99,14 +99,14 @@ def _candidates(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-def _coin_graph(cand: np.ndarray, coins: np.ndarray) -> Graph:
-    """The graph whose edges are the pairs {u, v} allowed by the symmetric
-    boolean matrix ``cand`` whose coins win.  ``cand`` is cut in place to its
-    entries (u, v) with u < v, the candidates; boolean indexing reads them in
-    row-major order, which is lexicographic order, so each takes its coin in
-    draw order.  The coins are written into both triangles, through the
-    matrix and through its transpose, and each row, packed into bytes, is
-    one vertex's row integer."""
+def _coin_rows(cand: np.ndarray, coins: np.ndarray) -> list[int]:
+    """The adjacency rows of the graph whose edges are the pairs {u, v}
+    allowed by the symmetric boolean matrix ``cand`` whose coins win.
+    ``cand`` is cut in place to its entries (u, v) with u < v, the
+    candidates; boolean indexing reads them in row-major order, which is
+    lexicographic order, so each takes its coin in draw order.  The coins are
+    written into both triangles, through the matrix and through its
+    transpose, and each row, packed into bytes, is one vertex's row integer."""
     idx = np.arange(len(cand))
     cand &= idx[:, None] < idx
     m = np.zeros(cand.shape, dtype=bool)
@@ -114,23 +114,28 @@ def _coin_graph(cand: np.ndarray, coins: np.ndarray) -> Graph:
     m.T[cand] = coins
     n, width = len(m), len(m) + 7 >> 3
     data = np.packbits(m, axis=1, bitorder="little").tobytes()
-    del m  # before Graph's check, whose packed copies of the rows would add to it
-    return Graph(n, [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(n)])
+    del m  # before the row integers are made
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(n)]
+
+
+def _gnp_rows(n: int, p: Fraction, seed: int, stream: int | None) -> list[int]:
+    # n, p and the draw cap are checked before any n x n matrix is built
+    coins = _coins(rng_for(seed, stream), _candidates(n, 2), p)
+    return _coin_rows(np.ones((n, n), dtype=bool), coins)
 
 
 def gnp(n: int, p: Fraction, seed: int, stream: int | None = None) -> Graph:
     """Erdos-Renyi graph: each pair independently an edge with probability p."""
-    # n, p and the draw cap are checked before any n x n matrix is built
-    coins = _coins(rng_for(seed, stream), _candidates(n, 2), p)
-    return _coin_graph(np.ones((n, n), dtype=bool), coins)
+    return Graph(n, _gnp_rows(n, p, seed, stream))
 
 
 def random_tournament(n: int, seed: int, stream: int | None = None) -> Tournament:
     """The orientation of ``gnp(n, 1/2, seed, stream)``: for u < v, u beats v
     iff {u, v} is an edge.  Row u has no bit u, so flipping its bits below u
-    makes it u's out-row: the edges up to v > u, the non-edges down to w < u."""
-    g = gnp(n, Fraction(1, 2), seed, stream)
-    return Tournament(n, tuple(row ^ (1 << u) - 1 for u, row in enumerate(g.masks)))
+    makes it u's out-row: the edges up to v > u, the non-edges down to w < u.
+    Only the ``Tournament`` checks the rows; no ``Graph`` is built."""
+    rows = _gnp_rows(n, Fraction(1, 2), seed, stream)
+    return Tournament(n, tuple(row ^ (1 << u) - 1 for u, row in enumerate(rows)))
 
 
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
@@ -231,7 +236,7 @@ def random_bipartite(n: int, p: Fraction, seed: int, stream: int | None = None) 
     left = np.zeros(n, dtype=bool)
     left[rng.permutation(n)[: (n + 1) // 2]] = True
     coins = _coins(rng, count, p)
-    return _coin_graph(left[:, None] != left, coins)
+    return Graph(n, _coin_rows(left[:, None] != left, coins))
 
 
 def random_uniform_hypergraph(r: int, n: int, p: Fraction, seed: int, stream: int | None = None):

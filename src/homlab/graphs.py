@@ -315,28 +315,30 @@ def _induced_p4s(masks: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
                 )
 
 
+def _p4_copies(g: Graph) -> Iterator[tuple[int, int, int, int]]:
+    """Each induced P4 of ``g`` once, as a labeled embedding a-b-c-d of ``g``,
+    in the order the scan of :func:`_induced_p4s` meets it on the side that
+    :func:`_p4_rows` picks.  The complement's path x-y-z-w is ``g``'s z-x-w-y."""
+    rows = _p4_rows(g)
+    if rows is g.masks:
+        return _induced_p4s(rows)
+    return ((z, x, w, y) for x, y, z, w in _induced_p4s(rows))
+
+
 def count_induced_p4(g: Graph) -> tuple[int, int, list[tuple[int, int, int, int]]]:
     """Fast exact induced-path-on-4-vertices count: (subsets, embeddings, copies).
 
-    ``copies`` lists one labeled embedding a-b-c-d per induced copy, the
-    orientation whose middle pair ascends (not always the lexicographically
-    first: the path 3-0-1-2 is listed as (3, 0, 1, 2)), ordered by b, then c,
-    then a, then d.  Reversal maps the two embeddings of a copy onto each
-    other, so embeddings = 2 * subsets.  The result, order included, is the
-    same whichever side :func:`_induced_p4s` scans: ``g`` if 2|E| <= C(n, 2),
-    else its complement (:func:`_p4_rows`).  Each middle edge of the scanned
-    side is cross-checked from its d side; a mismatch raises AssertionError.
+    ``copies`` lists one labeled embedding a-b-c-d per induced copy, in the
+    order the scan meets them (:func:`_p4_copies`).  When ``g`` itself is
+    scanned (2|E| <= C(n, 2)) that is the orientation whose middle pair
+    ascends (not always the lexicographically first: the path 3-0-1-2 is
+    listed as (3, 0, 1, 2)), ordered by b, then c, then a, then d; on the
+    complement's side neither orientation nor order is fixed.  Reversal maps
+    the two embeddings of a copy onto each other, so embeddings = 2 * subsets.
+    Each middle edge of the scanned side is cross-checked from its d side; a
+    mismatch raises AssertionError.
     """
-    rows = _p4_rows(g)
-    if rows is g.masks:
-        copies = list(_induced_p4s(rows))
-    else:  # the complement's x-y-z-w is g's z-x-w-y: orient it, then sort one b at a time
-        n = g.n
-        by_b: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-        for x, y, z, w in _induced_p4s(rows):
-            by_b[x if x < w else w].append((z, x, w, y) if x < w else (y, w, x, z))
-        copies = list(itertools.chain.from_iterable(  # each group is dropped once it is sorted
-            sorted(by_b.pop(0), key=lambda t: (t[2] * n + t[0]) * n + t[3]) for _ in range(n)))
+    copies = list(_p4_copies(g))
     return len(copies), 2 * len(copies), copies
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import CapabilityError, InputError, ParameterError, VerificationError
-from .graphs import (Graph, _bits, _count_k_sets, _induced_p4s, _non_rows, _p4_rows, edge_density,
+from .graphs import (Graph, _bits, _count_k_sets, _non_rows, _p4_copies, edge_density,
                      induced_subgraph)
 
 __all__ = [
@@ -97,7 +97,7 @@ class EpsHomogeneousWitness:
 def has_induced_p4(g: Graph) -> bool:
     """Whether ``g`` has an induced path on 4 vertices; the scan of
     :func:`count_induced_p4`, on the same side, stopped at the first copy."""
-    return next(_induced_p4s(_p4_rows(g)), None) is not None
+    return next(_p4_copies(g), None) is not None
 
 
 def p4_free_family() -> Callable[[Graph], bool]:

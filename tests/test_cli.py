@@ -223,12 +223,17 @@ _TRIANGLE_SCAN = {"kind": "triangle-scan", "grid": {"m": 4, "samples": 2}, "seed
         {"kind": "triangle-scan", "grid": {"samples": True}},
         {"kind": "graph-container-exhaustive", "grid": {"n": 3, "u": [1, 1.5]}},
         {"kind": "graph-container-exhaustive", "grid": {"n": 3, "k": [False]}},
+        {"kind": "homog-count-pipeline", "grid": {"count": -1}},
+        {"kind": "closeness-pipeline", "grid": {"count": -1}},
+        {"kind": "hypergraph-container-sample", "grid": {"count": -2}},
+        {"kind": "triangle-scan", "grid": {"samples": -3}},
     ],
     ids=["seeds-int", "seeds-str", "seeds-negative", "seeds-bool", "seeds-repeated", "grid-list",
          "generator-str", "kind-list", "kind-unknown", "out-int", "bare-int", "list",
          "exhaustive-with-seeds", "grid-value-not-int", "grid-eps-not-a-list", "key-misspelt",
          "grid-int-fractional-and-bool", "grid-int-fractional", "grid-int-bool",
-         "grid-int-list-fractional", "grid-int-list-bool"],
+         "grid-int-list-fractional", "grid-int-list-bool", "homog-count-negative",
+         "closeness-count-negative", "hypergraph-count-negative", "samples-negative"],
 )
 def test_experiment_run_rejects_malformed_configs(tmp_path, document):
     cfg = tmp_path / "cfg.json"
@@ -257,6 +262,21 @@ def test_experiment_run_rejects_non_positive_t(tmp_path, kind, t):
     result = invoke("experiment", "run", str(cfg))
     assert result.exit_code == 2, (result.output, result.exception)
     assert result.output.startswith("error: grid key 't'")
+
+
+@pytest.mark.parametrize("kind, key", [("homog-count-pipeline", "count"),
+                                       ("closeness-pipeline", "count"),
+                                       ("hypergraph-container-sample", "count"),
+                                       ("triangle-scan", "samples")])
+def test_experiment_run_names_a_negative_count_and_runs_zero(tmp_path, kind, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": kind, "grid": {key: -1}}))
+    result = invoke("experiment", "run", str(cfg))
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.output.startswith(f"error: grid key '{key}'")
+    cfg.write_text(json.dumps({"kind": kind, "grid": {key: 0}}))
+    result = invoke("experiment", "run", str(cfg))
+    assert result.exit_code == 0, (result.output, result.exception)
 
 
 def test_experiment_run_writes_the_config_out_path(tmp_path):

@@ -41,6 +41,7 @@ from homlab.homogeneous import has_induced_p4
 from homlab.tournaments import Tournament, cyclic_triangle_count
 
 from graph_helpers import complete_graph, edge_sets, empty_graph, spans_no_edge, write_hypergraph
+from test_constructors import message, one_bit_flips, reference_graph_check
 
 
 def test_gnp_extremes():
@@ -598,7 +599,8 @@ def test_random_independent_set_matches_its_reference(kind, n, p, seed, stream):
 
 
 # Every library builder hands its rows to Graph(n, masks), the one validating
-# constructor; building each one's rows again through it must give the same graph.
+# constructor.  The per-edge reference walk must accept each builder's rows, and
+# the constructor must refuse each one-bit flip of them as the walk does.
 _sizes, _seeds, _rates = st.integers(0, 9), st.integers(0, 10**6), st.integers(0, 8)
 
 
@@ -638,4 +640,7 @@ BUILT = {
 @given(data=st.data())
 def test_library_builders_make_rows_the_walking_constructor_accepts(builder, data):
     g = data.draw(BUILT[builder])
-    assert g == Graph(g.n, g.masks)
+    rows = list(g.masks)
+    assert message(reference_graph_check, g.n, rows) is None
+    for flipped in one_bit_flips(g.n, rows, range(g.n)):
+        assert message(Graph, g.n, flipped) == message(reference_graph_check, g.n, flipped)
