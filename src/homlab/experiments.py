@@ -527,15 +527,15 @@ class _Kind(NamedTuple):
     seeded: bool = True  # False: the kind checks every graph and takes no seeds
 
 
-def _signed(cast: _Cast, zero: bool) -> _Cast:
+def _sign_checked(cast: _Cast, zero: bool) -> _Cast:
     """``cast`` of a grid value that is a count (``zero``: at least 0) or
     that a builder divides by (above 0: at least 1 for an int)."""
-    def cast_signed(value: Any) -> Any:
+    def cast_sign_checked(value: Any) -> Any:
         number = cast(value)
         if number < 0 or number == 0 and not zero:
             raise ValueError("must be non-negative" if zero else "must be positive")
         return number
-    return cast_signed
+    return cast_sign_checked
 
 
 def _int(value: Any) -> int:
@@ -554,7 +554,7 @@ def _generator_kind(value: Any) -> str:
 
 
 _INTS, _RATIONALS = _list_of(_int), _list_of(_rational)
-_POSITIVE, _COUNT = _signed(_int, zero=False), _signed(_int, zero=True)
+_POSITIVE, _COUNT = _sign_checked(_int, zero=False), _sign_checked(_int, zero=True)
 
 _KINDS: dict[str, _Kind] = {
     "graph-container-exhaustive": _Kind(
@@ -581,7 +581,7 @@ _KINDS: dict[str, _Kind] = {
     "eps-homog-curve": _Kind(
         _rows_eps_homog_curve,
         {"n": (_POSITIVE, 60), "p": (_rational, "1/2"),
-         "eps": (_list_of(_signed(_rational, zero=False)), ["1/4", "1/8", "1/16"])},
+         "eps": (_list_of(_sign_checked(_rational, zero=False)), ["1/4", "1/8", "1/16"])},
         generator={"kind": (_generator_kind, "bipartite")}),
     "triangle-scan": _Kind(_rows_triangle_scan, {"m": (_int, 9), "samples": (_COUNT, 100)}),
 }

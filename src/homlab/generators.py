@@ -118,23 +118,19 @@ def _coin_rows(cand: np.ndarray, coins: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(n)]
 
 
-def _gnp_rows(n: int, p: Fraction, seed: int, stream: int | None) -> list[int]:
-    # n, p and the draw cap are checked before any n x n matrix is built
-    coins = _coins(rng_for(seed, stream), _candidates(n, 2), p)
-    return _coin_rows(np.ones((n, n), dtype=bool), coins)
-
-
 def gnp(n: int, p: Fraction, seed: int, stream: int | None = None) -> Graph:
     """Erdos-Renyi graph: each pair independently an edge with probability p."""
-    return Graph(n, _gnp_rows(n, p, seed, stream))
+    # n, p and the draw cap are checked before any n x n matrix is built
+    coins = _coins(rng_for(seed, stream), _candidates(n, 2), p)
+    return Graph(n, _coin_rows(np.ones((n, n), dtype=bool), coins))
 
 
 def random_tournament(n: int, seed: int, stream: int | None = None) -> Tournament:
-    """The orientation of ``gnp(n, 1/2, seed, stream)``: for u < v, u beats v
-    iff {u, v} is an edge.  Row u has no bit u, so flipping its bits below u
-    makes it u's out-row: the edges up to v > u, the non-edges down to w < u.
-    Only the ``Tournament`` checks the rows; no ``Graph`` is built."""
-    rows = _gnp_rows(n, Fraction(1, 2), seed, stream)
+    """The orientation of ``gnp(n, 1/2, seed, stream)``, checked only as a
+    ``Tournament``: u < v beats v iff {u, v} is an edge, so gnp's row u with
+    its bits below u flipped (it has no bit u) is u's out-row."""
+    coins = _coins(rng_for(seed, stream), _candidates(n, 2), Fraction(1, 2))
+    rows = _coin_rows(np.ones((n, n), dtype=bool), coins)
     return Tournament(n, tuple(row ^ (1 << u) - 1 for u, row in enumerate(rows)))
 
 

@@ -316,9 +316,9 @@ def _induced_p4s(masks: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
 
 
 def _p4_copies(g: Graph) -> Iterator[tuple[int, int, int, int]]:
-    """Each induced P4 of ``g`` once, as a labeled embedding a-b-c-d of ``g``,
-    in the order the scan of :func:`_induced_p4s` meets it on the side that
-    :func:`_p4_rows` picks.  The complement's path x-y-z-w is ``g``'s z-x-w-y."""
+    """Each induced P4 of ``g`` once, as a labeled embedding of ``g``, in the
+    order :func:`_induced_p4s` meets it on the side :func:`_p4_rows` picks;
+    the complement's path x-y-z-w is ``g``'s z-x-w-y."""
     rows = _p4_rows(g)
     if rows is g.masks:
         return _induced_p4s(rows)
@@ -328,15 +328,10 @@ def _p4_copies(g: Graph) -> Iterator[tuple[int, int, int, int]]:
 def count_induced_p4(g: Graph) -> tuple[int, int, list[tuple[int, int, int, int]]]:
     """Fast exact induced-path-on-4-vertices count: (subsets, embeddings, copies).
 
-    ``copies`` lists one labeled embedding a-b-c-d per induced copy, in the
-    order the scan meets them (:func:`_p4_copies`).  When ``g`` itself is
-    scanned (2|E| <= C(n, 2)) that is the orientation whose middle pair
-    ascends (not always the lexicographically first: the path 3-0-1-2 is
-    listed as (3, 0, 1, 2)), ordered by b, then c, then a, then d; on the
-    complement's side neither orientation nor order is fixed.  Reversal maps
-    the two embeddings of a copy onto each other, so embeddings = 2 * subsets.
-    Each middle edge of the scanned side is cross-checked from its d side; a
-    mismatch raises AssertionError.
+    ``copies`` lists one labeled embedding a-b-c-d per induced copy, in scan
+    order (:func:`_p4_copies`); reversal maps a copy's two embeddings onto each
+    other, so embeddings = 2 * subsets.  A middle edge of the scanned side
+    that fails its d-side cross-check raises AssertionError.
     """
     copies = list(_p4_copies(g))
     return len(copies), 2 * len(copies), copies
