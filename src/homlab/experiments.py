@@ -528,8 +528,8 @@ class _Kind(NamedTuple):
 
 
 def _sign_checked(cast: _Cast, zero: bool) -> _Cast:
-    """``cast`` of a grid value that is a count (``zero``: at least 0) or
-    that a builder divides by (above 0: at least 1 for an int)."""
+    """``cast`` of a grid value that must be at least 0 (``zero``), such as a
+    count, or above 0, as one a builder divides by (at least 1 for an int)."""
     def cast_sign_checked(value: Any) -> Any:
         number = cast(value)
         if number < 0 or number == 0 and not zero:
@@ -554,7 +554,7 @@ def _generator_kind(value: Any) -> str:
 
 
 _INTS, _RATIONALS = _list_of(_int), _list_of(_rational)
-_POSITIVE, _COUNT = _sign_checked(_int, zero=False), _sign_checked(_int, zero=True)
+_POSITIVE, _NON_NEGATIVE = _sign_checked(_int, zero=False), _sign_checked(_int, zero=True)
 
 _KINDS: dict[str, _Kind] = {
     "graph-container-exhaustive": _Kind(
@@ -565,25 +565,25 @@ _KINDS: dict[str, _Kind] = {
     "hypergraph-container-sample": _Kind(
         _rows_hypergraph_container_sample,
         {"n": (_INTS, [8, 9, 10, 11, 12]), "p": (_RATIONALS, ["4/5"]),
-         "eps": (_RATIONALS, ["1/8"]), "count": (_COUNT, 10)}),
+         "eps": (_RATIONALS, ["1/8"]), "count": (_NON_NEGATIVE, 10)}),
     "homog-count-pipeline": _Kind(
         _rows_homog_count_pipeline,
         {"n": (_int, 40), "p": (_rational, "1/20"), "t": (_POSITIVE, 5), "k": (_int, 3),
-         "count": (_COUNT, 10)}),
+         "count": (_NON_NEGATIVE, 10)}),
     "closeness-pipeline": _Kind(
         _rows_closeness_pipeline,
         {"n": (_int, 40), "t": (_POSITIVE, 5), "k": (_int, 3), "flips": (_int, None),
-         "count": (_COUNT, 10)}),
+         "count": (_NON_NEGATIVE, 10)}),
     "overlay-audit": _Kind(
         _rows_overlay_audit,
         {"n": (_int, 150), "eps": (_RATIONALS, ["1/20", "1/10"]),
-         "embedding_constant": (_int, 1000)}),
+         "embedding_constant": (_NON_NEGATIVE, 1000)}),
     "eps-homog-curve": _Kind(
         _rows_eps_homog_curve,
         {"n": (_POSITIVE, 60), "p": (_rational, "1/2"),
          "eps": (_list_of(_sign_checked(_rational, zero=False)), ["1/4", "1/8", "1/16"])},
         generator={"kind": (_generator_kind, "bipartite")}),
-    "triangle-scan": _Kind(_rows_triangle_scan, {"m": (_int, 9), "samples": (_COUNT, 100)}),
+    "triangle-scan": _Kind(_rows_triangle_scan, {"m": (_int, 9), "samples": (_NON_NEGATIVE, 100)}),
 }
 
 

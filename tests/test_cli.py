@@ -227,13 +227,15 @@ _TRIANGLE_SCAN = {"kind": "triangle-scan", "grid": {"m": 4, "samples": 2}, "seed
         {"kind": "closeness-pipeline", "grid": {"count": -1}},
         {"kind": "hypergraph-container-sample", "grid": {"count": -2}},
         {"kind": "triangle-scan", "grid": {"samples": -3}},
+        {"kind": "overlay-audit", "grid": {"n": 20, "embedding_constant": -1}},
     ],
     ids=["seeds-int", "seeds-str", "seeds-negative", "seeds-bool", "seeds-repeated", "grid-list",
          "generator-str", "kind-list", "kind-unknown", "out-int", "bare-int", "list",
          "exhaustive-with-seeds", "grid-value-not-int", "grid-eps-not-a-list", "key-misspelt",
          "grid-int-fractional-and-bool", "grid-int-fractional", "grid-int-bool",
          "grid-int-list-fractional", "grid-int-list-bool", "homog-count-negative",
-         "closeness-count-negative", "hypergraph-count-negative", "samples-negative"],
+         "closeness-count-negative", "hypergraph-count-negative", "samples-negative",
+         "embedding-constant-negative"],
 )
 def test_experiment_run_rejects_malformed_configs(tmp_path, document):
     cfg = tmp_path / "cfg.json"
