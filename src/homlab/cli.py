@@ -152,7 +152,7 @@ def params_cmd(opts: argparse.Namespace) -> None:
     """Compute exact theorem parameters and verify the inequality chain."""
     from . import params as params_mod
 
-    f = params_mod.GrowthFunction.constant(_rational(opts.f))
+    f = _rational(opts.f)
     p = params_mod.compute_params(opts.variant, _rational(opts.eps), f, improved_k=opts.improved_k)
     doc = {
         "variant": p.variant,

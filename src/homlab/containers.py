@@ -87,7 +87,7 @@ class ContainerParams:
 
 @dataclass(frozen=True)
 class FingerprintTrace:
-    """Segments, final container, and removed vertices of one fingerprint run.
+    """Segments and final container of one fingerprint run.
 
     ``round_sizes`` records the candidate-set size at the start of each
     executed segment round plus the final size, so per-round shrinkage can be
@@ -96,7 +96,6 @@ class FingerprintTrace:
 
     segments: tuple[tuple[int, ...], ...]
     container: frozenset[int]
-    removed: frozenset[int]
     round_sizes: tuple[int, ...]
 
     @property
@@ -324,11 +323,9 @@ def _scythe_core(structure: Structure, marked: int, params: ContainerParams) -> 
                 inside &= ~kill[x]
         segments.append(tuple(segment))
     round_sizes.append(w.bit_count())
-    used = _mask(v for seg in segments for v in seg)
     return FingerprintTrace(
         segments=tuple(segments),
         container=frozenset(_bits(w)),
-        removed=frozenset(_bits((1 << n) - 1 & ~w & ~used)),
         round_sizes=tuple(round_sizes),
     )
 

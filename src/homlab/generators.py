@@ -61,7 +61,10 @@ _CHUNK = 1 << 16  # words drawn at once (512 KB); an 8 MB chunk stayed resident 
 
 
 def rng_for(seed: int, stream: int | None = None) -> np.random.Generator:
-    """Philox generator for (seed, stream); stream=None is the root stream."""
+    """Philox generator for (seed, stream); stream=None is the root stream.
+    A negative seed, which numpy's SeedSequence refuses, is an input error."""
+    if seed < 0:
+        raise InputError(f"seed {seed} is negative")
     key = (stream,) if stream is not None else ()
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 

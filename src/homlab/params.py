@@ -5,10 +5,10 @@ All parameters are exact (integers and Fractions).  Transcendental
 subexpressions (logs, fractional powers, and long powers as the exp of a log)
 are evaluated as interval enclosures in private mpmath interval contexts, one
 per thread, so callers may run concurrently.  One resolver doubles the working
-precision until an enclosure decides a ceiling or a chain check, so results
-are deterministic and platform-independent.  This module decides and prints
-every power of the chain, (1-eps)^ell included, for :mod:`homlab.containers`
-as well.
+precision until an enclosure decides a ceiling, the growth bound f <= ln k or
+a chain check, so results are deterministic and platform-independent.  This
+module decides and prints every power of the chain, (1-eps)^ell included, for
+:mod:`homlab.containers` as well.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ from .errors import CapabilityError, ParameterError
 from .graphs import _MAX_READ_N
 
 __all__ = [
-    "GrowthFunction",
     "TheoremParams",
     "ChainCheck",
     "ChainReport",
     "compute_params",
     "verify_inequality_chain",
-    "log_enclosure",
 ]
 
 _MAX_PREC = 1 << 16
@@ -84,20 +82,13 @@ def _enclose(
     return None if lo is None or hi is None else (lo, hi)
 
 
-def log_enclosure(q: Fraction) -> tuple[Fraction, Fraction]:
-    """Rigorous rational enclosure of ln(q) for q > 0, at 128 bits."""
-    if q <= 0:
-        raise ParameterError(f"log of nonpositive value {q}")
-    return _enclose(_context(128), _log, q)
-
-
 def _log(ctx: mpmath.MPIntervalContext, x):
     return ctx.log(x)
 
 
 def _context(prec: int) -> mpmath.MPIntervalContext:
     """This thread's interval context, set to ``prec`` bits.  Sharing it is safe:
-    no evaluator given to :func:`_resolve` calls :func:`log_enclosure`."""
+    no evaluator given to :func:`_resolve` evaluates an enclosure itself."""
     ctx = getattr(_thread, "ctx", None)
     if ctx is None:
         ctx = _thread.ctx = mpmath.MPIntervalContext()
@@ -132,28 +123,11 @@ def _resolve_ceil(expr: Callable, *values: Fraction) -> int:
     return _resolve(same_ceil, expr, *values)[0]
 
 
-@dataclass(frozen=True)
-class GrowthFunction:
-    """Constant growth exponent f (for example the reciprocal of a power-law
-    exponent), at least 2 and checked against f(k) <= ln k on evaluation."""
-
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        if Fraction(self.value) < 2:
-            raise ParameterError("constant growth value must be >= 2")
-
-    @classmethod
-    def constant(cls, value: Fraction) -> "GrowthFunction":
-        return cls(Fraction(value))
-
-    def __call__(self, k: int) -> Fraction:
-        result = Fraction(self.value)
-        # enforce f(k) <= ln k against the rigorous lower log bound
-        lo, _ = log_enclosure(Fraction(k))
-        if result > lo:
-            raise ParameterError(f"growth value f({k})={result} exceeds ln {k} enclosure {lo}")
-        return result
+def _check_growth(f: Fraction, k: int) -> None:
+    """Refuse f > ln k.  ln k is irrational for k >= 2, so the resolver's
+    enclosure of it ends up on one side of the rational f."""
+    if not _resolve(lambda lo, hi: True if f <= lo else False if f > hi else None, _log, k)[0]:
+        raise ParameterError(f"growth value f({k})={f} exceeds ln {k}")
 
 
 @dataclass(frozen=True)
@@ -179,19 +153,24 @@ def _pow_ceil(base: int, exponent: Fraction) -> int:
 def compute_params(
     variant: str,
     epsilon: Fraction,
-    f: GrowthFunction,
+    f: Fraction,
     allow_out_of_range: bool = False,
     improved_k: bool = False,
 ) -> TheoremParams:
     """Exact parameter tuple (epsilon, k, delta, t, ell) for a tradeoff variant.
 
-    variants: "graph" (k = 200*ceil((1/eps) ln^4 (1/eps)), 1/delta = 16 k^(f(k)-1)),
-    "uniform" (the same k, 1/delta = 200 k^(f(k)-1)), and "tournament"
-    (k = 200*ceil((1/eps^2) ln^4 (1/eps)), 1/delta = 200 k^(f(k)-1), ell
+    f is the constant growth value f(k): a rational, at least 2 (checked
+    first, before epsilon) and at most ln k.  variants: "graph"
+    (k = 200*ceil((1/eps) ln^4 (1/eps)), 1/delta = 16 k^(f-1)), "uniform" (the
+    same k, 1/delta = 200 k^(f-1)), and "tournament"
+    (k = 200*ceil((1/eps^2) ln^4 (1/eps)), 1/delta = 200 k^(f-1), ell
     computed against eps^2).  ``improved_k=True`` switches to the sharper
-    k = 200*ceil((1/eps) ln^2(1/eps) f((1/eps) ln^4(1/eps))^2) form (report-only
-    alternative).
+    k = 200*ceil((1/eps) ln^2(1/eps) f^2) form (report-only alternative),
+    where f must also be at most ln of max(ceil((1/eps) ln^4(1/eps)), 2).
     """
+    f = Fraction(f)
+    if f < 2:
+        raise ParameterError("constant growth value must be >= 2")
     eps = Fraction(epsilon)
     if not (0 < eps < Fraction(1, 100) or allow_out_of_range):
         raise ParameterError(f"epsilon={eps} outside (0, 1/100); pass allow_out_of_range to explore")
@@ -204,22 +183,22 @@ def compute_params(
         return lambda ctx, x, c: c * ctx.log(x) ** power
 
     if improved_k:
-        f_inner = f(max(_resolve_ceil(log_pow(4), inv, inv), 2))
-        k = 200 * _resolve_ceil(log_pow(2), inv, inv * f_inner**2)
+        _check_growth(f, max(_resolve_ceil(log_pow(4), inv, inv), 2))
+        k = 200 * _resolve_ceil(log_pow(2), inv, inv * f**2)
     else:
         k = 200 * _resolve_ceil(log_pow(4), inv, scale)
 
-    f_k = f(k)
+    _check_growth(f, k)
     too_long = CapabilityError(f"1/delta or t has more than {_BOUND_DIGITS} digits")
-    if f_k * (k.bit_length() - 1) >= _BOUND_LIMIT.bit_length():  # t >= 2^that, refused unresolved
+    if f * (k.bit_length() - 1) >= _BOUND_LIMIT.bit_length():  # t >= 2^that, refused unresolved
         raise too_long
-    inv_delta = Fraction(16 if variant == "graph" else 200) * _pow_ceil(k, f_k - 1)
-    t = _pow_ceil(k, f_k)
+    inv_delta = Fraction(16 if variant == "graph" else 200) * _pow_ceil(k, f - 1)
+    t = _pow_ceil(k, f)
     if max(inv_delta, t) >= _BOUND_LIMIT:
         raise too_long
     ell = _resolve_ceil(log_pow(1), inv_delta, scale)
     return TheoremParams(epsilon=eps, k=k, delta=1 / inv_delta, t=t, ell=ell, variant=variant,
-                         f_of_k=f_k)
+                         f_of_k=f)
 
 
 @dataclass(frozen=True)
@@ -387,5 +366,6 @@ def _fmt(q: Fraction) -> str:
     try:
         return f"~{float(q):.12g}"
     except OverflowError:  # beyond the float range: 12 significant digits in decimal
-        with decimal.localcontext(prec=12):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 12
             return f"~{(decimal.Decimal(q.numerator) / q.denominator).normalize():.12g}"

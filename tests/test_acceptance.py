@@ -42,7 +42,7 @@ from homlab.homogeneous import (
     p4_free_family,
     verify_count_lower_bound,
 )
-from homlab.params import GrowthFunction, compute_params, verify_inequality_chain
+from homlab.params import compute_params, verify_inequality_chain
 from homlab.tournaments import (
     count_transitive_subtournaments,
     cyclic_triangle_count,
@@ -202,7 +202,7 @@ def test_random_graph_homogeneous_sets_stay_logarithmic():
 def test_parameter_chain_presets_exact_and_deterministic():
     """f = 2, eps in {1/128, 1/256, 1/512}: all four chain inequalities pass
     in exact arithmetic; results bit-identical across reruns and threads."""
-    f = GrowthFunction.constant(Fraction(2))
+    f = Fraction(2)
     for den in (128, 256, 512):
         eps = Fraction(1, den)
         params = compute_params("graph", eps, f)

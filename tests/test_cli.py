@@ -160,6 +160,16 @@ def test_params_out_of_range_exit_2():
     assert invoke("params", "--eps", "1/2").exit_code == 2
 
 
+@pytest.mark.parametrize("kind, code", [("gnp", 2), ("bipartite", 2), ("cograph", 2), ("overlay", 2),
+                                        ("tournament", 2), ("multipartite", 0)])
+def test_construct_with_a_negative_seed(kind, code):
+    # multipartite draws nothing, so its seed is never read
+    result = invoke("--seed", "-1", "construct", "--kind", kind, "--n", "5", "--eps", "1/4")
+    assert result.exit_code == code, (result.output, result.exception)
+    if code:
+        assert result.stderr == "error: seed -1 is negative\n"
+
+
 def test_experiment_run_csv_and_violation_exit(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "triangle-scan", "grid": {"m": 5, "samples": 3},

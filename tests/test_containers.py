@@ -382,7 +382,7 @@ def test_k6_fingerprint_trace():
     trace = kw_fingerprint(g, {3}, _trace_params(6, Fraction(1), 1))
     assert trace.segments == ((3,),)
     assert trace.container == frozenset()
-    assert trace.removed == frozenset({0, 1, 2, 4, 5})
+    assert frozenset(range(6)) - trace.container - trace.segment_union == {0, 1, 2, 4, 5}
 
 
 def test_fingerprint_rejects_dependent_set():
@@ -483,11 +483,9 @@ def _reference_scythe(h, marked, params):
         w -= {v for v in w if j | {v} in edges}
         segments.append(tuple(segment))
     round_sizes.append(len(w))
-    used = {v for seg in segments for v in seg}
     return FingerprintTrace(
         segments=tuple(segments),
         container=frozenset(w),
-        removed=frozenset(range(h.n)) - frozenset(w) - used,
         round_sizes=tuple(round_sizes),
     )
 

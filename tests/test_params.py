@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import sys
 import threading
@@ -13,16 +14,15 @@ from hypothesis import strategies as st
 from homlab.errors import CapabilityError, ParameterError
 from homlab.params import (
     _TINY,
-    GrowthFunction,
     _context,
     _enclose,
     _fmt,
+    _log,
     compute_params,
-    log_enclosure,
     verify_inequality_chain,
 )
 
-F2 = GrowthFunction.constant(Fraction(2))
+F2 = Fraction(2)
 
 
 # ---------------------------------------------------------------------------
@@ -32,16 +32,11 @@ F2 = GrowthFunction.constant(Fraction(2))
 @given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(10**6)))
 @settings(max_examples=150, deadline=None)
 def test_log_enclosure_brackets_float_log(q):
-    lo, hi = log_enclosure(q)
+    lo, hi = _enclose(_context(128), _log, q)
     assert lo <= hi
     assert float(lo) <= math.log(q) + 1e-9
     assert math.log(q) - 1e-9 <= float(hi)
     assert hi - lo < Fraction(1, 10**20)
-
-
-def test_log_enclosure_rejects_nonpositive():
-    with pytest.raises(ParameterError):
-        log_enclosure(Fraction(0))
 
 
 @pytest.mark.parametrize(
@@ -59,19 +54,41 @@ def test_enclosure_ends_beyond_the_exponent_limit(expr, ends):
 
 
 # ---------------------------------------------------------------------------
-# growth functions
+# the growth value
 
 
 def test_growth_constant_validation():
-    with pytest.raises(ParameterError):
-        GrowthFunction.constant(Fraction(3, 2))
+    # f < 2 is refused before epsilon is looked at
+    with pytest.raises(ParameterError, match="constant growth value must be >= 2"):
+        compute_params("graph", Fraction(1, 2), Fraction(3, 2))
+
+
+# at eps = 1/128, k = 14,188,600 and ln k = 16.467949383240012351002272465040779482207692961822...
+LN_K_FLOOR = Fraction(16467949383240012351002272465040779482207692961, 10**45)
 
 
 def test_growth_upper_cap_enforced():
-    f = GrowthFunction.constant(Fraction(3))
-    with pytest.raises(ParameterError):
-        f(10)  # ln 10 < 3
-    assert f(10**9) == 3
+    with pytest.raises(ParameterError, match=r"growth value f\(14188600\)=17 exceeds ln 14188600$"):
+        compute_params("graph", Fraction(1, 128), Fraction(17))
+    assert compute_params("graph", Fraction(1, 128), Fraction(16)).f_of_k == 16
+
+
+def test_growth_value_just_below_ln_k_is_accepted():
+    params = compute_params("graph", Fraction(1, 128), LN_K_FLOOR)
+    assert params.k == 14188600 and params.f_of_k == LN_K_FLOOR
+    assert verify_inequality_chain(params, h=4).all_passed
+
+
+def test_growth_value_just_above_ln_k_is_refused():
+    with pytest.raises(ParameterError, match="exceeds ln 14188600"):
+        compute_params("graph", Fraction(1, 128), LN_K_FLOOR + Fraction(1, 10**45))
+
+
+def test_improved_k_checks_the_growth_value_at_the_inner_k():
+    # ceil(512 ln^4 512) = 775,429 and ln 775,429 = 13.56... < 14 <= ln k = ln 155,085,800
+    with pytest.raises(ParameterError, match=r"f\(775429\)=14 exceeds ln 775429"):
+        compute_params("graph", Fraction(1, 512), Fraction(14), improved_k=True)
+    assert compute_params("graph", Fraction(1, 512), Fraction(14)).k == 155085800
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +258,7 @@ def reference_powers(params, h):
 @example(q=2**12, h=4, variant="uniform", f=Fraction(3), scale=Fraction(1, 2))
 @example(q=2, h=1, variant="graph", f=Fraction(2), scale=Fraction(2))
 def test_chain_powers_render_and_decide_like_the_exact_powers(q, h, variant, f, scale):
-    params = compute_params(variant, Fraction(1, q), GrowthFunction.constant(f),
-                            allow_out_of_range=True)
+    params = compute_params(variant, Fraction(1, q), f, allow_out_of_range=True)
     params = dataclasses.replace(params, delta=params.delta * scale)
     checks = verify_inequality_chain(params, h).checks
     assert [(c.lhs, c.rhs, c.passed) for c in (checks[0], checks[3])] == reference_powers(params, h)
@@ -283,6 +299,14 @@ def test_values_beyond_the_float_range_render_with_12_digits(m, e, den):
     assert _fmt(q) == f"~{mantissa}e+{e}"
 
 
+def test_rendering_beyond_the_float_range_runs_on_the_python_3_10_decimal_api(monkeypatch):
+    # Python 3.10's localcontext takes the context as its one argument, no keywords
+    localcontext = decimal.localcontext
+    monkeypatch.setattr(decimal, "localcontext", lambda ctx=None: localcontext(ctx))
+    params = compute_params("graph", Fraction(1, 10**8), Fraction(51, 2))
+    assert verify_inequality_chain(params, h=4).checks[2].rhs == "15t/k = ~3.55862618941e+377"
+
+
 def test_rendering_is_continuous_at_the_end_of_the_float_range():
     largest_float = 2**1024 - 2**971
     assert _fmt(Fraction(largest_float * 3 + 1, 3)) == f"~{float(largest_float):.12g}"
@@ -296,9 +320,9 @@ def test_compute_params_refuses_too_many_digits(f):
     # 13.715 * 1041 < 14285, the bits of 10^4300; the larger f are refused by
     # that bound, before t is resolved
     with pytest.raises(CapabilityError, match="more than 4300 digits"):
-        compute_params("graph", Fraction(1, 10**300), GrowthFunction.constant(f))
+        compute_params("graph", Fraction(1, 10**300), f)
 
 
 def test_compute_params_keeps_a_t_of_4235_digits():
-    params = compute_params("graph", Fraction(1, 10**300), GrowthFunction.constant(Fraction(27, 2)))
+    params = compute_params("graph", Fraction(1, 10**300), Fraction(27, 2))
     assert len(str(params.t)) == 4235
