@@ -68,8 +68,9 @@ LN_K_FLOOR = Fraction(16467949383240012351002272465040779482207692961, 10**45)
 
 
 def test_growth_upper_cap_enforced():
-    with pytest.raises(ParameterError, match=r"growth value f\(14188600\)=17 exceeds ln 14188600$"):
-        compute_params("graph", Fraction(1, 128), Fraction(17))
+    for f in (Fraction(17), LN_K_FLOOR + Fraction(1, 10**45)):
+        with pytest.raises(ParameterError, match=rf"growth value f\(14188600\)={f} exceeds ln 14188600$"):
+            compute_params("graph", Fraction(1, 128), f)
     assert compute_params("graph", Fraction(1, 128), Fraction(16)).f_of_k == 16
 
 
@@ -77,11 +78,6 @@ def test_growth_value_just_below_ln_k_is_accepted():
     params = compute_params("graph", Fraction(1, 128), LN_K_FLOOR)
     assert params.k == 14188600 and params.f_of_k == LN_K_FLOOR
     assert verify_inequality_chain(params, h=4).all_passed
-
-
-def test_growth_value_just_above_ln_k_is_refused():
-    with pytest.raises(ParameterError, match="exceeds ln 14188600"):
-        compute_params("graph", Fraction(1, 128), LN_K_FLOOR + Fraction(1, 10**45))
 
 
 def test_improved_k_checks_the_growth_value_at_the_inner_k():
