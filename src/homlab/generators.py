@@ -251,16 +251,24 @@ def random_uniform_hypergraph(r: int, n: int, p: Fraction, seed: int, stream: in
 
 
 def perturb_edges(g: Graph, flips: int, seed: int, stream: int | None = None) -> Graph:
-    """Flip `flips` distinct uniformly chosen vertex pairs."""
-    pairs = list(itertools.combinations(range(g.n), 2))
-    if not 0 <= flips <= len(pairs):
-        raise InputError(f"cannot flip {flips} of {len(pairs)} pairs")
+    """Flip `flips` distinct uniformly chosen vertex pairs.  The draw picks
+    their indices in the lexicographic order of the C(n, 2) pairs; no pair
+    is listed: index i lies in row u, the u with ends[u - 1] <= i < ends[u]
+    where ends[u] counts the pairs of rows 0..u, and is the pair (u, v) for
+    v = i - ends[u] + n."""
+    n = g.n
+    total = n * (n - 1) // 2
+    if not 0 <= flips <= total:
+        raise InputError(f"cannot flip {flips} of {total} pairs")
+    picks = rng_for(seed, stream).choice(total, size=flips, replace=False)
+    ends = np.cumsum(np.arange(n - 1, 0, -1))
+    us = np.searchsorted(ends, picks, side="right")
     rows = list(g.masks)
-    for i in rng_for(seed, stream).choice(len(pairs), size=flips, replace=False).tolist():
-        u, v = pairs[i]  # distinct pairs, so the order of the flips does not matter
+    # distinct pairs, so the order of the flips does not matter
+    for u, v in zip(us.tolist(), (picks - ends[us] + n).tolist()):
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-    return Graph(g.n, rows)
+    return Graph(n, rows)
 
 
 def random_independent_set(structure, seed: int, stream: int | None = None) -> frozenset[int]:

@@ -3,14 +3,16 @@
 Exact largest clique-or-independent-set (one branch and bound with greedy
 coloring bounds over the adjacency and non-neighbour rows, which serves the
 graph and, with the two swapped, its complement), homogeneous k-set
-counting, the (t,k) subset property checker, the homogeneous-count lower
-bound, and greedy-peel eps-homogeneous search.
+counting (triples from the degrees by Goodman's identity, every other k on
+the shared pick counter), the (t,k) subset property checker, the
+homogeneous-count lower bound, and greedy-peel eps-homogeneous search.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -207,13 +209,20 @@ def hom_exact(g: Graph) -> tuple[int, HomogeneousWitness]:
 def count_homogeneous_k(g: Graph, k: int) -> int:
     """Number of k-subsets inducing a clique plus those inducing an empty graph.
 
-    For k >= 2 the two classes are disjoint.  Both are counted in ascending
-    pick order: a clique picks among the neighbors above each pick, an
-    independent set among the non-neighbors above it.
+    For k >= 2 the two classes are disjoint.  At k = 3 the count follows from
+    the degrees alone by Goodman's identity (1959): a non-homogeneous triple
+    has exactly two vertices whose two pairs in it are one edge and one
+    non-edge, and v is such a vertex in d(v)(n - 1 - d(v)) triples, so the
+    count is C(n, 3) minus half their sum.  Every other k is counted in
+    ascending pick order: a clique picks among the neighbors above each
+    pick, an independent set among the non-neighbors above it.
     """
     if k < 2:
         raise InputError("count_homogeneous_k needs k >= 2")
-    above = [(1 << g.n) - (2 << v) for v in range(g.n)]
+    n = g.n
+    if k == 3:
+        return math.comb(n, 3) - sum(d * (n - 1 - d) for d in map(int.bit_count, g.masks)) // 2
+    above = [(1 << n) - (2 << v) for v in range(n)]
     cliques = _count_k_sets([a & row for a, row in zip(above, g.masks)], k)
     return cliques + _count_k_sets([a & ~row for a, row in zip(above, g.masks)], k)
 

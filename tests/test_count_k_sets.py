@@ -1,20 +1,23 @@
-"""The pick-and-restrict k-set counter against the scans it replaced.
+"""The library's k-set counts against the kernels they replaced.
 
-Each reference below is one of the counting kernels the library used before
-the counter: a `combinations` scan for hypergraph independent sets, the
-degree-distinctness scan for transitive subtournaments, and the
-neighbourhood-intersection triangle loop for homogeneous triples.
+Each reference below is one of the counting kernels the library used before:
+a `combinations` scan for hypergraph independent sets, the
+degree-distinctness scan for transitive subtournaments, and for homogeneous
+triples both the neighbourhood-intersection triangle loop and the two-sided
+pick count, which Goodman's degree identity replaced at k = 3 (every other
+k still runs on the pick counter).
 """
 
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab.containers import count_independent_sets_exact
 from homlab.generators import gnp, perturb_edges, random_cograph, random_tournament
-from homlab.graphs import UniformHypergraph, _bits, _mask
+from homlab.graphs import Graph, UniformHypergraph, _bits, _count_k_sets, _mask
 from homlab.homogeneous import count_homogeneous_k
 from homlab.tournaments import count_transitive_subtournaments
 
@@ -50,6 +53,20 @@ def homogeneous_triples_by_triangles(g) -> int:
             for v in _bits(rows[u] & above):
                 total += (rows[u] & rows[v] & above & ~((1 << (v + 1)) - 1)).bit_count()
     return total
+
+
+def homogeneous_by_pick_count(g, k: int) -> int:
+    """Cliques plus independent sets on the shared pick counter: a clique
+    picks among the neighbours above each pick, an independent set among
+    the non-neighbours above it."""
+    above = [(1 << g.n) - (2 << v) for v in range(g.n)]
+    cliques = _count_k_sets([a & row for a, row in zip(above, g.masks)], k)
+    return cliques + _count_k_sets([a & ~row for a, row in zip(above, g.masks)], k)
+
+
+def assert_triples_agree(g) -> None:
+    count = count_homogeneous_k(g, 3)
+    assert count == homogeneous_by_pick_count(g, 3) == homogeneous_triples_by_triangles(g)
 
 
 @st.composite
@@ -88,12 +105,33 @@ def test_transitive_subtournaments_match_the_degree_scan(n, seed, data):
 @given(st.integers(0, 40), st.integers(0, 8), st.integers(0, 10**6))
 @settings(max_examples=150, deadline=None)
 def test_homogeneous_triples_match_the_triangle_loop(n, p8, seed):
-    g = gnp(n, Fraction(p8, 8), seed)
-    assert count_homogeneous_k(g, 3) == homogeneous_triples_by_triangles(g)
+    assert_triples_agree(gnp(n, Fraction(p8, 8), seed))
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_homogeneous_triples_on_perturbed_cographs(seed):
-    g = perturb_edges(random_cograph(40, seed), 32, seed, stream=1)
-    assert count_homogeneous_k(g, 3) == homogeneous_triples_by_triangles(g)
+    assert_triples_agree(perturb_edges(random_cograph(40, seed), 32, seed, stream=1))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_homogeneous_triples_on_every_small_graph(n):
+    """Every labelled graph on n <= 6 vertices, one edge subset at a time."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        rows = [0] * n
+        for i in _bits(chosen):
+            u, v = pairs[i]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        assert_triples_agree(Graph(n, rows))
+
+
+def test_homogeneous_triples_on_a_large_random_graph():
+    assert_triples_agree(gnp(200, Fraction(1, 2), 5))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_fewer_than_three_vertices_have_no_homogeneous_triple(n):
+    for g in (Graph(n, [0] * n), gnp(n, Fraction(1), 0)):
+        assert count_homogeneous_k(g, 3) == 0
