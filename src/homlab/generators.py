@@ -252,10 +252,10 @@ def random_uniform_hypergraph(r: int, n: int, p: Fraction, seed: int, stream: in
 
 def perturb_edges(g: Graph, flips: int, seed: int, stream: int | None = None) -> Graph:
     """Flip `flips` distinct uniformly chosen vertex pairs.  The draw picks
-    their indices in the lexicographic order of the C(n, 2) pairs; no pair
-    is listed: index i lies in row u, the u with ends[u - 1] <= i < ends[u]
-    where ends[u] counts the pairs of rows 0..u, and is the pair (u, v) for
-    v = i - ends[u] + n."""
+    their indices in the lexicographic order of the C(n, 2) pairs, and no
+    pair is listed: with ends[u] the number of pairs (x, y) with x <= u,
+    index i is the pair (u, i - ends[u] + n) for the least u with
+    i < ends[u]."""
     n = g.n
     total = n * (n - 1) // 2
     if not 0 <= flips <= total:
