@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
+from typing import Iterator, TextIO
 
 from . import graphs
 from .errors import CapabilityError, HomlabError, InputError, VerificationError
@@ -54,11 +56,14 @@ def _emit(text: str, out: str | None) -> None:
         raise InputError(f"cannot write {out}: {exc}") from exc
 
 
-def _read_file(path: str) -> str:
+@contextlib.contextmanager
+def _opened(path: str) -> Iterator[TextIO]:
+    """The file at ``path``, open as UTF-8 text; an OSError or
+    UnicodeDecodeError while it is opened or read is an InputError."""
     try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -93,7 +98,8 @@ def hom(opts: argparse.Namespace) -> None:
 
     # the search's cap is checked on the header, before the edge lines are read
     check_n = homogeneous._check_exact_size if opts.eps is None else homogeneous._check_eps_search_size
-    g = graphs.read_graph(_read_file(opts.graph_file), check_n)
+    with _opened(opts.graph_file) as fh:
+        g = graphs.read_graph(fh, check_n)
     if opts.eps is None:
         _, witness = homogeneous.hom_exact(g)
     else:
@@ -107,11 +113,11 @@ def verify(opts: argparse.Namespace) -> None:
     from . import containers
 
     epsilon = _rational(opts.eps)
-    text = _read_file(opts.structure_file)
-    # a graph's header is "n m", a hypergraph's "r n m"; the cap is checked on it
-    hyper = len(graphs._header_line(text).split()) == 3
-    read = graphs.read_hypergraph if hyper else graphs.read_graph
-    structure = read(text, containers._check_exhaustive)
+    with _opened(opts.structure_file) as fh:
+        # a graph's header is "n m", a hypergraph's "r n m"; the reader checks the cap on it
+        head = next(filter(str.strip, fh), "")
+        read = graphs.read_hypergraph if len(head.split()) == 3 else graphs.read_graph
+        structure = read(itertools.chain([head], fh), containers._check_exhaustive)
     n = structure.n
     ell = containers.minimal_ell(n, epsilon, opts.u) if opts.ell is None else opts.ell
     cp = containers.ContainerParams(epsilon, u=opts.u, ell=ell, k=opts.k)
@@ -141,7 +147,8 @@ def dist(opts: argparse.Namespace) -> None:
     from . import tournaments
 
     # the subset DP's cap is checked on the header, before the rows are read
-    t = tournaments.read_tournament(_read_file(opts.tournament_file), tournaments._check_dp_size)
+    with _opened(opts.tournament_file) as fh:
+        t = tournaments.read_tournament(fh, tournaments._check_dp_size)
     witness = tournaments.dist_to_transitive_exact(t)
     doc = {"n": t.n, "dist": witness.reversals, "ordering": list(witness.ordering),
            "cyclic_triangles": tournaments.cyclic_triangle_count(t)}
@@ -179,7 +186,8 @@ def run(opts: argparse.Namespace) -> None:
     """Run an ExperimentConfig JSON file and emit its report."""
     from .experiments import ExperimentConfig, emit_report, run_experiment
 
-    config = ExperimentConfig.from_json(_read_file(opts.config_file))
+    with _opened(opts.config_file) as fh:
+        config = ExperimentConfig.from_json(fh.read())
     rows = run_experiment(config, workers=opts.threads)
     _emit(emit_report(rows, format=opts.fmt), opts.out or config.out)
     bad = [r for r in rows if r.verdict.startswith("VIOLATION")]

@@ -3,7 +3,9 @@
 Graphs are immutable, stored as bitmask adjacency rows (bit ``u`` of
 ``masks[v]`` is set iff ``{u, v}`` is an edge).  All counts are exact Python
 integers and all densities exact :class:`fractions.Fraction` values; floats
-never enter a count.
+never enter a count.  The text readers read a file's lines once: the header
+first, capped before any later line is read, then each line as it arrives, so
+the first faulty line is the one named.  A line ends only at "\n", "\r\n" or "\r".
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
@@ -393,31 +394,18 @@ def write_graph(g: Graph) -> str:
     return "\n".join(blocks) + "\n"
 
 
-# Every character str.splitlines breaks a line at.
-_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-
-
-def _header_line(text: str) -> str:
-    """The first non-blank line of ``text``, stripped; "" if there is none.
-    Only that line is scanned: the lines after it are not split."""
-    text = text.lstrip()
-    brk = _LINE_BREAK.search(text)
-    return (text[: brk.start()] if brk else text).rstrip()
-
-
-def _read_header(text: str, what: str, fields: str,
-                 check_n: Callable[[int], None] | None) -> tuple[list[int], str]:
-    """The integers of a text file's header line, named by ``fields`` (as in
-    "r n m"), and the text after that line.  Every field but the edge count m
-    is a size capped at ``_MAX_READ_N``, and n is then passed to ``check_n``
-    (a caller's cap, which raises), all before any later line is split."""
-    text = text.lstrip()  # blank lines before the header
-    if not text:
+def _read_header(lines: Iterator[str], what: str, fields: str,
+                 check_n: Callable[[int], None] | None) -> list[int]:
+    """The integers of the first non-blank line of ``lines``, named by
+    ``fields`` (as in "r n m").  Every field but the edge count m is a size
+    capped at ``_MAX_READ_N``, and n is then passed to ``check_n`` (a caller's
+    cap, which raises), all before any later line is taken."""
+    words = next(filter(None, map(str.split, lines)), None)
+    if words is None:
         raise InputError(f"empty {what} file")
-    head = _header_line(text)
     names = fields.split()
     try:
-        header = [int(x) for x in head.split()]
+        header = [int(x) for x in words]
     except ValueError as exc:
         raise InputError(f"malformed {what} file: {exc}") from exc
     if len(header) != len(names):
@@ -427,41 +415,61 @@ def _read_header(text: str, what: str, fields: str,
         raise CapabilityError(f"{what} header field {max(sizes)} exceeds {_MAX_READ_N}")
     if check_n is not None:
         check_n(header[names.index("n")])
-    return header, text[len(head):]  # head is stripped: its line's rest is blank
+    return header
 
 
-def _read_edge_file(text: str, what: str, fields: str,
-                    check_n: Callable[[int], None] | None) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Header integers and edge lines of a text file whose header ends in the
-    edge count m: exactly m edge lines must follow, all distinct."""
-    header, rest = _read_header(text, what, fields, check_n)
-    try:
-        edges = [tuple(int(x) for x in ln.split()) for ln in rest.splitlines() if ln.strip()]
-    except ValueError as exc:
-        raise InputError(f"malformed {what} file: {exc}") from exc
-    if len(edges) != header[-1]:
-        raise InputError(f"expected {header[-1]} edge lines, found {len(edges)}")
-    if len(set(edges)) != len(edges):
-        raise InputError("duplicate edge line")
-    return header, edges
+def _edge_lines(lines: Iterator[str], what: str, m: int) -> Iterator[tuple[int, ...]]:
+    """The integers of each of the m non-blank lines left in ``lines``, as each
+    arrives; a line past the m-th is refused, naming how many there are."""
+    found = 0
+    for found, words in enumerate(filter(None, map(str.split, lines)), 1):
+        try:
+            e = tuple(map(int, words))
+        except ValueError as exc:
+            raise InputError(f"malformed {what} file: {exc}") from exc
+        if found > m:
+            found += sum(1 for line in lines if line.strip())
+            break
+        yield e
+    if found != m:
+        raise InputError(f"expected {m} edge lines, found {found}")
 
 
-def read_graph(text: str, check_n: Callable[[int], None] | None = None) -> Graph:
-    """The graph of an "n m" text file.  ``check_n``, if given, is called with
-    the header's n before any edge line is read, so a command can refuse a
-    graph above its cap without reading it."""
-    (n, _), edges = _read_edge_file(text, "graph", "n m", check_n)
-    for e in edges:
+def read_graph(lines: Iterable[str], check_n: Callable[[int], None] | None = None) -> Graph:
+    """The graph of the lines of an "n m" text file.  ``check_n``, if given, is
+    called with the header's n before any edge line is read, so a command can
+    refuse a graph above its cap without reading it.  A duplicate edge line
+    shows as fewer than m edges."""
+    lines = iter(lines)
+    n, m = _read_header(lines, "graph", "n m", check_n)
+    rows = [0] * max(n, 0)  # a negative n is refused by the constructor, at any size
+    for e in _edge_lines(lines, "graph", m):
         if len(e) != 2 or e[0] >= e[1]:
             raise InputError(f"edge line must be two integers u < v, got {e}")
-    return Graph.from_edges(n, edges)
+        u, v = e
+        if u < 0 or v >= n:
+            raise InputError(f"bad edge ({u},{v}) for n={n}")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    g = Graph(n, rows)
+    if g.edge_count != m:
+        raise InputError("duplicate edge line")
+    return g
 
 
-def read_hypergraph(text: str, check_n: Callable[[int], None] | None = None) -> UniformHypergraph:
-    """The r-uniform hypergraph of an "r n m" text file; ``check_n`` as for
-    :func:`read_graph`."""
-    (r, n, _), edges = _read_edge_file(text, "hypergraph", "r n m", check_n)
-    for e in edges:
+def read_hypergraph(lines: Iterable[str], check_n: Callable[[int], None] | None = None) -> UniformHypergraph:
+    """The r-uniform hypergraph of the lines of an "r n m" text file, read as
+    :func:`read_graph` reads a graph."""
+    lines = iter(lines)
+    r, n, m = _read_header(lines, "hypergraph", "r n m", check_n)
+    masks = []
+    for e in _edge_lines(lines, "hypergraph", m):
         if len(e) != r or list(e) != sorted(set(e)):
             raise InputError(f"edge line must be {r} strictly ascending integers, got {e}")
-    return UniformHypergraph.from_edges(r, n, edges)
+        if e[0] < 0 or e[-1] >= n:
+            raise InputError(f"edge {list(e)} outside [0,{n})")
+        masks.append(_mask(e))
+    h = UniformHypergraph(r, n, masks)
+    if h.edge_count != m:
+        raise InputError("duplicate edge line")
+    return h

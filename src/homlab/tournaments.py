@@ -1,14 +1,15 @@
 """Tournaments: cyclic-triangle counting, exact distance to transitivity
 (with a brute-force oracle), transitive-subtournament counting and the text
-format.  The sampled triangle/distance scan is the ``triangle-scan``
-experiment kind, built on these kernels in :mod:`homlab.experiments`.
+format, read once, header first, as :mod:`homlab.graphs` reads.  The sampled
+triangle/distance scan is the ``triangle-scan`` experiment kind, built on
+these kernels in :mod:`homlab.experiments`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import CapabilityError, ConsistencyError, InputError
 from .graphs import _count_k_sets, _pack, _read_header, _transposed
@@ -212,13 +213,18 @@ def write_tournament(t: Tournament) -> str:
     return "\n".join([str(t.n)] + [bin(row | 1 << t.n)[:2:-1] for row in t.out]) + "\n"
 
 
-def read_tournament(text: str, check_n: Callable[[int], None] | None = None) -> Tournament:
-    """The tournament of an "n" text file.  The header's n is checked against
-    the readers' cap of 2^14 and then by ``check_n`` (a caller's cap, which
-    raises) before any row is split, so a command can refuse a tournament
-    above its cap without reading it."""
-    (n,), rest = _read_header(text, "tournament", "n", check_n)
-    rows = [ln.strip() for ln in rest.splitlines() if ln.strip()]
-    if len(rows) != n or any(len(r) != n or not set(r) <= {"0", "1"} for r in rows):
+def read_tournament(lines: Iterable[str], check_n: Callable[[int], None] | None = None) -> Tournament:
+    """The tournament of the lines of an "n" text file.  The header's n is
+    checked against the readers' cap of 2^14 and then by ``check_n`` (a
+    caller's cap, which raises) before any row is read, so a command can
+    refuse a tournament above its cap without reading it."""
+    lines = iter(lines)
+    (n,) = _read_header(lines, "tournament", "n", check_n)
+    out = []
+    for row in filter(None, map(str.strip, lines)):
+        if len(out) == n or len(row) != n or row.strip("01"):
+            raise InputError("expected an n x n 0/1 matrix")
+        out.append(int(row[::-1], 2))
+    if len(out) != n:
         raise InputError("expected an n x n 0/1 matrix")
-    return Tournament(n, tuple(int(row[::-1], 2) for row in rows))
+    return Tournament(n, out)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import resource
@@ -31,7 +32,7 @@ def test_construct_gnp_writes_graph_format(tmp_path):
     result = invoke("--seed", "5", "--out", str(out), "construct", "--kind", "gnp",
                     "--n", "12", "--p", "1/3")
     assert result.exit_code == 0
-    g = read_graph(out.read_text())
+    g = read_graph(io.StringIO(out.read_text(), newline=None))
     assert g.n == 12
 
 
@@ -46,7 +47,7 @@ def test_construct_tournament_and_dist(tmp_path):
     out = tmp_path / "t.txt"
     assert invoke("--seed", "3", "--out", str(out), "construct", "--kind", "tournament",
                   "--n", "8").exit_code == 0
-    t = read_tournament(out.read_text())
+    t = read_tournament(io.StringIO(out.read_text(), newline=None))
     result = invoke("tournament", "dist", str(out))
     assert result.exit_code == 0
     doc = json.loads(result.output)
@@ -72,7 +73,7 @@ def test_construct_multipartite_rejects_part_counts_outside_1_to_n(parts):
 def test_construct_multipartite_with_n_parts_is_the_complete_graph():
     result = invoke("construct", "--kind", "multipartite", "--n", "5", "--parts", "5")
     assert result.exit_code == 0
-    assert read_graph(result.output) == complete_graph(5)
+    assert read_graph(io.StringIO(result.output, newline=None)) == complete_graph(5)
 
 
 def test_construct_overlay_requires_eps():
@@ -546,6 +547,55 @@ def test_capped_commands_refuse_on_the_header_before_the_rows(tmp_path, command,
     assert result.returncode == 3, result.stderr
     assert "cap" in result.stderr
     assert seconds < 0.5
+
+
+# Runs the command line argv[1:] as a child and prints its exit code and the
+# children's peak RSS in KiB (ru_maxrss on Linux).
+_PEAK_RSS = """
+import resource, subprocess, sys
+code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def _exit_code_and_peak_kib(*args):
+    env = {**os.environ, "PYTHONPATH": str(Path(homlab.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "homlab.cli",
+                           *args], capture_output=True, text=True, timeout=20, env=env, check=True)
+    code, peak = done.stdout.split()
+    return int(code), int(peak)
+
+
+def test_refusing_a_large_file_costs_only_its_header(tmp_path):
+    # the same refusal of n = 5793 on a 3-line file and on one with a 22 MB
+    # body: the reader stops at the header, so the body adds nothing to the peak
+    small, large = tmp_path / "small.txt", tmp_path / "large.txt"
+    small.write_text("5793 2\n0 1\n0 2\n")
+    with open(large, "w") as fh:
+        fh.write("5793 5500000\n")
+        for _ in range(55):
+            fh.write("0 1\n" * 100_000)
+    assert large.stat().st_size > 20 << 20
+    (small_code, small_kib), (large_code, large_kib) = (
+        _exit_code_and_peak_kib("hom", str(path), "--eps", "1/4") for path in (small, large))
+    assert small_code == large_code == 3
+    assert large_kib - small_kib < 10 << 10, (small_kib, large_kib)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["hom"], ["containers", "verify", "--eps", "1/2", "--u", "4", "--k", "5"],
+     ["tournament", "dist"], ["experiment", "run"]],
+    ids=["hom", "containers-verify", "tournament-dist", "experiment-run"],
+)
+def test_an_undecodable_file_exits_2_with_one_error_line(tmp_path, command):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\n")
+    result = invoke(*command, str(path))
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: cannot read {path}: ")
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_failed_out_write_leaves_the_old_file_whole(tmp_path):

@@ -4,6 +4,7 @@ InputError (exit 2) or CapabilityError (exit 3); an experiment config with one
 top-level field replaced by arbitrary JSON runs or exits 2; `params` and
 `hom --eps` end in a documented exit code, never a traceback."""
 
+import io
 import json
 from fractions import Fraction
 
@@ -50,7 +51,7 @@ TOURNAMENT_FILES = _GARBAGE | _edited(lambda n, seed: write_tournament(random_to
 @settings(max_examples=150, deadline=None)
 def test_readers_raise_only_input_or_capability_errors(reader, files, data):
     try:
-        reader(data.draw(files))
+        reader(io.StringIO(data.draw(files), newline=None))
     except (InputError, CapabilityError):
         pass
 
