@@ -183,29 +183,55 @@ class ComboSummary:
 _BLOCK = 1 << 16  # codes per pass: a pass's rows and buffers stay in cache
 
 
-def _vectorized_tables(n: int, codes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-graph tables over edge-set codes (bit b of a code is the b-th pair
-    of ``range(n)`` in lexicographic order): all 2^C(n,2) codes by default,
-    else the given ones, column i belonging to ``codes[i]``.
-
-    Returns ``counts`` and ``low``, two (n+1, len(codes)) uint8 arrays:
-    counts[k] is the number of independent k-sets, low[s] (s >= 1) the
-    minimum over all s-sets S of the maximum degree of G[S].  One pass over
-    the 2^n vertex subsets S yields both: deg_S(v) is the popcount of v's
-    adjacency row masked by S, and S is independent exactly when the
-    maximum is 0.  Counts fit in uint8 since C(7, k) <= 35."""
+def _check_sweep_n(n: int) -> None:
     if n < 0:
         raise InputError(f"exhaustive sweep needs n >= 0, got {n}")
     if n > 7:
         raise CapabilityError("exhaustive sweep capped at n=7 (2^21 graphs)")
-    if codes is None:
-        codes = np.arange(1 << n * (n - 1) // 2, dtype=np.uint32)
-    counts = np.zeros((n + 1, len(codes)), dtype=np.uint8)
-    counts[0] = 1
-    low = np.full((n + 1, len(codes)), np.iinfo(np.uint8).max, dtype=np.uint8)
-    for start in range(0, len(codes), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        _fill_tables(n, codes[block], counts[:, block], low[:, block])
+
+
+def _table_blocks(n: int, codes: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per-graph tables over edge-set codes (bit b of a code is the b-th pair
+    of ``range(n)`` in lexicographic order): all 2^C(n,2) codes in order by
+    default, else the given ones, one block of at most ``_BLOCK`` codes at a
+    time.  Each block yields ``counts`` and ``low``, two (n+1, width) uint8
+    views of buffers that the next block overwrites, column i belonging to
+    the block's i-th code: counts[k] is the number of independent k-sets,
+    low[s] (s >= 1) the minimum over all s-sets S of the maximum degree of
+    G[S].  One pass over the 2^n vertex subsets S yields both: deg_S(v) is
+    the popcount of v's adjacency row masked by S, and S is independent
+    exactly when the maximum is 0.  Counts fit in uint8 since C(7, k) <= 35."""
+    total = 1 << n * (n - 1) // 2 if codes is None else len(codes)
+    size = min(total, _BLOCK)
+    counts_buf = np.empty((n + 1, size), dtype=np.uint8)
+    low_buf = np.empty((n + 1, size), dtype=np.uint8)
+    block_codes = np.arange(size, dtype=np.uint32)  # the default codes, moved on a block at a time
+    for start in range(0, total, _BLOCK):
+        width = min(total - start, _BLOCK)
+        if codes is None:
+            block = block_codes[:width]
+        else:
+            block = codes[start:start + width]
+        counts, low = counts_buf[:, :width], low_buf[:, :width]
+        counts.fill(0)
+        counts[0] = 1
+        low.fill(np.iinfo(np.uint8).max)
+        _fill_tables(n, block, counts, low)
+        yield counts, low
+        block_codes += np.uint32(_BLOCK)
+
+
+def _vectorized_tables(n: int, codes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of :func:`_table_blocks` over all of its codes, the blocks
+    joined: two (n+1, len(codes)) uint8 arrays."""
+    _check_sweep_n(n)
+    width = 1 << n * (n - 1) // 2 if codes is None else len(codes)
+    counts = np.empty((n + 1, width), dtype=np.uint8)
+    low = np.empty((n + 1, width), dtype=np.uint8)
+    for i, (block_counts, block_low) in enumerate(_table_blocks(n, codes)):
+        columns = slice(i * _BLOCK, i * _BLOCK + block_counts.shape[1])
+        counts[:, columns] = block_counts
+        low[:, columns] = block_low
     return counts, low
 
 
@@ -235,8 +261,8 @@ def _fill_tables(n: int, codes: np.ndarray, counts: np.ndarray, low: np.ndarray)
 
 
 def _precondition_ok(low: np.ndarray, n: int, eps: Fraction, u: int) -> np.ndarray:
-    """Per-graph degree precondition from the per-size minima of
-    :func:`_vectorized_tables`: every S with |S| >= u has max degree at least
+    """Per-graph degree precondition from the per-size minima ``low`` of
+    :func:`_table_blocks`: every S with |S| >= u has max degree at least
     eps*|S| - 1, i.e. low[s] >= need for each (s, need) of ``_graph_needs``."""
     ok = np.ones(low.shape[1], dtype=bool)
     for s, need in containers._graph_needs(eps, u, n):
@@ -249,38 +275,53 @@ def exhaustive_graph_container_check(
 ) -> list[ComboSummary]:
     """Container soundness over ALL 2^C(n,2) labeled graphs on n vertices.
 
-    Vectorized with numpy over the edge-set codes; ell is always the minimal
-    value with (1-eps)^ell * n <= u.  Parameter combos where that ell exceeds
-    k are skipped (invalid for the graph bound).  The vectorized primitives
-    are cross-checked against the scalar oracles by `spot_check_vectorized`.
+    ell is always the minimal value with (1-eps)^ell * n <= u.  Parameter
+    combos where that ell exceeds k are skipped (invalid for the graph
+    bound).  Each combo's ell and both bounds are computed first, in grid
+    order; the tables of :func:`_table_blocks` are then reduced one block at
+    a time into per-(eps, u) instance counts and per-(eps, u, k) violation
+    counts, so no table of all 2^C(n,2) graphs is held: at n = 7 on gate 1's
+    grid the traced peak is 3.1 MB, against 42.8 MB for the whole tables.
+    One precondition array serves every (eps, u) with the same positive
+    per-size thresholds.  The vectorized primitives are cross-checked
+    against the scalar oracles by `spot_check_vectorized`.
     """
-    counts, low = _vectorized_tables(n)  # before the values: a capped n lists none of them
+    _check_sweep_n(n)  # before the values: a capped n lists none of them
     eps_values, u_values, k_values = list(eps_values), list(u_values), list(k_values)
-
-    def exceeding(ok_arr: np.ndarray, k: int, bound: int) -> int:
-        # no graph has more than C(n, k) independent k-sets (none for k > n)
-        if bound >= math.comb(n, k):
-            return 0
-        return int(np.count_nonzero(ok_arr & (counts[k] > bound)))
-
-    summaries = []
+    combos = []  # (eps, u, ell, k, bound, improved bound, positive needs), in grid order
     for eps in eps_values:
         for u in u_values:
-            ok_arr = _precondition_ok(low, n, eps, u)
-            checked = int(np.count_nonzero(ok_arr))
+            needs = tuple((s, need) for s, need in containers._graph_needs(eps, u, n) if need > 0)
             ell = minimal_ell(n, eps, u)
             for k in k_values:
                 if ell > k:
                     continue
                 params = ContainerParams(eps, u=u, ell=ell, k=k)
-                bound = containers.kw_bound(n, params)
-                improved = containers.kw_bound(n, params, improved=True)
-                viol = exceeding(ok_arr, k, bound)
-                viol_improved = exceeding(ok_arr, k, improved)
-                summaries.append(ComboSummary(
-                    n=n, epsilon=eps, u=u, k=k, ell=ell, bound=bound, instances_checked=checked,
-                    violations=viol, improved_bound_violations=viol_improved))
-    return summaries
+                combos.append((eps, u, ell, k, containers.kw_bound(n, params),
+                               containers.kw_bound(n, params, improved=True), needs))
+    tallies = [[0, 0, 0] for _ in combos]  # instances checked, violations of each bound
+
+    def exceeding(counts: np.ndarray, ok: np.ndarray, k: int, bound: int) -> int:
+        # no graph has more than C(n, k) independent k-sets (none for k > n)
+        if bound >= math.comb(n, k):
+            return 0
+        return int(np.count_nonzero(ok & (counts[k] > bound)))
+
+    for counts, low in _table_blocks(n) if combos else ():
+        oks = {}  # one precondition array, and its count, per distinct needs
+        for (eps, u, _, k, bound, improved, needs), tally in zip(combos, tallies):
+            if needs not in oks:
+                ok = _precondition_ok(low, n, eps, u)
+                oks[needs] = ok, int(np.count_nonzero(ok))
+            ok, checked = oks[needs]
+            tally[0] += checked
+            tally[1] += exceeding(counts, ok, k, bound)
+            tally[2] += exceeding(counts, ok, k, improved)
+    return [
+        ComboSummary(n=n, epsilon=eps, u=u, k=k, ell=ell, bound=bound, instances_checked=checked,
+                     violations=viol, improved_bound_violations=viol_improved)
+        for (eps, u, ell, k, bound, _, _), (checked, viol, viol_improved) in zip(combos, tallies)
+    ]
 
 
 def spot_check_vectorized(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
@@ -351,6 +352,9 @@ def path_graph(n: int) -> Graph:
 # by n and a row validation quadratic in n.
 _MAX_READ_N = 1 << 14
 
+# The one integer token the formats take: ASCII digits with an optional sign.
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
 
 # Most digits, and largest decimal exponent, a rational's text may carry.
 # Fraction multiplies a decimal exponent out, so "1e999999999" would build a
@@ -395,7 +399,7 @@ def write_graph(g: Graph) -> str:
 
 
 def _read_header(lines: Iterator[str], what: str, fields: str,
-                 check_n: Callable[[int], None] | None) -> list[int]:
+                 check_n: Callable[[int], None] | None) -> tuple[int, ...]:
     """The integers of the first non-blank line of ``lines``, named by
     ``fields`` (as in "r n m").  Every field but the edge count m is a size
     capped at ``_MAX_READ_N``, and n is then passed to ``check_n`` (a caller's
@@ -404,10 +408,7 @@ def _read_header(lines: Iterator[str], what: str, fields: str,
     if words is None:
         raise InputError(f"empty {what} file")
     names = fields.split()
-    try:
-        header = [int(x) for x in words]
-    except ValueError as exc:
-        raise InputError(f"malformed {what} file: {exc}") from exc
+    header = _ints(words, what)
     if len(header) != len(names):
         raise InputError(f"{what} header needs {len(names)} integers, got {len(header)}")
     sizes = header[:-1] if names[-1] == "m" else header
@@ -418,15 +419,31 @@ def _read_header(lines: Iterator[str], what: str, fields: str,
     return header
 
 
-def _edge_lines(lines: Iterator[str], what: str, m: int) -> Iterator[tuple[int, ...]]:
+def _ints(words: list[str], what: str) -> tuple[int, ...]:
+    """The integers of one line's tokens.  Each token must be ASCII
+    ``[+-]?[0-9]+``: ``int`` alone also reads "0_3" and non-ASCII digits."""
+    for word in words:
+        if not _INT_TOKEN.fullmatch(word):  # named as int names a token it cannot read
+            raise InputError(f"malformed {what} file: invalid literal for int() with base 10: "
+                             f"{word!r:.200}")
+    try:
+        return tuple(map(int, words))
+    except ValueError as exc:  # more digits than int converts
+        raise InputError(f"malformed {what} file: {exc}") from exc
+
+
+def _edge_lines(lines: Iterator[str], what: str, n: int, m: int) -> Iterator[tuple[int, ...]]:
     """The integers of each of the m non-blank lines left in ``lines``, as each
-    arrives; a line past the m-th is refused, naming how many there are."""
+    arrives; a line past the m-th is refused, naming how many there are.  A
+    token that names a vertex as ``str`` writes it is looked up in a table of
+    the n names, which checks and reads it at once; a line with any other
+    token is read by :func:`_ints`."""
+    vertices = {str(v): v for v in range(n)}
     found = 0
     for found, words in enumerate(filter(None, map(str.split, lines)), 1):
-        try:
-            e = tuple(map(int, words))
-        except ValueError as exc:
-            raise InputError(f"malformed {what} file: {exc}") from exc
+        e = tuple(map(vertices.get, words))
+        if None in e:
+            e = _ints(words, what)
         if found > m:
             found += sum(1 for line in lines if line.strip())
             break
@@ -443,7 +460,7 @@ def read_graph(lines: Iterable[str], check_n: Callable[[int], None] | None = Non
     lines = iter(lines)
     n, m = _read_header(lines, "graph", "n m", check_n)
     rows = [0] * max(n, 0)  # a negative n is refused by the constructor, at any size
-    for e in _edge_lines(lines, "graph", m):
+    for e in _edge_lines(lines, "graph", n, m):
         if len(e) != 2 or e[0] >= e[1]:
             raise InputError(f"edge line must be two integers u < v, got {e}")
         u, v = e
@@ -463,7 +480,7 @@ def read_hypergraph(lines: Iterable[str], check_n: Callable[[int], None] | None 
     lines = iter(lines)
     r, n, m = _read_header(lines, "hypergraph", "r n m", check_n)
     masks = []
-    for e in _edge_lines(lines, "hypergraph", m):
+    for e in _edge_lines(lines, "hypergraph", n, m):
         if len(e) != r or list(e) != sorted(set(e)):
             raise InputError(f"edge line must be {r} strictly ascending integers, got {e}")
         if e[0] < 0 or e[-1] >= n:

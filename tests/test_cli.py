@@ -598,6 +598,16 @@ def test_an_undecodable_file_exits_2_with_one_error_line(tmp_path, command):
     assert len(result.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text", ["3 1\n0 \u0661\n", "0_3 1\n0 1\n"], ids=["digit", "underscore"])
+def test_hom_refuses_a_token_int_alone_would_read(tmp_path, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    result = invoke("hom", str(path))
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: malformed graph file: invalid literal for int()")
+
+
 def test_failed_out_write_leaves_the_old_file_whole(tmp_path):
     old = tmp_path / "old.txt"
     old.write_bytes(b"old bytes\n")

@@ -2,15 +2,18 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from homlab import experiments
-from homlab.errors import CapabilityError, InputError
+from homlab import containers, experiments
+from homlab.containers import ContainerParams, minimal_ell
+from homlab.errors import CapabilityError, InputError, ParameterError
 from homlab.experiments import (
+    ComboSummary,
     ExperimentConfig,
     ReportRow,
     _precondition_ok,
@@ -264,6 +267,91 @@ def test_sweep_capability_cap():
 
     with pytest.raises(CapabilityError):
         exhaustive_graph_container_check(8, [Fraction(1)], [1], [1])
+
+
+def reference_sweep(n, eps_values, u_values, k_values):
+    """The sweep's earlier reduction, kept as a reference: the whole tables
+    first, then one precondition array per (eps, u) over all the graphs."""
+    counts, low = _vectorized_tables(n)
+    eps_values, u_values, k_values = list(eps_values), list(u_values), list(k_values)
+
+    def exceeding(ok_arr, k, bound):
+        if bound >= math.comb(n, k):
+            return 0
+        return int(np.count_nonzero(ok_arr & (counts[k] > bound)))
+
+    summaries = []
+    for eps in eps_values:
+        for u in u_values:
+            ok_arr = _precondition_ok(low, n, eps, u)
+            checked = int(np.count_nonzero(ok_arr))
+            ell = minimal_ell(n, eps, u)
+            for k in k_values:
+                if ell > k:
+                    continue
+                params = ContainerParams(eps, u=u, ell=ell, k=k)
+                bound = containers.kw_bound(n, params)
+                improved = containers.kw_bound(n, params, improved=True)
+                viol = exceeding(ok_arr, k, bound)
+                viol_improved = exceeding(ok_arr, k, improved)
+                summaries.append(ComboSummary(
+                    n=n, epsilon=eps, u=u, k=k, ell=ell, bound=bound, instances_checked=checked,
+                    violations=viol, improved_bound_violations=viol_improved))
+    return summaries
+
+
+SWEEP_EPS = [Fraction(e) for e in ("1/8", "1/4", "1/2", "3/4", "1")]
+
+
+def sweep_grids(n):
+    eps, u, k = SWEEP_EPS, range(1, n + 4), range(n + 3)
+    return [(eps, u, k), ([], u, k), (eps, [], k), (eps, u, [])]
+
+
+@pytest.mark.parametrize("block", [1 << 16, 48])  # 48: many blocks and a partial one
+@pytest.mark.parametrize("n", range(7))
+def test_block_reduction_matches_the_whole_table_reduction(monkeypatch, n, block):
+    monkeypatch.setattr(experiments, "_BLOCK", block)
+    for grid in sweep_grids(n):
+        expected = reference_sweep(n, *grid)
+        assert repr(exhaustive_graph_container_check(n, *grid)) == repr(expected), grid
+
+
+def refusing(values):
+    """An iterable that fails when it is iterated."""
+    class Refusing:
+        def __iter__(self):
+            raise AssertionError(f"{values} listed before n was checked")
+    return Refusing()
+
+
+@pytest.mark.parametrize("n, error", [(-1, InputError), (8, CapabilityError)])
+def test_sweep_refuses_n_before_listing_any_value(n, error):
+    with pytest.raises(error):
+        exhaustive_graph_container_check(n, refusing("eps"), refusing("u"), refusing("k"))
+
+
+@pytest.mark.parametrize("eps, u, message", [
+    (Fraction(0), 3, "epsilon=0 outside (0,1]"),
+    (Fraction(3, 2), 3, "epsilon=3/2 outside (0,1]"),
+    (Fraction(1, 2), 0, "(1-eps)^ell * n stays above u=0 for every ell"),
+    (Fraction(1), 0, "u must be a positive integer"),
+])
+def test_sweep_refuses_bad_parameters_with_the_same_text(eps, u, message):
+    with pytest.raises(ParameterError) as info:
+        exhaustive_graph_container_check(5, [eps], [3, u], range(6))
+    assert str(info.value) == message
+
+
+def test_sweep_holds_no_table_of_all_graphs():
+    # the whole (8, 2^21) tables and code array would take about 42 MB
+    tracemalloc.start()
+    try:
+        exhaustive_graph_container_check(7, [Fraction(1, 2)], [3], [4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 # ---------------------------------------------------------------------------

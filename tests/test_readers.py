@@ -91,6 +91,26 @@ FIRST_FAULT_WINS = [
     (read_hypergraph, "3 4 2\n0 1 4\n0 1 y\n", None, InputError, "edge [0, 1, 4] outside [0,4)"),
 ]
 
+# Each integer token is ASCII [+-]?[0-9]+; int() alone would also read these.
+MALFORMED = "malformed {} file: invalid literal for int() with base 10: {!r}"
+STRICT_TOKENS = [
+    (read_graph, "0_3 1\n0 1\n", None, InputError, MALFORMED.format("graph", "0_3")),
+    (read_graph, "3 1\n0 \u0661\n", None, InputError, MALFORMED.format("graph", "\u0661")),
+    (read_graph, "3 1\n0 \uff11\n", None, InputError, MALFORMED.format("graph", "\uff11")),
+    (read_graph, "\ufeff2 1\n0 1\n", None, InputError, MALFORMED.format("graph", "\ufeff2")),
+    (read_graph, "3 1\n\u0661 x\n", None, InputError, MALFORMED.format("graph", "\u0661")),
+    (read_hypergraph, "3 4 1\n0 1_0 2\n", None, InputError,
+     MALFORMED.format("hypergraph", "1_0")),
+    (read_hypergraph, "3 \uff14 0\n", None, InputError, MALFORMED.format("hypergraph", "\uff14")),
+    (read_hypergraph, "3 4 1\n0 1 \u0663\n", None, InputError,
+     MALFORMED.format("hypergraph", "\u0663")),
+    (read_tournament, "1_0\n", None, InputError, MALFORMED.format("tournament", "1_0")),
+    (read_tournament, "\uff12\n01\n00\n", None, InputError,
+     MALFORMED.format("tournament", "\uff12")),
+    (read_tournament, "\ufeff2\n01\n00\n", None, InputError,
+     MALFORMED.format("tournament", "\ufeff2")),
+]
+
 # A form feed ends no line (nor do "\v", "\x1c"-"\x1e", "\x85", "\u2028" and
 # "\u2029", where str.splitlines would break), so this header holds four integers.
 NON_BREAK = [
@@ -104,7 +124,7 @@ def lines(text):
 
 
 @pytest.mark.parametrize("reader, text, check_n, error, message",
-                         FAULTS + FIRST_FAULT_WINS + NON_BREAK)
+                         FAULTS + FIRST_FAULT_WINS + STRICT_TOKENS + NON_BREAK)
 def test_reader_names_the_fault(reader, text, check_n, error, message):
     with pytest.raises(error) as info:
         reader(lines(text), check_n)
@@ -116,3 +136,11 @@ def test_each_line_end_reads_the_same_structure(end):
     assert read_graph(lines(f"3 2{end}0 1{end}{end}1 2{end}")) == Graph(3, [0b010, 0b101, 0b010])
     assert read_hypergraph(lines(f"3 4 1{end}0 1 3{end}")) == UniformHypergraph(3, 4, [0b1011])
     assert read_tournament(lines(f"2{end}01{end}00{end}")) == Tournament(2, [0b10, 0b00])
+
+
+def test_signs_leading_zeros_and_in_line_blanks_still_read():
+    # "\x85" and "\u2028" end no line but do part tokens
+    assert read_graph(lines("3 1\n+0 002\n")) == Graph(3, [0b100, 0b000, 0b001])
+    assert read_graph(lines("2\x851\n0\u20281\n")) == Graph(2, [0b10, 0b01])
+    assert read_hypergraph(lines("3 4 1\n0 +1 03\n")) == UniformHypergraph(3, 4, [0b1011])
+    assert read_tournament(lines("+2\n01\n00\n")) == Tournament(2, [0b10, 0b00])
