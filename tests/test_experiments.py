@@ -317,12 +317,10 @@ def test_block_reduction_matches_the_whole_table_reduction(monkeypatch, n, block
         assert repr(exhaustive_graph_container_check(n, *grid)) == repr(expected), grid
 
 
-def refusing(values):
-    """An iterable that fails when it is iterated."""
-    class Refusing:
-        def __iter__(self):
-            raise AssertionError(f"{values} listed before n was checked")
-    return Refusing()
+def refusing(what):
+    """A generator that fails when it is iterated."""
+    raise AssertionError(f"{what} listed before n was checked")
+    yield
 
 
 @pytest.mark.parametrize("n, error", [(-1, InputError), (8, CapabilityError)])
