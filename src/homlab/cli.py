@@ -29,6 +29,14 @@ def _exit_code(exc: HomlabError) -> int:
     return 1  # VerificationError, ConsistencyError
 
 
+def _int_option(text: str) -> int:
+    """An integer option, read by :func:`graphs._int_text`."""
+    try:
+        return graphs._int_text(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     """Print ``text`` to the current ``sys.stdout``, or write it to ``out``
     through a temporary file beside it, moved into place once written, so a
@@ -219,8 +227,8 @@ def _parser(prog: str) -> tuple[argparse.ArgumentParser, set[str], set[str]]:
 
     root = argparse.ArgumentParser(prog=prog, description="Exact-combinatorics lab: containers, "
                                    "homogeneous sets, tournaments.", **style)
-    option(root, "--seed", type=int, default=0, help="Root RNG seed.")
-    option(root, "--threads", type=int, default=1, help="Worker count.")
+    option(root, "--seed", type=_int_option, default=0, help="Root RNG seed.")
+    option(root, "--threads", type=_int_option, default=1, help="Worker count.")
     option(root, "--out", help="Write output to this path.")
     option(root, "--format", dest="fmt", choices=["csv", "json"], default="csv", help="Report format.")
     commands = root.add_subparsers(required=True, metavar="COMMAND")
@@ -228,10 +236,10 @@ def _parser(prog: str) -> tuple[argparse.ArgumentParser, set[str], set[str]]:
     p = command(commands, "construct", construct)
     option(p, "--kind", required=True,
            choices=["gnp", "overlay", "multipartite", "tournament", "cograph", "bipartite"])
-    option(p, "--n", type=int, required=True)
+    option(p, "--n", type=_int_option, required=True)
     option(p, "--eps", help="Rational, e.g. 1/20.")
     option(p, "--p", help="Edge probability, rational.")
-    option(p, "--parts", type=int, default=2, help="Part count for multipartite.")
+    option(p, "--parts", type=_int_option, default=2, help="Part count for multipartite.")
 
     p = command(commands, "hom", hom)
     p.add_argument("graph_file")
@@ -241,9 +249,9 @@ def _parser(prog: str) -> tuple[argparse.ArgumentParser, set[str], set[str]]:
     p = command(group(commands, "containers", "Container bound operations."), "verify", verify)
     p.add_argument("structure_file")
     option(p, "--eps", required=True)
-    option(p, "--u", type=int, required=True)
-    option(p, "--k", type=int, required=True)
-    option(p, "--ell", type=int, help="Defaults to the minimal valid ell.")
+    option(p, "--u", type=_int_option, required=True)
+    option(p, "--k", type=_int_option, required=True)
+    option(p, "--ell", type=_int_option, help="Defaults to the minimal valid ell.")
 
     p = command(group(commands, "tournament", "Tournament operations."), "dist", dist)
     p.add_argument("tournament_file")
@@ -253,7 +261,7 @@ def _parser(prog: str) -> tuple[argparse.ArgumentParser, set[str], set[str]]:
            help="Theorem variant.")
     option(p, "--eps", required=True)
     option(p, "--f", default="2", help="Constant growth value f(k).")
-    option(p, "--h", type=int, default=4, help="Pattern order for the chain check.")
+    option(p, "--h", type=_int_option, default=4, help="Pattern order for the chain check.")
     p.add_argument("--improved-k", action="store_true", help="Use the sharper log^2 k-formula.")
     p.add_argument("--check", action=argparse.BooleanOptionalAction, default=True,
                    help="Also verify the inequality chain.")

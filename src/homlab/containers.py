@@ -28,8 +28,10 @@ Conventions fixed here (fingerprints and reconstruction alike):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -237,6 +239,13 @@ def verify_degree_precondition(structure: Structure, epsilon: Fraction, u: int):
     each size s is held to the integer threshold ceil(eps*s - 1), resp.
     ceil(eps*(s-1)^(r-1)), and a size whose threshold is at most 0 cannot
     fail.  Exhaustive, for structures of at most 16 vertices.
+
+    Each s-set S is walked with its complement C, and what lies inside S is,
+    as in ``_inside``, the complement of the OR of C's kill rows.  The s-sets come
+    in lexicographic order, and the (n-s)-sets in reverse lexicographic order
+    are their complements in the same order: S precedes S' iff the least
+    vertex of the symmetric difference lies in S, and so in C' and not in C,
+    which puts C' first.
     """
     eps = Fraction(epsilon)
     n = structure.n
@@ -250,8 +259,9 @@ def verify_degree_precondition(structure: Structure, epsilon: Fraction, u: int):
     for size, need in needs:
         if need <= 0:
             continue
-        for combo in itertools.combinations(range(n), size):
-            inside = _inside(kill, _mask(combo))
+        outside = reversed(list(itertools.combinations(kill, n - size)))
+        for combo, killed in zip(itertools.combinations(range(n), size), outside):
+            inside = ~functools.reduce(operator.or_, killed, 0)
             if not any((rows[v] & inside).bit_count() >= need for v in combo):
                 return False, frozenset(combo)
     return True, None

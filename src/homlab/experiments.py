@@ -20,7 +20,7 @@ import numpy as np
 from . import containers, generators, graphs, homogeneous, tournaments
 from .containers import ContainerParams, minimal_ell
 from .errors import CapabilityError, ConsistencyError, InputError
-from .graphs import Graph, _rational, path_graph
+from .graphs import Graph, _int_text, _rational, path_graph
 
 __all__ = [
     "ExperimentConfig",
@@ -581,8 +581,8 @@ def _sign_checked(cast: _Cast, zero: bool) -> _Cast:
 
 def _int(value: Any) -> int:
     """``int(value)``, refusing a boolean and a fractional number, which
-    ``int`` would take as 0 or 1 and truncate."""
-    number = int(value)
+    ``int`` would take as 0 or 1 and truncate; text is read by ``_int_text``."""
+    number = _int_text(value) if isinstance(value, str) else int(value)
     if isinstance(value, bool) or isinstance(value, float) and number != value:
         raise ValueError("not an integer")
     return number

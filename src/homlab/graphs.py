@@ -76,20 +76,35 @@ def _pack(rows: Sequence[int], width: int) -> bytes:
     return b"".join([row.to_bytes(width >> 3, "little") for row in rows]).ljust(width * width >> 3, b"\0")
 
 
+def _tile_swaps(nbytes: int, blocks: int) -> tuple[tuple[int, int], ...]:
+    """The three delta swaps (d, mask) that transpose in place each 8 x 8 tile
+    of a bit matrix of 8 * blocks rows of nbytes bytes, packed as by ``_pack``
+    into one integer (Warren, Hacker's Delight 7-3): for s = 4, 2, 1, bit
+    (v, u), at v * 8nbytes + u, with bit s of u set and of v clear trades
+    places with (v + s, u - s), d = s(8nbytes - 1) places up."""
+    return tuple((s * (8 * nbytes - 1), int.from_bytes(
+        (bytes([cols]) * (nbytes * s) + bytes(nbytes * s)) * (4 // s * blocks), "little"))
+        for s, cols in ((4, 0xF0), (2, 0xCC), (1, 0xAA)))
+
+
+def _swap_tiles(x: int, swaps: tuple[tuple[int, int], ...]) -> int:
+    """``x`` with each 8 x 8 tile transposed by the delta swaps of ``_tile_swaps``."""
+    for d, m in swaps:
+        y = ((x >> d) ^ x) & m
+        x ^= y ^ (y << d)
+    return x
+
+
 @functools.cache
 def _transpose_plan(width: int) -> tuple[tuple[slice, ...], tuple[tuple[int, int], ...]]:
     """How ``_transposed`` turns a width x width bit matrix, packed by ``_pack``,
     into its transpose.  First the slices: row 8j + k of the result gathers
     byte j of rows k, 8 + k, 16 + k, ..., so the 8 x 8 tile of bytes j of rows
-    8i..8i+7 moves to bytes i of rows 8j..8j+7.  Then the three delta swaps
-    (d, mask) that transpose each tile in place (Warren, Hacker's Delight 7-3):
-    for s = 4, 2, 1, bit (v, u), at v*width + u, with bit s of u set and of v
-    clear trades places with (v + s, u - s), d = s(width - 1) places up."""
+    8i..8i+7 moves to bytes i of rows 8j..8j+7.  Then the swaps of
+    ``_tile_swaps`` transpose each tile in place."""
     nbytes = width >> 3
     return (tuple(slice((i & 7) * nbytes + (i >> 3), None, width) for i in range(width)),
-            tuple((s * (width - 1), int.from_bytes(
-                (bytes([cols]) * (nbytes * s) + bytes(nbytes * s)) * (width // (2 * s)), "little"))
-                for s, cols in ((4, 0xF0), (2, 0xCC), (1, 0xAA))))
+            _tile_swaps(nbytes, nbytes))
 
 
 def _transposed(rows: Sequence[int]) -> tuple[int, int, int]:
@@ -100,11 +115,37 @@ def _transposed(rows: Sequence[int]) -> tuple[int, int, int]:
     packed = _pack(rows, width)
     # plans are kept up to N = 256 (40 KB there); at n = 5793 one takes 13 MB
     slices, swaps = (_transpose_plan if width <= 256 else _transpose_plan.__wrapped__)(width)
-    t = int.from_bytes(b"".join(map(packed.__getitem__, slices)), "little")
-    for d, m in swaps:
-        y = ((t >> d) ^ t) & m
-        t ^= y ^ (y << d)
+    t = _swap_tiles(int.from_bytes(b"".join(map(packed.__getitem__, slices)), "little"), swaps)
     return int.from_bytes(packed, "little"), t, width
+
+
+# Most bytes of edge words ``_incidence_rows`` transposes as one integer: the
+# swaps run faster a cache-sized piece at a time than over the whole matrix.
+_TILE_CHUNK = 1 << 17
+
+
+def _incidence_rows(n: int, masks: Sequence[int]) -> tuple[int, ...]:
+    """Row v of each vertex v of range(n): bit i set iff v is on ``masks[i]``.
+
+    The masks are packed as the rows of an m x 8w bit matrix, w = ceil(n / 8)
+    bytes a row, padded with zero rows to whole blocks of 8, and each 8 x 8
+    tile is transposed in place (``_tile_swaps``), a chunk of blocks at a time.
+    Byte j of mask 8t + k then holds vertex 8j + k's bits of masks 8t..8t+7,
+    so row v is every 8w-th byte from byte (v & 7)w + (v >> 3)."""
+    if not masks:
+        return (0,) * n
+    width = n + 7 >> 3
+    step = 8 * width  # one block: the words of 8 masks
+    blocks = len(masks) + 7 >> 3
+    packed = b"".join([e.to_bytes(width, "little") for e in masks]).ljust(blocks * step, b"\0")
+    chunk = max(1, min(blocks, _TILE_CHUNK // step)) * step
+    swaps = _tile_swaps(width, chunk // step)
+    pieces = []
+    for at in range(0, len(packed), chunk):
+        piece = packed[at:at + chunk]
+        pieces.append(_swap_tiles(int.from_bytes(piece, "little"), swaps).to_bytes(len(piece), "little"))
+    tiles = b"".join(pieces)
+    return tuple(int.from_bytes(tiles[(v & 7) * width + (v >> 3)::step], "little") for v in range(n))
 
 
 @dataclass(frozen=True)
@@ -176,9 +217,10 @@ class UniformHypergraph:
     """r-uniform hypergraph on vertices ``0..n-1``, stored as the ascending
     tuple of its distinct edge masks (bit ``v`` set iff ``v`` is on the edge).
 
-    Each vertex also has its incidence row, built once with the instance:
-    bit i of ``_incidence[v]`` is set iff ``v`` is on ``edge_masks[i]``.  They
-    follow from the edges, so equality and hashing skip them.  They are both
+    Each vertex also has its incidence row, built once with the instance by
+    one bit-matrix transpose of the edge masks (``_incidence_rows``): bit i of
+    ``_incidence[v]`` is set iff ``v`` is on ``edge_masks[i]``.  They follow
+    from the edges, so equality and hashing skip them.  They are both
     the ``rows`` and the ``kill`` of ``_container_rows()``, the one view the
     container layer reads of a graph or a hypergraph: ``rows[v]`` is what a
     degree of v counts, ``kill[v]`` what v clears when it leaves a vertex set."""
@@ -189,25 +231,22 @@ class UniformHypergraph:
     _incidence: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.r < 2:
+        r, n = self.r, self.n
+        if r < 2:
             raise InputError("uniformity r must be >= 2")
-        if self.n < 0:
-            raise InputError(f"vertex count n={self.n} is negative")
+        if n < 0:
+            raise InputError(f"vertex count n={n} is negative")
         masks = tuple(sorted(set(self.edge_masks)))
-        # rows as bytes, so each edge costs r byte updates however many edges there are
-        rows = [bytearray((len(masks) + 7) >> 3) for _ in range(self.n)]
-        for i, e in enumerate(masks):
-            if e >> self.n:
-                raise InputError(f"edge mask {e} outside [0,{self.n})")
-            if e.bit_count() != self.r:
-                raise InputError(f"edge {list(_bits(e))} is not {self.r}-uniform")
-            at, bit = i >> 3, 1 << (i & 7)
-            while e:  # _bits inline: a generator per edge costs more than the row update
-                low = e & -e
-                rows[low.bit_length() - 1][at] |= bit
-                e ^= low
+        # range and arity over the whole tuple; the walk names the first faulty edge
+        if masks and (masks[0] < 0 or masks[-1] >> n
+                      or list(map(int.bit_count, masks)).count(r) != len(masks)):
+            for e in masks:
+                if e >> n:  # also every negative mask
+                    raise InputError(f"edge mask {e} outside [0,{n})")
+                if e.bit_count() != r:
+                    raise InputError(f"edge {list(_bits(e))} is not {r}-uniform")
         object.__setattr__(self, "edge_masks", masks)
-        object.__setattr__(self, "_incidence", tuple(int.from_bytes(row, "little") for row in rows))
+        object.__setattr__(self, "_incidence", _incidence_rows(n, masks))
 
     @classmethod
     def from_edges(cls, r: int, n: int, edges: Iterable[Iterable[int]]) -> "UniformHypergraph":
@@ -361,12 +400,28 @@ _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 # billion-digit integer before any range check could run.
 _MAX_RATIONAL_DIGITS = 1000
 
+# A run of what Fraction and int read as digits: any Unicode decimal digit, and "_".
+_DIGIT_RUN = re.compile(r"[\d_]+")
+
+
+def _int_text(text: str) -> int:
+    """``int(text)`` for an option or config integer given as text, which must
+    be ASCII ``[+-]?[0-9]+`` between blanks, as a file's tokens are; ValueError
+    otherwise."""
+    if not _INT_TOKEN.fullmatch(text.strip()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
 
 def _rational(value) -> Fraction:
     """``Fraction(value)`` for an option or config value, such as "1/128",
-    "0.5" or "1e-3"; text Fraction cannot read, or with too many digits or
-    too large an exponent, raises InputError."""
+    "0.5" or "1e-3"; text Fraction cannot read, with a digit run that is not
+    ASCII ``[0-9]+``, or with too many digits or too large an exponent, raises
+    InputError."""
     if isinstance(value, str):
+        for run in _DIGIT_RUN.findall(value):
+            if not _INT_TOKEN.fullmatch(run):
+                raise InputError(f"bad rational {value[:40]!r}: digit run {run[:40]!r} is not ASCII 0-9")
         try:
             exponent = abs(int(value.upper().partition("E")[2] or 0))
         except ValueError:

@@ -654,16 +654,43 @@ def test_experiment_config_with_a_huge_rational_exits_2_at_once(tmp_path):
 
 @pytest.mark.parametrize("text, value", [("1/128", Fraction(1, 128)), ("0.5", Fraction(1, 2)),
                                          ("1e-3", Fraction(1, 1000)), (" -2E+2 ", Fraction(-200)),
-                                         ("1_000e1_0", Fraction(10**13)),
+                                         ("1000e10", Fraction(10**13)),
                                          ("1e1000", Fraction(10**1000))])
 def test_rationals_parse_to_their_fraction(text, value):
     assert _rational(text) == value == Fraction(text)
 
 
-@pytest.mark.parametrize("text", ["1/0", "abc", "1e", "1e1001", "0." + "0" * 1000 + "1"])
+# Fraction itself reads "_" between digits and any Unicode decimal digit
+@pytest.mark.parametrize("text", ["1/0", "abc", "1e", "1e1001", "0." + "0" * 1000 + "1",
+                                  "1_000e1_0", "1_0/3", "\u0661/\u0661\u0662\u0668", "1e\u0663"])
 def test_unreadable_or_oversized_rationals_are_input_errors(text):
     with pytest.raises(InputError):
         _rational(text)
+
+
+@pytest.mark.parametrize("args", [
+    ("params", "--eps", "\u0661/\u0661\u0662\u0668", "--f", "2", "--h", "4"),
+    ("params", "--eps", "1/128", "--f", "2", "--h", "\u0664"),
+    ("construct", "--kind", "gnp", "--n", "\u0663"),
+    ("construct", "--kind", "gnp", "--n", "1_0"),
+    ("--seed", "\u0661", "construct", "--kind", "gnp", "--n", "3"),
+], ids=["eps", "h", "n-digit", "n-underscore", "seed"])
+def test_options_take_only_ascii_digits(args):
+    result, _ = _run_cli(*args)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert [line for line in result.stderr.splitlines() if "error:" in line] == [
+        result.stderr.splitlines()[-1]]
+
+
+@pytest.mark.parametrize("value", ["\u0666", "1_0", "\uff16"])
+def test_config_integers_take_only_ascii_digits(tmp_path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "triangle-scan", "grid": {"m": value}}))
+    result, _ = _run_cli("experiment", "run", str(cfg))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == (f"error: grid key 'm': cannot read {value!r}: "
+                             f"invalid literal for int() with base 10: {value!r}\n")
 
 
 def test_params_decides_a_tiny_epsilon_within_seconds():

@@ -1,4 +1,5 @@
-"""The one validating constructor of ``Graph`` and ``Tournament``.
+"""The one validating constructor of ``Graph``, ``Tournament`` and
+``UniformHypergraph``.
 
 The exact error texts are pinned, and a per-edge and a per-pair walk are
 the reference validators: every one-bit flip of a valid row set must be
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab.errors import InputError
-from homlab.graphs import Graph, _bits, _transposed
+from homlab.graphs import Graph, UniformHypergraph, _bits, _transposed
 from homlab.tournaments import Tournament
 
 
@@ -45,6 +46,20 @@ def reference_tournament_check(n, out):
         for v in range(u + 1, n):
             if (out[u] >> v & 1) == (out[v] >> u & 1):
                 raise InputError(f"pair ({u},{v}) must be oriented exactly one way")
+
+
+def reference_hypergraph_check(r, n, masks):
+    """The per-edge walk over the distinct masks in ascending order: each
+    edge's range, then its arity."""
+    if r < 2:
+        raise InputError("uniformity r must be >= 2")
+    if n < 0:
+        raise InputError(f"vertex count n={n} is negative")
+    for e in sorted(set(masks)):
+        if e >> n:
+            raise InputError(f"edge mask {e} outside [0,{n})")
+        if e.bit_count() != r:
+            raise InputError(f"edge {list(_bits(e))} is not {r}-uniform")
 
 
 def message(build, n, rows):
@@ -97,6 +112,51 @@ def test_tournament_error_texts_are_pinned(n, out, text):
     with pytest.raises(InputError) as exc:
         Tournament(n, out)
     assert str(exc.value) == text
+
+
+@pytest.mark.parametrize(
+    ("r", "n", "masks", "text"),
+    [
+        (1, 4, (), "uniformity r must be >= 2"),
+        (3, -1, (), "vertex count n=-1 is negative"),
+        (3, 4, (0b0111, -7), "edge mask -7 outside [0,4)"),
+        (3, 4, (0b0111, 0b10011), "edge mask 19 outside [0,4)"),
+        (3, 4, (0b0111, 0b0011), "edge [0, 1] is not 3-uniform"),
+        (3, 4, (0b1111,), "edge [0, 1, 2, 3] is not 3-uniform"),
+        (2, 0, (0,), "edge [] is not 2-uniform"),
+        (2, 0, (0b11,), "edge mask 3 outside [0,0)"),
+        # one mask at fault both ways: its range is checked first
+        (3, 4, (0b10000,), "edge mask 16 outside [0,4)"),
+        # the first faulty mask in ascending order is named, whichever fault it has
+        (3, 4, (0b10111, 0b0011), "edge [0, 1] is not 3-uniform"),
+        (3, 4, (0b0011, -1), "edge mask -1 outside [0,4)"),
+        (3, 5, (0b11100, 0b1011, 0b0101, 0b100111), "edge [0, 2] is not 3-uniform"),
+    ],
+)
+def test_hypergraph_error_texts_are_pinned(r, n, masks, text):
+    with pytest.raises(InputError) as exc:
+        UniformHypergraph(r, n, masks)
+    assert str(exc.value) == text
+    assert message(lambda n, masks: reference_hypergraph_check(r, n, masks), n, masks) == text
+
+
+def test_hypergraph_duplicates_collapse_and_an_empty_one_builds():
+    h = UniformHypergraph(3, 4, (0b1011, 0b0111, 0b1011, 0b0111))
+    assert h.edge_masks == (0b0111, 0b1011) and h.edge_count == 2
+    assert h._incidence == (0b11, 0b11, 0b01, 0b10)
+    assert h == UniformHypergraph(3, 4, [0b0111, 0b1011])
+    empty = UniformHypergraph(3, 0, ())
+    assert empty.edge_masks == () and empty._incidence == ()
+
+
+@given(r=st.integers(2, 5), n=st.integers(0, 17), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_hypergraph_masks_are_accepted_or_refused_as_the_walk_does(r, n, data):
+    # any masks, in range or not, of any arity, negative ones included
+    masks = data.draw(st.lists(st.integers(-(1 << n + 1), 1 << n + 1), max_size=12), label="masks")
+    build = lambda n, masks: UniformHypergraph(r, n, masks)  # noqa: E731
+    check = lambda n, masks: reference_hypergraph_check(r, n, masks)  # noqa: E731
+    assert message(build, n, masks) == message(check, n, masks)
 
 
 @pytest.mark.parametrize("build", [Graph, Tournament], ids=["graph", "tournament"])

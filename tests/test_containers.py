@@ -599,6 +599,31 @@ def test_precondition_matches_its_fraction_reference(kind, n, p, eps, seed, data
     assert verify_degree_precondition(structure, eps, u) == expected
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_set_order_is_the_reverse_order_of_the_complements(n):
+    # the checker lists each size's sets through their complements: the s-sets
+    # in lexicographic order are the complements of the (n - s)-sets in reverse
+    # lexicographic order
+    for size in range(n + 1):
+        complements = reversed(list(itertools.combinations(range(n), n - size)))
+        assert [tuple(v for v in range(n) if v not in c) for c in complements] == list(
+            itertools.combinations(range(n), size))
+
+
+@pytest.mark.parametrize(("kind", "n", "p", "eps", "seed", "u", "witness"), [
+    ("graph", 7, Fraction(1, 4), Fraction(1, 4), 2, 0, {0, 1, 3, 4, 6}),
+    ("graph", 9, Fraction(1, 4), Fraction(1, 2), 3, 8, {0, 1, 2, 4, 5, 6, 7, 8}),
+    (3, 7, Fraction(1, 4), Fraction(1, 8), 0, 4, {1, 2, 4, 5, 6}),
+    (3, 8, Fraction(1, 4), Fraction(1, 8), 1, 5, {0, 1, 2, 4, 5, 7}),
+])
+def test_seeded_violations_name_the_reference_witness(kind, n, p, eps, seed, u, witness):
+    # each witness is a later set of its size than the first, at sizes 5, 6 and 8
+    structure = _structure(kind, n, p, seed)
+    expected = reference_verify_degree_precondition(structure, eps, u)
+    assert expected == (False, frozenset(witness))
+    assert verify_degree_precondition(structure, eps, u) == expected
+
+
 @given(
     kind=st.sampled_from(["graph", 2, 3, 4]),
     n=st.integers(0, 14),

@@ -13,6 +13,7 @@ from homlab.generators import gnp, overlay_construction
 from homlab.graphs import (
     Graph,
     _bits,
+    _mask,
     _non_rows,
     _p4_rows,
     UniformHypergraph,
@@ -462,12 +463,31 @@ def test_hypergraph_text_is_sorted_by_vertex_tuple():
     assert h.edges == ((0, 2, 3), (0, 1, 4))
 
 
-@given(st.sampled_from([2, 3, 4]), st.integers(0, 14), st.data())
+@st.composite
+def incidence_cases(draw):
+    """(r, n, masks): r-sets of range(n) as masks, in any order, with repeats;
+    n up to 24 spans edge words of 0 to 3 bytes."""
+    r = draw(st.integers(2, 5))
+    n = draw(st.one_of(st.sampled_from([8, 9, 16, 17]), st.integers(0, 24)))
+    if n < r:
+        return r, n, []
+    edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True).map(_mask)
+    return r, n, draw(st.lists(edge, max_size=60))
+
+
+def all_masks(r, n):
+    return [_mask(e) for e in itertools.combinations(range(n), r)]
+
+
+@given(incidence_cases())
+@example((3, 8, all_masks(3, 8)))
+@example((2, 9, all_masks(2, 9)[::-1]))
+@example((4, 16, all_masks(4, 16)[::7]))
+@example((5, 17, all_masks(5, 17)[::97]))
+@example((3, 24, all_masks(3, 24)[::3]))
 @settings(max_examples=200, deadline=None)
-def test_incidence_rows_match_their_definition(r, n, data):
-    candidates = [sum(1 << v for v in e) for e in itertools.combinations(range(n), r)]
-    masks = data.draw(st.lists(st.sampled_from(candidates), max_size=60) if candidates
-                      else st.just([]), label="masks")  # in any order, with repeats
+def test_incidence_rows_match_their_definition(case):
+    r, n, masks = case
     h = UniformHypergraph(r, n, tuple(masks))
     assert len(h._incidence) == n
     for v in range(n):
