@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from homlab import graphs
 from homlab.errors import InputError
 from homlab.generators import gnp, overlay_construction
 from homlab.graphs import (
@@ -492,6 +493,33 @@ def test_incidence_rows_match_their_definition(case):
     assert len(h._incidence) == n
     for v in range(n):
         assert h._incidence[v] == sum(1 << i for i, e in enumerate(h.edge_masks) if e >> v & 1)
+
+
+def edges_from_rows(h):
+    """Each edge mask read back off the incidence rows."""
+    edges = [0] * h.edge_count
+    for v, row in enumerate(h._incidence):
+        for i in _bits(row):
+            edges[i] |= 1 << v
+    return tuple(edges)
+
+
+@pytest.mark.parametrize("chunk", [1, 64, 200])
+def test_incidence_rows_match_their_definition_a_chunk_at_a_time(monkeypatch, chunk):
+    # a chunk below one block of 8 edge words still takes one block
+    monkeypatch.setattr(graphs, "_TILE_CHUNK", chunk)
+    for r, n, masks in [(3, 9, all_masks(3, 9)), (2, 17, all_masks(2, 17)[::3]),
+                        (4, 24, all_masks(4, 24)[::41])]:
+        h = UniformHypergraph(r, n, masks)
+        assert h._incidence == tuple(sum(1 << i for i, e in enumerate(h.edge_masks) if e >> v & 1)
+                                     for v in range(n))
+
+
+def test_incidence_rows_of_a_hypergraph_past_one_chunk():
+    # 41,664 edge words of 8 bytes: two whole chunks and a part of one
+    h = UniformHypergraph(3, 64, all_masks(3, 64))
+    assert h.edge_count * 8 > 2 * graphs._TILE_CHUNK
+    assert edges_from_rows(h) == h.edge_masks
 
 
 def test_hypergraph_rejects_wrong_arity():
