@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from . import graphs
 from .errors import CapabilityError, HomlabError, InputError, VerificationError
@@ -37,24 +37,28 @@ def _int_option(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Print ``text`` to the current ``sys.stdout``, or write it to ``out``
-    through a temporary file beside it, moved into place once written, so a
-    failed write leaves the old file whole.  A path that exists but is no
-    regular file, such as /dev/stdout, is written in place."""
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Print ``text``, a string or blocks of one written as they come, to the
+    current ``sys.stdout``, or write it to ``out`` through a temporary file
+    beside it, moved into place once written, so a failed write leaves the old
+    file whole (stdout keeps what was printed).  A path that exists but is no
+    regular file, such as /dev/stdout, is written in place.  A string printed
+    gets a trailing newline if it lacks one."""
+    if isinstance(text, str):
+        text = [text] if out or text.endswith("\n") else [text, "\n"]
     if not out:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.writelines(text)
         return
     try:
         if os.path.exists(out) and not os.path.isfile(out):
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(text)
             return
         target = os.path.realpath(out)  # a symlink is written through, not replaced
         tmp = f"{target}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
-                fh.write(text)
+                fh.writelines(text)
             os.replace(tmp, target)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -80,24 +84,24 @@ def construct(opts: argparse.Namespace) -> None:
     from . import generators
 
     kind, n, seed, out = opts.kind, opts.n, opts.seed, opts.out
+    if kind == "tournament":
+        from . import tournaments
+        _emit(tournaments._tournament_blocks(generators.random_tournament(n, seed)), out)
+        return
     if kind == "gnp":
         g = generators.gnp(n, _rational(opts.p or "1/2"), seed)
-        _emit(graphs.write_graph(g), out)
     elif kind == "overlay":
         if opts.eps is None:
             raise InputError("overlay construction needs --eps")
-        art = generators.overlay_construction(n, _rational(opts.eps), seed)
-        _emit(graphs.write_graph(art.graph), out)
+        g = generators.overlay_construction(n, _rational(opts.eps), seed).graph
     elif kind == "multipartite":
         sizes = [len(block) for block in generators.equitable_parts(n, opts.parts)]
-        _emit(graphs.write_graph(generators.complete_multipartite(sizes)), out)
-    elif kind == "tournament":
-        from . import tournaments
-        _emit(tournaments.write_tournament(generators.random_tournament(n, seed)), out)
+        g = generators.complete_multipartite(sizes)
     elif kind == "cograph":
-        _emit(graphs.write_graph(generators.random_cograph(n, seed)), out)
+        g = generators.random_cograph(n, seed)
     else:
-        _emit(graphs.write_graph(generators.random_bipartite(n, _rational(opts.p or "1/2"), seed)), out)
+        g = generators.random_bipartite(n, _rational(opts.p or "1/2"), seed)
+    _emit(graphs._graph_blocks(g), out)
 
 
 def hom(opts: argparse.Namespace) -> None:

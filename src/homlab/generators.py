@@ -12,10 +12,10 @@ words at a time.  The words are the raw Philox words of
 ``rng.bit_generator.random_raw``, the words that
 ``rng.integers(0, 2**64, dtype=np.uint64)`` returns, without its range
 checks.  A random graph reads no candidate tuples: ``_coin_rows`` writes
-the mask into an n x n boolean matrix at the candidate pairs above the
-diagonal (every pair for G(n, p), the pairs across the split for the
-random bipartite graph) and at their mirror images below it, so both
-triangles hold it, and packs each row into one integer.
+the mask over the candidate pairs above the diagonal of an n x n boolean
+matrix (every pair for G(n, p), the pairs across the split for the random
+bipartite graph), mirrors them below it, so both triangles hold it, and
+packs each row into one integer.
 ``random_uniform_hypergraph`` lists its r-subsets as tuples of vertex bits,
 compresses them with the mask and sums each kept one into its edge mask;
 the hypergraph builds its incidence rows from those masks once, and
@@ -102,22 +102,34 @@ def _candidates(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
+# Side of the square tiles in which ``_coin_rows`` mirrors a larger matrix, and
+# rows in each block it cuts: a tile's transpose is copied in cache, and no
+# step holds a second n x n matrix.
+_TILE = 512
+
+
 def _coin_rows(cand: np.ndarray, coins: np.ndarray) -> list[int]:
     """The adjacency rows of the graph whose edges are the pairs {u, v}
     allowed by the symmetric boolean matrix ``cand`` whose coins win.
     ``cand`` is cut in place to its entries (u, v) with u < v, the
     candidates; boolean indexing reads them in row-major order, which is
     lexicographic order, so each takes its coin in draw order.  The coins are
-    written into both triangles, through the matrix and through its
-    transpose, and each row, packed into bytes, is one vertex's row integer."""
-    idx = np.arange(len(cand))
-    cand &= idx[:, None] < idx
-    m = np.zeros(cand.shape, dtype=bool)
-    m[cand] = coins
-    m.T[cand] = coins
-    n, width = len(m), len(m) + 7 >> 3
-    data = np.packbits(m, axis=1, bitorder="little").tobytes()
-    del m  # before the row integers are made
+    written over the candidates and mirrored below the diagonal, and each
+    row, packed into bytes, is one vertex's row integer."""
+    n, width = len(cand), len(cand) + 7 >> 3
+    idx = np.arange(n)
+    if n <= _TILE:  # one tile: whole-matrix steps, which cost least at small n
+        cand &= idx[:, None] < idx
+        cand[cand] = coins
+        cand |= cand.T.copy()
+    else:
+        for a in range(0, n, _TILE):
+            cand[a:a + _TILE] &= idx[a:a + _TILE, None] < idx
+        cand[cand] = coins
+        for a in range(0, n, _TILE):  # tile (a, b) on or below the diagonal ORs in tile (b, a)
+            for b in range(0, a + 1, _TILE):
+                cand[a:a + _TILE, b:b + _TILE] |= cand[b:b + _TILE, a:a + _TILE].T.copy()
+    data = np.packbits(cand, axis=1, bitorder="little").tobytes()
     return [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(n)]
 
 

@@ -438,19 +438,24 @@ def _rational(value) -> Fraction:
 _PICKS = bytes.maketrans(b"01", b"\0\1")  # a binary digit string to 0/1 selectors
 
 
-def write_graph(g: Graph) -> str:
-    """The "n m" header, then one block per vertex u: a line "u v" for each
-    neighbour v > u, ascending.  The neighbours are picked from the names
-    above u by the reversed binary digits of the row above u."""
+def _graph_blocks(g: Graph) -> Iterator[str]:
+    """The text of ``g`` block by block, each ending in a newline: the "n m"
+    header, then one block per vertex u with a neighbour v > u, a line "u v"
+    for each, ascending.  The neighbours are picked from the names above u
+    by the reversed binary digits of the row above u."""
     names = [str(v) for v in range(g.n)]
-    blocks = [f"{g.n} {g.edge_count}"]
+    yield f"{g.n} {g.edge_count}\n"
     for u, row in enumerate(g.masks):
         above = row >> u + 1
         if above:
             prefix = names[u] + " "
             picks = bin(above)[:1:-1].encode().translate(_PICKS)
-            blocks.append(prefix + ("\n" + prefix).join(itertools.compress(names[u + 1:], picks)))
-    return "\n".join(blocks) + "\n"
+            yield prefix + ("\n" + prefix).join(itertools.compress(names[u + 1:], picks)) + "\n"
+
+
+def write_graph(g: Graph) -> str:
+    """The text of ``g``, the blocks of ``_graph_blocks`` joined."""
+    return "".join(_graph_blocks(g))
 
 
 def _read_header(lines: Iterator[str], what: str, fields: str,

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, TypeVar
 
-import mpmath
-
 from .errors import CapabilityError, ParameterError
 from .graphs import _MAX_READ_N
 
@@ -91,6 +89,8 @@ def _context(prec: int) -> mpmath.MPIntervalContext:
     no evaluator given to :func:`_resolve` evaluates an enclosure itself."""
     ctx = getattr(_thread, "ctx", None)
     if ctx is None:
+        import mpmath  # loaded by the first enclosure, not by importing this module
+
         ctx = _thread.ctx = mpmath.MPIntervalContext()
     ctx.prec = prec
     return ctx

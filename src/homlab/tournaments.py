@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapabilityError, ConsistencyError, InputError
 from .graphs import _count_k_sets, _pack, _read_header, _transposed
@@ -209,8 +209,17 @@ def count_transitive_subtournaments(t: Tournament, k: int) -> int:
 # reverse order, lowest bit first, as write_graph reads a row.
 
 
+def _tournament_blocks(t: Tournament) -> Iterator[str]:
+    """The text of ``t`` block by block, each one line: the header, then each row."""
+    yield f"{t.n}\n"
+    top = 1 << t.n
+    for row in t.out:
+        yield bin(row | top)[:2:-1] + "\n"
+
+
 def write_tournament(t: Tournament) -> str:
-    return "\n".join([str(t.n)] + [bin(row | 1 << t.n)[:2:-1] for row in t.out]) + "\n"
+    """The text of ``t``, the blocks of ``_tournament_blocks`` joined."""
+    return "".join(_tournament_blocks(t))
 
 
 def read_tournament(lines: Iterable[str], check_n: Callable[[int], None] | None = None) -> Tournament:

@@ -14,10 +14,11 @@ import mpmath
 import pytest
 
 import homlab
+from homlab import generators
 from homlab.errors import InputError
 from homlab.generators import gnp, random_uniform_hypergraph
 from homlab.graphs import _rational, read_graph, write_graph
-from homlab.tournaments import read_tournament
+from homlab.tournaments import read_tournament, write_tournament
 
 import cli_helpers
 from graph_helpers import complete_graph, write_hypergraph
@@ -347,14 +348,20 @@ finally:
         (["hom", "{graph}"], []),
         (["tournament", "dist", "{tournament}"], []),
         (["params", "--eps", "1/128"], ["mpmath"]),
+        # minimal_ell decides a small ell in integers: no enclosure, so no mpmath
+        (["containers", "verify", "{graph}", "--eps", "1/2", "--u", "2", "--k", "3"], []),
+        (["experiment", "run", "{config}"], ["numpy"]),
         ([], []),
     ],
-    ids=["hom", "tournament-dist", "params", "import-pure-python-modules"],
+    ids=["hom", "tournament-dist", "params", "containers-verify", "experiment-run-triangle-scan",
+         "import-pure-python-modules"],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, loaded):
-    files = {"graph": tmp_path / "g.txt", "tournament": tmp_path / "t.txt"}
+    files = {"graph": tmp_path / "g.txt", "tournament": tmp_path / "t.txt",
+             "config": tmp_path / "cfg.json"}
     files["graph"].write_text("4 2\n0 1\n2 3\n")
     files["tournament"].write_text("3\n010\n001\n100\n")
+    files["config"].write_text(json.dumps(_TRIANGLE_SCAN))
     env = {**os.environ, "PYTHONPATH": str(Path(homlab.__file__).resolve().parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", _LOADED_MODULES, *(a.format(**files) for a in args)],
@@ -498,11 +505,12 @@ def _run_cli(*args, preexec_fn=None):
 
 
 def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+    resource.setrlimit(resource.RLIMIT_AS, (140 << 20, 140 << 20))
 
 
 def test_memory_exhaustion_exits_3_with_one_error_line():
-    # the draw-cap G(n, 1/2) needs more than 300 MB of address space
+    # the draw-cap G(n, 1/2) needs more than 140 MB of address space, the
+    # 32 MB of its boolean matrix on top of what numpy maps; the imports fit below it
     result, _ = _run_cli("construct", "--kind", "gnp", "--n", "5793",
                          preexec_fn=_limit_address_space)
     assert result.returncode == 3, result.stderr
@@ -558,12 +566,15 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def _exit_code_and_peak_kib(*args):
+def _exit_code_and_peak_kib(*args, code=None):
+    """Exit code and peak RSS of ``homlab args`` in a fresh process, or of
+    ``python -c code`` if ``code`` is given."""
     env = {**os.environ, "PYTHONPATH": str(Path(homlab.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "homlab.cli",
-                           *args], capture_output=True, text=True, timeout=20, env=env, check=True)
-    code, peak = done.stdout.split()
-    return int(code), int(peak)
+    command = ["-c", code] if code else ["-m", "homlab.cli", *args]
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS, sys.executable, *command],
+                          capture_output=True, text=True, timeout=20, env=env, check=True)
+    exit_code, peak = done.stdout.split()
+    return int(exit_code), int(peak)
 
 
 def test_refusing_a_large_file_costs_only_its_header(tmp_path):
@@ -580,6 +591,22 @@ def test_refusing_a_large_file_costs_only_its_header(tmp_path):
         _exit_code_and_peak_kib("hom", str(path), "--eps", "1/4") for path in (small, large))
     assert small_code == large_code == 3
     assert large_kib - small_kib < 10 << 10, (small_kib, large_kib)
+
+
+@pytest.mark.parametrize("kind, generate", [
+    ("gnp", "from fractions import Fraction\nfrom homlab.generators import gnp\n"
+            "gnp(3000, Fraction(1, 2), 3)"),
+    ("tournament", "from homlab.generators import random_tournament\nrandom_tournament(3000, 3)"),
+], ids=["gnp", "tournament"])
+def test_construct_streams_its_text_within_the_generators_peak(tmp_path, kind, generate):
+    # the 21 MB (gnp) or 9 MB (tournament) of text is written a block at a
+    # time, so the command peaks where the generator alone does
+    out = tmp_path / "out.txt"
+    code, construct_kib = _exit_code_and_peak_kib("--seed", "3", "--out", str(out), "construct",
+                                                  "--kind", kind, "--n", "3000")
+    assert code == 0 and out.stat().st_size > 8 << 20
+    _, generator_kib = _exit_code_and_peak_kib(code=generate)
+    assert construct_kib - generator_kib < 20 << 10, (construct_kib, generator_kib)
 
 
 @pytest.mark.parametrize(
@@ -609,13 +636,15 @@ def test_hom_refuses_a_token_int_alone_would_read(tmp_path, text):
 
 
 def test_failed_out_write_leaves_the_old_file_whole(tmp_path):
+    # either writer's text passes the 4096-byte file size limit partway
     old = tmp_path / "old.txt"
     old.write_bytes(b"old bytes\n")
-    result, _ = _run_cli("--out", str(old), "construct", "--kind", "gnp", "--n", "200",
-                         preexec_fn=_limit_file_size)
-    assert result.returncode == 2, result.stderr
-    assert old.read_bytes() == b"old bytes\n"
-    assert os.listdir(tmp_path) == ["old.txt"]  # no temporary file left behind
+    for kind in ("gnp", "tournament"):
+        result, _ = _run_cli("--out", str(old), "construct", "--kind", kind, "--n", "200",
+                             preexec_fn=_limit_file_size)
+        assert result.returncode == 2, result.stderr
+        assert old.read_bytes() == b"old bytes\n"
+        assert os.listdir(tmp_path) == ["old.txt"]  # no temporary file left behind
 
 
 def test_out_writes_a_path_that_is_no_regular_file_in_place():
@@ -633,6 +662,23 @@ def test_out_writes_through_a_symlink(tmp_path):
                   "gnp", "--n", "4").exit_code == 0
     assert (tmp_path / "link.txt").is_symlink()
     assert (tmp_path / "g.txt").read_text() == write_graph(gnp(4, Fraction(1, 2), 1))
+
+
+@pytest.mark.parametrize("args, text", [
+    ("gnp --n 40 --p 1/3", lambda: write_graph(gnp(40, Fraction(1, 3), 11))),
+    ("overlay --n 60 --eps 1/20",
+     lambda: write_graph(generators.overlay_construction(60, Fraction(1, 20), 11).graph)),
+    ("multipartite --n 7 --parts 3", lambda: write_graph(generators.complete_multipartite([3, 2, 2]))),
+    ("tournament --n 12", lambda: write_tournament(generators.random_tournament(12, 11))),
+    ("cograph --n 30", lambda: write_graph(generators.random_cograph(30, 11))),
+    ("bipartite --n 30 --p 2/3", lambda: write_graph(generators.random_bipartite(30, Fraction(2, 3), 11))),
+], ids=["gnp", "overlay", "multipartite", "tournament", "cograph", "bipartite"])
+def test_construct_writes_the_writers_text_to_stdout_and_out(tmp_path, args, text):
+    out = tmp_path / "out.txt"
+    printed = invoke("--seed", "11", "construct", "--kind", *args.split())
+    written = invoke("--seed", "11", "--out", str(out), "construct", "--kind", *args.split())
+    assert printed.exit_code == written.exit_code == 0 and written.stdout == ""
+    assert printed.stdout_bytes == out.read_bytes() == text().encode()
 
 
 @pytest.mark.parametrize("p", ["1e999999999", "1e-999999999", "1e9_999_999_99", "1" * 2000])
