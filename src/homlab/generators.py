@@ -102,33 +102,40 @@ def _candidates(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-# Side of the square tiles in which ``_coin_rows`` mirrors a larger matrix, and
-# rows in each block it cuts: a tile's transpose is copied in cache, and no
+# Side of the square tiles in which ``_coin_rows`` mirrors its matrix, and rows
+# in each block ``_across`` cuts: a tile's transpose is copied in cache, and no
 # step holds a second n x n matrix.
 _TILE = 512
 
 
-def _coin_rows(cand: np.ndarray, coins: np.ndarray) -> list[int]:
-    """The adjacency rows of the graph whose edges are the pairs {u, v}
-    allowed by the symmetric boolean matrix ``cand`` whose coins win.
-    ``cand`` is cut in place to its entries (u, v) with u < v, the
-    candidates; boolean indexing reads them in row-major order, which is
-    lexicographic order, so each takes its coin in draw order.  The coins are
-    written over the candidates and mirrored below the diagonal, and each
-    row, packed into bytes, is one vertex's row integer."""
-    n, width = len(cand), len(cand) + 7 >> 3
+def _upper(n: int) -> np.ndarray:
+    """The n x n boolean matrix that is True at the pairs (u, v) with u < v."""
     idx = np.arange(n)
-    if n <= _TILE:  # one tile: whole-matrix steps, which cost least at small n
-        cand &= idx[:, None] < idx
-        cand[cand] = coins
-        cand |= cand.T.copy()
-    else:
-        for a in range(0, n, _TILE):
-            cand[a:a + _TILE] &= idx[a:a + _TILE, None] < idx
-        cand[cand] = coins
-        for a in range(0, n, _TILE):  # tile (a, b) on or below the diagonal ORs in tile (b, a)
-            for b in range(0, a + 1, _TILE):
-                cand[a:a + _TILE, b:b + _TILE] |= cand[b:b + _TILE, a:a + _TILE].T.copy()
+    return idx[:, None] < idx
+
+
+def _across(left: np.ndarray) -> np.ndarray:
+    """``_upper`` cut to the pairs with one end in ``left`` and one outside
+    it, a block of rows at a time, so no second n x n matrix is held."""
+    cand = _upper(len(left))
+    for a in range(0, len(left), _TILE):
+        cand[a:a + _TILE] &= left[a:a + _TILE, None] != left
+    return cand
+
+
+def _coin_rows(cand: np.ndarray, coins: np.ndarray) -> list[int]:
+    """The adjacency rows of the graph whose edges are the candidate pairs
+    whose coins win.  ``cand`` is a boolean matrix that is True at the
+    candidates (u, v), u < v, and nowhere else; boolean indexing reads them in
+    row-major order, which is lexicographic order, so each takes its coin in
+    draw order.  The coins are written over the candidates in place and
+    mirrored below the diagonal, and each row, packed into bytes, is one
+    vertex's row integer."""
+    n, width = len(cand), len(cand) + 7 >> 3
+    cand[cand] = coins
+    for a in range(0, n, _TILE):  # tile (a, b) on or below the diagonal ORs in tile (b, a)
+        for b in range(0, a + 1, _TILE):
+            cand[a:a + _TILE, b:b + _TILE] |= cand[b:b + _TILE, a:a + _TILE].T.copy()
     data = np.packbits(cand, axis=1, bitorder="little").tobytes()
     return [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(n)]
 
@@ -137,7 +144,7 @@ def gnp(n: int, p: Fraction, seed: int, stream: int | None = None) -> Graph:
     """Erdos-Renyi graph: each pair independently an edge with probability p."""
     # n, p and the draw cap are checked before any n x n matrix is built
     coins = _coins(rng_for(seed, stream), _candidates(n, 2), p)
-    return Graph(n, _coin_rows(np.ones((n, n), dtype=bool), coins))
+    return Graph(n, _coin_rows(_upper(n), coins))
 
 
 def random_tournament(n: int, seed: int, stream: int | None = None) -> Tournament:
@@ -145,7 +152,7 @@ def random_tournament(n: int, seed: int, stream: int | None = None) -> Tournamen
     ``Tournament``: u < v beats v iff {u, v} is an edge, so gnp's row u with
     its bits below u flipped (it has no bit u) is u's out-row."""
     coins = _coins(rng_for(seed, stream), _candidates(n, 2), Fraction(1, 2))
-    rows = _coin_rows(np.ones((n, n), dtype=bool), coins)
+    rows = _coin_rows(_upper(n), coins)
     return Tournament(n, tuple(row ^ (1 << u) - 1 for u, row in enumerate(rows)))
 
 
@@ -247,7 +254,7 @@ def random_bipartite(n: int, p: Fraction, seed: int, stream: int | None = None) 
     left = np.zeros(n, dtype=bool)
     left[rng.permutation(n)[: (n + 1) // 2]] = True
     coins = _coins(rng, count, p)
-    return Graph(n, _coin_rows(left[:, None] != left, coins))
+    return Graph(n, _coin_rows(_across(left), coins))
 
 
 def random_uniform_hypergraph(r: int, n: int, p: Fraction, seed: int, stream: int | None = None):

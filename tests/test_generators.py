@@ -582,6 +582,18 @@ def test_chunked_draws_give_the_words_of_one_draw(monkeypatch):
                     == reference_random_uniform_hypergraph(3, 12, p, seed))
 
 
+@pytest.mark.parametrize("tile", [8, 13, 64])
+def test_tiled_mirror_matches_the_references(monkeypatch, tile):
+    # many tiles on each side, the last one partial but for n = 40 at tile 8;
+    # at tile 64, n = 40 is one partial tile and n = 100 one full and one partial
+    monkeypatch.setattr(generators, "_TILE", tile)
+    for n in (40, 100):
+        for p in (Fraction(1, 20), Fraction(1, 2), Fraction(9, 10)):
+            assert gnp(n, p, 1, stream=n) == reference_gnp(n, p, 1, stream=n)
+            assert random_bipartite(n, p, 1, stream=n) == reference_random_bipartite(n, p, 1, stream=n)
+        assert random_tournament(n, 1) == reference_random_tournament(n, 1)
+
+
 @pytest.mark.parametrize("r", [-1, 0, 1])
 def test_hypergraph_uniformity_below_2_is_refused_before_any_draw(monkeypatch, r):
     drawn = []
